@@ -461,6 +461,14 @@ if [ "${1:-}" != "--fast" ]; then
     cargo run -q --release -p semcc-bench --bin table_serve -- --quick \
         > "$tmpdir/table_serve.txt"
     echo "   table_serve: all rows committed, audited clean, deterministic"
+
+    echo "== perf/ (the benchmark package: a workspace of its own) =="
+    # perf/ reaches ../crates by path from outside this workspace, so
+    # nothing above compiles it; a crate API change would otherwise break
+    # the benchmark silently. Either command exits nonzero on a failed op.
+    cargo test -q --offline --manifest-path perf/Cargo.toml > /dev/null
+    perf/run.sh --quick > "$tmpdir/perf_quick.txt"
+    echo "   perf: package tests pass, run.sh --quick exits 0 on all workloads"
 fi
 
 echo "== rustdoc (warnings are errors) =="

@@ -183,8 +183,7 @@ fn cmd_check(args: &[String]) -> CmdResult {
         return Err("usage: semcc check <app.json> <transaction> <LEVEL>".into());
     };
     let app = load_app(path)?;
-    let level = IsolationLevel::from_name(level_name)
-        .ok_or_else(|| format!("unknown level `{level_name}`"))?;
+    let level: IsolationLevel = level_name.parse()?;
     if app.program(txn).is_none() {
         return Err(format!(
             "no transaction `{txn}` (have: {})",
@@ -208,23 +207,6 @@ fn cmd_check(args: &[String]) -> CmdResult {
     }
 }
 
-/// Parse one `--levels` token: full level names and the usual short forms.
-fn parse_level(token: &str) -> Result<IsolationLevel, String> {
-    if let Some(l) = IsolationLevel::from_name(token) {
-        return Ok(l);
-    }
-    match token.to_ascii_uppercase().as_str() {
-        "RU" => Ok(IsolationLevel::ReadUncommitted),
-        "RC" => Ok(IsolationLevel::ReadCommitted),
-        "RCFCW" | "RC+FCW" => Ok(IsolationLevel::ReadCommittedFcw),
-        "RR" => Ok(IsolationLevel::RepeatableRead),
-        "SI" | "SNAPSHOT" => Ok(IsolationLevel::Snapshot),
-        "SSI" => Ok(IsolationLevel::Ssi),
-        "SER" | "SERIALIZABLE" => Ok(IsolationLevel::Serializable),
-        other => Err(format!("unknown isolation level `{other}`")),
-    }
-}
-
 /// Parse one `--levels` vector (`L1,L2,...`, one level per program) into
 /// a level map plus a short display label like `RU,RC,SER`.
 fn parse_level_vector(
@@ -243,7 +225,7 @@ fn parse_level_vector(
     let mut m = BTreeMap::new();
     let mut label = Vec::new();
     for (p, t) in app.programs.iter().zip(tokens) {
-        let l = parse_level(t)?;
+        let l: IsolationLevel = t.parse()?;
         m.insert(p.name.clone(), l);
         label.push(level_code(l));
     }
@@ -672,7 +654,7 @@ fn cmd_explore(args: &[String]) -> CmdResult {
                         names.len()
                     ));
                 }
-                tokens.into_iter().map(parse_level).collect()
+                tokens.into_iter().map(str::parse).collect()
             })
             .collect::<Result<_, _>>()?,
         None => {
@@ -850,7 +832,7 @@ fn cmd_faultsim(args: &[String]) -> CmdResult {
             "--levels" => {
                 let list = it.next().ok_or("--levels needs a comma-separated list")?;
                 opts.levels =
-                    list.split(',').map(|t| parse_level(t.trim())).collect::<Result<_, _>>()?;
+                    list.split(',').map(|t| t.trim().parse()).collect::<Result<_, String>>()?;
             }
             "--mix" => {
                 let list = it.next().ok_or(
@@ -1823,27 +1805,6 @@ mod tests {
         // The JSON output round-trips through the parser.
         let text = json.to_pretty();
         semcc_json::from_str_value(&text).expect("valid JSON");
-    }
-
-    #[test]
-    fn level_tokens_parse() {
-        use IsolationLevel::*;
-        for (tok, l) in [
-            ("RU", ReadUncommitted),
-            ("rc", ReadCommitted),
-            ("RCFCW", ReadCommittedFcw),
-            ("RC+FCW", ReadCommittedFcw),
-            ("RR", RepeatableRead),
-            ("SI", Snapshot),
-            ("ssi", Ssi),
-            ("SSI", Ssi),
-            ("SER", Serializable),
-            ("SERIALIZABLE", Serializable),
-            ("REPEATABLE READ", RepeatableRead),
-        ] {
-            assert_eq!(parse_level(tok), Ok(l), "{tok}");
-        }
-        assert!(parse_level("BOGUS").is_err());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Isolation levels.
 
 use std::fmt;
+use std::str::FromStr;
 
 /// The isolation levels analyzed by the paper, orderable by strength for
 /// the Section 5 assignment procedure (SNAPSHOT sits outside the ANSI
@@ -107,6 +108,28 @@ impl IsolationLevel {
     }
 }
 
+/// Every accepted spelling, in any case: the display names plus the short
+/// codes of the CLI's `--levels` lists and the result tables.
+impl FromStr for IsolationLevel {
+    type Err = String;
+
+    fn from_str(token: &str) -> Result<Self, String> {
+        let upper = token.to_ascii_uppercase();
+        if let Some(l) = IsolationLevel::from_name(&upper) {
+            return Ok(l);
+        }
+        match upper.as_str() {
+            "RU" => Ok(IsolationLevel::ReadUncommitted),
+            "RC" => Ok(IsolationLevel::ReadCommitted),
+            "RCFCW" | "RC+FCW" => Ok(IsolationLevel::ReadCommittedFcw),
+            "RR" => Ok(IsolationLevel::RepeatableRead),
+            "SI" => Ok(IsolationLevel::Snapshot),
+            "SER" => Ok(IsolationLevel::Serializable),
+            _ => Err(format!("unknown isolation level `{upper}`")),
+        }
+    }
+}
+
 impl fmt::Display for IsolationLevel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
@@ -157,5 +180,36 @@ mod tests {
             assert_eq!(IsolationLevel::from_name(&l.to_string()), Some(l));
         }
         assert_eq!(IsolationLevel::from_name("nope"), None);
+    }
+
+    #[test]
+    fn level_tokens_parse() {
+        use IsolationLevel::*;
+        for (tok, l) in [
+            ("RU", ReadUncommitted),
+            ("rc", ReadCommitted),
+            ("RCFCW", ReadCommittedFcw),
+            ("RC+FCW", ReadCommittedFcw),
+            ("RR", RepeatableRead),
+            ("SI", Snapshot),
+            ("ssi", Ssi),
+            ("SSI", Ssi),
+            ("SER", Serializable),
+            ("SERIALIZABLE", Serializable),
+            ("REPEATABLE READ", RepeatableRead),
+            ("read uncommitted", ReadUncommitted),
+            ("read committed", ReadCommitted),
+            ("Read Committed+FCW", ReadCommittedFcw),
+            ("repeatable read", RepeatableRead),
+            ("snapshot", Snapshot),
+            ("serializable", Serializable),
+        ] {
+            assert_eq!(tok.parse(), Ok(l), "{tok}");
+        }
+        for l in IsolationLevel::ALL {
+            assert_eq!(l.name().to_lowercase().parse(), Ok(l));
+        }
+        let err = "bogus".parse::<IsolationLevel>().expect_err("not a level");
+        assert_eq!(err, "unknown isolation level `BOGUS`");
     }
 }

@@ -14,6 +14,7 @@
 use crate::error::LockError;
 use parking_lot::{Condvar, Mutex};
 use semcc_faults::{FaultInjector, FaultKind};
+use semcc_logic::hash::{fnv1a_step, FNV_OFFSET};
 use semcc_logic::prover::{Prover, Sat};
 use semcc_logic::row::RowPred;
 use semcc_logic::Pred;
@@ -157,17 +158,6 @@ impl Default for LockManager {
     fn default() -> Self {
         LockManager::new(LockConfig::default())
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
-
-fn fnv1a_step(mut h: u64, bytes: &[u8]) -> u64 {
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 impl LockManager {

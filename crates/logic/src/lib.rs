@@ -21,6 +21,7 @@
 pub mod certtrace;
 pub mod expr;
 pub mod footprint;
+pub mod hash;
 pub mod jsonio;
 pub mod linear;
 pub mod parser;

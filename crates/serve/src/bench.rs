@@ -24,9 +24,8 @@ use semcc_engine::audit::audit_quiescent;
 use semcc_engine::EngineTuning;
 use semcc_json::Json;
 use semcc_lock::LockStats;
-use semcc_workloads::driver::{RetryPolicy, RunStats};
+use semcc_workloads::driver::{retry, Attempted, RetryPolicy, RunStats};
 use std::collections::BTreeMap;
-use std::panic::AssertUnwindSafe;
 use std::time::{Duration, Instant};
 
 /// Bench configuration (flags of `semcc serve --bench`).
@@ -107,15 +106,6 @@ fn item_seed(seed: u64, i: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-struct ItemResult {
-    type_name: Option<String>,
-    committed: bool,
-    gave_up: bool,
-    panicked: bool,
-    aborts: u64,
-    latency_us: u64,
-}
-
 /// Pre-compute the type a transaction index issues (and whether the
 /// panic drill fires for it). Pure in `(cfg.seed, index)`.
 fn pick_for(cfg: &BenchConfig, types: &[String], i: u64) -> (Option<usize>, bool) {
@@ -149,6 +139,10 @@ pub fn run(policy: AdmissionPolicy, cfg: &BenchConfig) -> Result<BenchReport, cr
         types.iter().map(|t| (t.as_str(), server.program(t).expect("registered"))).collect();
 
     let items: Vec<u64> = (0..(cfg.workers * cfg.txns_per_worker) as u64).collect();
+    // The server retries; this single-attempt pass through `retry` is the
+    // panic boundary around everything an op does before and inside
+    // `submit`, the injected-panic drill included.
+    let once = RetryPolicy { max_attempts: 1, ..RetryPolicy::default() };
     let start = Instant::now();
     let results = semcc_par::ordered_map_with(
         cfg.workers,
@@ -157,69 +151,52 @@ pub fn run(policy: AdmissionPolicy, cfg: &BenchConfig) -> Result<BenchReport, cr
         |(), _, &i| {
             let t0 = Instant::now();
             let (pick, panic_now) = pick_for(cfg, &types, i);
-            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let op = || {
                 if panic_now {
                     panic!("injected bench panic (op {i})");
                 }
-                let name = &types[pick.expect("non-panicking op picked a type")];
+                let name = types[pick.expect("non-panicking op picked a type")].as_str();
                 let mut bind_rng = StdRng::seed_from_u64(item_seed(cfg.seed, i, 1));
                 let b = workload::bindings_for(
                     server.engine(),
-                    programs[name.as_str()],
+                    programs[name],
                     cfg.scale,
                     &mut bind_rng,
                 );
-                (name.clone(), server.submit(name, &b, i))
-            }));
-            let latency_us = t0.elapsed().as_micros() as u64;
-            match outcome {
-                Err(_) => ItemResult {
-                    type_name: None,
-                    committed: false,
-                    gave_up: false,
-                    panicked: true,
-                    aborts: 0,
-                    latency_us,
-                },
-                Ok((name, Ok(done))) => ItemResult {
-                    type_name: Some(name),
-                    committed: true,
-                    gave_up: false,
-                    panicked: false,
-                    aborts: done.aborts as u64,
-                    latency_us,
-                },
-                Ok((name, Err(SubmitError::GaveUp { aborts, .. }))) => ItemResult {
-                    type_name: Some(name),
-                    committed: false,
-                    gave_up: true,
-                    panicked: false,
-                    aborts: aborts as u64,
-                    latency_us,
-                },
-                Ok((name, Err(e))) => {
-                    panic!("bench programming error submitting `{name}`: {e}")
-                }
-            }
+                Ok((name, server.submit(name, &b, i)))
+            };
+            let attempted = retry(&once, i, op, |_, _| {});
+            (attempted, t0.elapsed().as_micros() as u64)
         },
     );
     let elapsed = start.elapsed();
 
     let mut stats = RunStats { elapsed, ..RunStats::default() };
     let mut issued_by_type: BTreeMap<String, u64> = BTreeMap::new();
-    for r in &results {
-        if let Some(name) = &r.type_name {
-            *issued_by_type.entry(name.clone()).or_insert(0) += 1;
-        }
-        stats.aborts += r.aborts;
-        if r.panicked {
-            stats.panics += 1;
-        } else if r.gave_up {
-            stats.failed += 1;
-            stats.gave_up += 1;
-        } else if r.committed {
-            stats.committed += 1;
-            stats.latencies_us.push(r.latency_us);
+    for (attempted, latency_us) in results {
+        let (name, submitted) = match attempted {
+            Attempted::Committed { value, .. } => value,
+            Attempted::Panicked => {
+                stats.panics += 1;
+                continue;
+            }
+            Attempted::GaveUp { error, .. } | Attempted::Failed(error) => {
+                unreachable!("a bench op only returns Ok: {error}")
+            }
+        };
+        *issued_by_type.entry(name.to_string()).or_insert(0) += 1;
+        match submitted {
+            Ok(done) => {
+                stats.committed += 1;
+                stats.aborts += done.aborts as u64;
+                stats.latencies_us.push(latency_us);
+            }
+            Err(SubmitError::GaveUp { aborts, .. }) => {
+                stats.failed += 1;
+                stats.gave_up += 1;
+                stats.aborts += aborts as u64;
+            }
+            Err(e) => panic!("bench programming error submitting `{name}`: {e}"),
         }
     }
     let type_stats = server.stats();

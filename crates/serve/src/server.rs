@@ -14,10 +14,10 @@ use parking_lot::Mutex;
 use semcc_engine::{Engine, EngineConfig, EngineError, EngineTuning, IsolationLevel};
 use semcc_txn::interp::{run_program, RunOutcome};
 use semcc_txn::{Bindings, Program};
-use semcc_workloads::driver::{AbortClass, RetryPolicy};
+use semcc_workloads::driver::{retry, AbortClass, Attempted, RetryPolicy};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -141,14 +141,49 @@ pub struct TypeStats {
     pub aborts_by_class: BTreeMap<AbortClass, u64>,
 }
 
+/// One type's counters: the live, lock-free form of [`TypeStats`].
+#[derive(Default)]
+struct Counters {
+    submitted: AtomicU64,
+    committed: AtomicU64,
+    gave_up: AtomicU64,
+    panics: AtomicU64,
+    /// Indexed by `AbortClass as usize`.
+    aborts: [AtomicU64; AbortClass::ALL.len()],
+}
+
+impl Counters {
+    fn snapshot(&self) -> TypeStats {
+        TypeStats {
+            submitted: self.submitted.load(Relaxed),
+            committed: self.committed.load(Relaxed),
+            gave_up: self.gave_up.load(Relaxed),
+            panics: self.panics.load(Relaxed),
+            aborts_by_class: AbortClass::ALL
+                .into_iter()
+                .map(|class| (class, self.aborts[class as usize].load(Relaxed)))
+                .filter(|(_, n)| *n > 0)
+                .collect(),
+        }
+    }
+}
+
+/// A registered type: its program, its policy level, and its own counter
+/// slot, so a submission resolves its type once and counts without a
+/// shared lock.
+struct Registered {
+    program: Program,
+    level: IsolationLevel,
+    counters: Counters,
+}
+
 /// The transaction server. `Sync`: one instance serves all worker
 /// threads.
 pub struct Server {
     engine: Arc<Engine>,
-    programs: BTreeMap<String, (Program, IsolationLevel)>,
+    programs: BTreeMap<String, Registered>,
     policy: AdmissionPolicy,
     retry: RetryPolicy,
-    stats: Mutex<BTreeMap<String, TypeStats>>,
     rejected_unknown: Mutex<BTreeMap<String, u64>>,
 }
 
@@ -169,7 +204,8 @@ impl Server {
             let Some(level) = policy.level_of(&p.name) else {
                 return Err(ServeError::Uncovered { txn: p.name });
             };
-            table.insert(p.name.clone(), (p, level));
+            let name = p.name.clone();
+            table.insert(name, Registered { program: p, level, counters: Counters::default() });
         }
         let mut tuning = config.tuning;
         if config.record_history && tuning.history_cap.is_none() {
@@ -189,7 +225,6 @@ impl Server {
             programs: table,
             policy,
             retry: config.retry,
-            stats: Mutex::new(BTreeMap::new()),
             rejected_unknown: Mutex::new(BTreeMap::new()),
         })
     }
@@ -206,12 +241,12 @@ impl Server {
 
     /// The level a type runs at, if registered.
     pub fn level_of(&self, txn_type: &str) -> Option<IsolationLevel> {
-        self.programs.get(txn_type).map(|(_, l)| *l)
+        self.programs.get(txn_type).map(|r| r.level)
     }
 
     /// A registered program, if any.
     pub fn program(&self, txn_type: &str) -> Option<&Program> {
-        self.programs.get(txn_type).map(|(p, _)| p)
+        self.programs.get(txn_type).map(|r| &r.program)
     }
 
     /// Registered type names, sorted.
@@ -219,9 +254,10 @@ impl Server {
         self.programs.keys().map(String::as_str).collect()
     }
 
-    /// Snapshot of the per-type counters.
+    /// Snapshot of the per-type counters (types submitted at least once).
     pub fn stats(&self) -> BTreeMap<String, TypeStats> {
-        self.stats.lock().clone()
+        let all = self.programs.iter().map(|(name, r)| (name.clone(), r.counters.snapshot()));
+        all.filter(|(_, stats)| stats.submitted > 0).collect()
     }
 
     /// Submissions rejected for naming an unregistered type, per name.
@@ -238,51 +274,40 @@ impl Server {
         bindings: &Bindings,
         salt: u64,
     ) -> Result<Submitted, SubmitError> {
-        let Some((program, level)) = self.programs.get(txn_type) else {
+        let Some(entry) = self.programs.get(txn_type) else {
             *self.rejected_unknown.lock().entry(txn_type.to_string()).or_insert(0) += 1;
             return Err(SubmitError::UnknownType(txn_type.to_string()));
         };
-        self.stats.lock().entry(txn_type.to_string()).or_default().submitted += 1;
-        let mut aborts = 0usize;
-        let mut class_spent: BTreeMap<AbortClass, usize> = BTreeMap::new();
-        let mut attempt = 0usize;
-        loop {
-            attempt += 1;
-            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                run_program(&self.engine, program, *level, bindings)
-            }));
-            match outcome {
-                Err(_) => {
-                    self.stats.lock().entry(txn_type.to_string()).or_default().panics += 1;
-                    return Err(SubmitError::Panicked);
-                }
-                Ok(Ok(run)) => {
-                    self.stats.lock().entry(txn_type.to_string()).or_default().committed += 1;
-                    return Ok(Submitted { outcome: run, aborts });
-                }
-                Ok(Err(e)) => {
-                    let Some(class) = AbortClass::classify(&e) else {
-                        return Err(SubmitError::Failed(e));
-                    };
-                    aborts += 1;
-                    {
-                        let mut stats = self.stats.lock();
-                        let entry = stats.entry(txn_type.to_string()).or_default();
-                        *entry.aborts_by_class.entry(class).or_insert(0) += 1;
-                    }
-                    let spent = class_spent.entry(class).or_insert(0);
-                    *spent += 1;
-                    let budget_hit =
-                        self.retry.class_budgets.get(&class).is_some_and(|budget| *spent > *budget);
-                    if attempt >= self.retry.max_attempts || budget_hit {
-                        self.stats.lock().entry(txn_type.to_string()).or_default().gave_up += 1;
-                        return Err(SubmitError::GaveUp { class, aborts, error: e });
-                    }
-                    let pause = self.retry.backoff(attempt, salt);
-                    if !pause.is_zero() {
-                        std::thread::sleep(pause);
-                    }
-                }
+        let run = || run_program(&self.engine, &entry.program, entry.level, bindings);
+        let (outcome, aborts) = self.run_to_completion(&entry.counters, salt, run)?;
+        Ok(Submitted { outcome, aborts })
+    }
+
+    /// Drive `attempt` through the shared [`retry`] loop on behalf of one
+    /// submission, counting into its type's own slot.
+    fn run_to_completion<T>(
+        &self,
+        counters: &Counters,
+        salt: u64,
+        attempt: impl FnMut() -> Result<T, EngineError>,
+    ) -> Result<(T, usize), SubmitError> {
+        counters.submitted.fetch_add(1, Relaxed);
+        let on_abort = |class: AbortClass, _: &EngineError| {
+            counters.aborts[class as usize].fetch_add(1, Relaxed);
+        };
+        match retry(&self.retry, salt, attempt, on_abort) {
+            Attempted::Committed { value, aborts } => {
+                counters.committed.fetch_add(1, Relaxed);
+                Ok((value, aborts))
+            }
+            Attempted::GaveUp { class, aborts, error } => {
+                counters.gave_up.fetch_add(1, Relaxed);
+                Err(SubmitError::GaveUp { class, aborts, error })
+            }
+            Attempted::Failed(e) => Err(SubmitError::Failed(e)),
+            Attempted::Panicked => {
+                counters.panics.fetch_add(1, Relaxed);
+                Err(SubmitError::Panicked)
             }
         }
     }
@@ -346,14 +371,7 @@ mod tests {
     }
 
     #[test]
-    fn panicking_program_is_contained() {
-        // A program referencing a missing item makes `run_program` return
-        // an error, not panic — so drive the panic path directly through
-        // a poisoned closure via submit's catch. Easiest honest trigger:
-        // a program whose body is fine but whose bindings make an indexed
-        // item name unresolvable would be Failed, not a panic; instead we
-        // assert the Failed path here and leave true panic containment to
-        // the bench's injected-panic run (see tests/smoke.rs).
+    fn missing_items_surface_as_failed() {
         let server =
             Server::start(banking_policy(), banking::app().programs, ServeConfig::default())
                 .expect("server");
@@ -362,5 +380,38 @@ mod tests {
         let b = Bindings::new().set("i", 0).set("w", 5);
         let err = server.submit("Withdraw_sav", &b, 0).expect_err("missing items");
         assert!(matches!(err, SubmitError::Failed(_)), "got: {err}");
+    }
+
+    #[test]
+    fn attempt_panicking_under_an_x_lock_is_contained_and_rolled_back() {
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let server =
+            Server::start(banking_policy(), banking::app().programs, ServeConfig::default())
+                .expect("server");
+        banking::setup(server.engine(), 2, 100);
+        let engine = server.engine();
+        // The interpreter has no panicking statement, so the attempt is
+        // written out: write an item (taking its X lock), then panic with
+        // the transaction still active.
+        let buggy = || -> Result<(), EngineError> {
+            let mut txn = engine.begin(IsolationLevel::Serializable);
+            txn.write("acct_sav[0]", 7)?;
+            panic!("injected bug after a write");
+        };
+        let direct = retry(&RetryPolicy::default(), 0, buggy, |_, _| {});
+        let counters = &server.programs["Withdraw_sav"].counters;
+        let submitted = server.run_to_completion(counters, 0, buggy);
+        std::panic::set_hook(hook);
+
+        assert!(matches!(direct, Attempted::Panicked), "got: {direct:?}");
+        assert!(matches!(submitted, Err(SubmitError::Panicked)));
+        assert_eq!(server.stats()["Withdraw_sav"].panics, 1);
+        // Unwinding dropped the transaction: write undone, X lock released.
+        let audit = semcc_engine::audit::audit_quiescent(engine);
+        assert!(audit.clean(), "{:?}", audit.violations);
+        assert_eq!(engine.peek_item("acct_sav[0]").expect("item"), semcc_engine::Value::Int(100));
+        let b = Bindings::new().set("i", 0).set("d", 1);
+        server.submit("Deposit_sav", &b, 1).expect("the item is not left locked");
     }
 }

@@ -8,20 +8,9 @@ use crate::table::Table;
 use crate::value::Value;
 use crate::{Ts, TxnId};
 use parking_lot::{Mutex, RwLock};
+use semcc_logic::hash::fnv1a;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// The shared database: items plus tables.
 ///

@@ -347,15 +347,8 @@ impl WalRecord {
     }
 }
 
-/// FNV-1a 64-bit checksum.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// The frame checksum: FNV-1a 64-bit.
+pub use semcc_logic::hash::fnv1a;
 
 /// Group-flush policy: records become durable in batches of
 /// `flush_every` appends; commit records always force a flush.

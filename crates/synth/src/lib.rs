@@ -231,15 +231,8 @@ pub struct PairCache<'a> {
     hits: usize,
 }
 
-/// FNV-1a over a byte string (the repo avoids external hash crates).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// FNV-1a over a byte string: footprint hashes and policy digests.
+pub use semcc_logic::hash::fnv1a;
 
 impl<'a> PairCache<'a> {
     pub fn new(app: &'a App, sym: SymOptions) -> Self {

@@ -6,7 +6,6 @@ use rand::{Rng, SeedableRng};
 use semcc_engine::{EngineError, FaultKind};
 use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// What to run: `threads` workers each issuing `txns_per_thread`
@@ -114,6 +113,8 @@ impl RetryPolicy {
     /// *failed* attempts so far), for a worker identified by `salt`.
     /// Deterministic in `(jitter_seed, salt, attempt)`.
     pub fn backoff(&self, attempt: usize, salt: u64) -> Duration {
+        #[cfg(test)]
+        tests::BACKOFF_CALLS.with(|calls| calls.borrow_mut().push((attempt, salt)));
         if self.base_backoff.is_zero() {
             return Duration::ZERO;
         }
@@ -140,8 +141,9 @@ pub struct RunStats {
     /// budget exhausted) — counted in `failed` as well; the run degrades
     /// gracefully instead of panicking or spinning.
     pub gave_up: u64,
-    /// Absorbed aborts by class (only populated by
-    /// [`run_mix_with_policy`], where the driver sees each attempt).
+    /// Aborts the driver saw by class (every abort under
+    /// [`run_mix_with_policy`]; under [`run_mix`] only the terminal abort
+    /// of a given-up transaction, the rest being absorbed in the closure).
     pub aborts_by_class: BTreeMap<AbortClass, u64>,
     /// Given-up transactions by the class of their *last* abort.
     pub gave_up_by_class: BTreeMap<AbortClass, u64>,
@@ -160,6 +162,22 @@ pub struct RunStats {
 }
 
 impl RunStats {
+    /// Fold one worker's counts and latencies into the run's.
+    fn absorb(&mut self, worker: RunStats) {
+        self.committed += worker.committed;
+        self.aborts += worker.aborts;
+        self.failed += worker.failed;
+        self.gave_up += worker.gave_up;
+        self.panics += worker.panics;
+        for (class, n) in worker.aborts_by_class {
+            *self.aborts_by_class.entry(class).or_insert(0) += n;
+        }
+        for (class, n) in worker.gave_up_by_class {
+            *self.gave_up_by_class.entry(class).or_insert(0) += n;
+        }
+        self.latencies_us.extend(worker.latencies_us);
+    }
+
     /// Committed transactions per second.
     pub fn throughput(&self) -> f64 {
         if self.elapsed.as_secs_f64() == 0.0 {
@@ -207,168 +225,141 @@ impl RunStats {
     }
 }
 
-/// Run a mix. The closure receives `(worker-id, rng)` and performs one
-/// transaction, returning the number of aborts absorbed (from
-/// `run_with_retries`) or a terminal error.
+/// How one transaction ended under [`retry`].
+#[derive(Debug)]
+pub enum Attempted<T> {
+    /// An attempt succeeded, after `aborts` failed ones.
+    Committed { value: T, aborts: usize },
+    /// The attempt bound or a class budget ran out; `error` is the last
+    /// abort and `class` its class.
+    GaveUp { class: AbortClass, aborts: usize, error: EngineError },
+    /// A non-abort error: a programming error, never retried.
+    Failed(EngineError),
+    /// The attempt panicked; the panic was contained here.
+    Panicked,
+}
+
+/// Run one transaction to completion: the only retry loop and the only
+/// panic boundary of the workspace. `attempt` performs exactly **one
+/// attempt** (begin → statements → commit, rolling back on error). On a
+/// concurrency-control abort, `retry` classifies it, tells `on_abort`,
+/// applies `policy`'s attempt bound and per-class budgets, sleeps the
+/// jittered backoff for `(failed attempts so far, salt)` and tries again.
 ///
-/// A closure that *panics* is caught per-operation: the panicking
-/// transaction is counted in [`RunStats::panics`] and the worker moves on,
-/// so one buggy op no longer cascades into every other worker (the old
-/// `std::sync::Mutex` poisoned and panicked the whole run).
+/// A panicking attempt is caught — its transaction rolls back as it
+/// unwinds (`Txn`'s `Drop`) — and ends this transaction as
+/// [`Attempted::Panicked`]. `on_abort` runs *outside* that boundary, after
+/// the victim has rolled back: it may count and audit, and must not panic.
+pub fn retry<T>(
+    policy: &RetryPolicy,
+    salt: u64,
+    mut attempt: impl FnMut() -> Result<T, EngineError>,
+    mut on_abort: impl FnMut(AbortClass, &EngineError),
+) -> Attempted<T> {
+    let mut spent = [0usize; AbortClass::ALL.len()];
+    let mut aborts = 0usize;
+    loop {
+        let error = match std::panic::catch_unwind(AssertUnwindSafe(&mut attempt)) {
+            Err(_) => return Attempted::Panicked,
+            Ok(Ok(value)) => return Attempted::Committed { value, aborts },
+            Ok(Err(e)) => e,
+        };
+        let Some(class) = AbortClass::classify(&error) else {
+            return Attempted::Failed(error);
+        };
+        aborts += 1;
+        on_abort(class, &error);
+        spent[class as usize] += 1;
+        let budget_hit =
+            policy.class_budgets.get(&class).is_some_and(|b| spent[class as usize] > *b);
+        if aborts >= policy.max_attempts || budget_hit {
+            return Attempted::GaveUp { class, aborts, error };
+        }
+        let pause = policy.backoff(aborts, salt);
+        if !pause.is_zero() {
+            std::thread::sleep(pause);
+        }
+    }
+}
+
+/// Run a mix whose closure retries by itself: it receives `(worker-id,
+/// rng)`, performs one transaction, and returns the number of aborts it
+/// absorbed (from `run_with_retries`) or its terminal abort, which counts
+/// as given up. Panics are contained per transaction as in
+/// [`run_mix_with_policy`].
 pub fn run_mix<F>(spec: MixSpec, op: F) -> RunStats
 where
     F: Fn(usize, &mut StdRng) -> Result<usize, EngineError> + Sync,
 {
-    let committed = AtomicU64::new(0);
-    let aborts = AtomicU64::new(0);
-    let failed = AtomicU64::new(0);
-    let panics = AtomicU64::new(0);
-    let latencies: Mutex<Vec<u64>> = Mutex::new(Vec::new());
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for t in 0..spec.threads {
-            let op = &op;
-            let committed = &committed;
-            let aborts = &aborts;
-            let failed = &failed;
-            let panics = &panics;
-            let latencies = &latencies;
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(spec.seed.wrapping_add(t as u64));
-                let mut local_lat = Vec::with_capacity(spec.txns_per_thread);
-                for _ in 0..spec.txns_per_thread {
-                    let t0 = Instant::now();
-                    match std::panic::catch_unwind(AssertUnwindSafe(|| op(t, &mut rng))) {
-                        Err(_) => {
-                            panics.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Ok(Ok(absorbed)) => {
-                            committed.fetch_add(1, Ordering::Relaxed);
-                            aborts.fetch_add(absorbed as u64, Ordering::Relaxed);
-                            local_lat.push(t0.elapsed().as_micros() as u64);
-                        }
-                        Ok(Err(e)) if e.is_abort() => {
-                            failed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Ok(Err(e)) => panic!("workload programming error: {e}"),
-                    }
-                }
-                latencies.lock().extend(local_lat);
-            });
-        }
-    });
-    let failed = failed.into_inner();
-    RunStats {
-        committed: committed.into_inner(),
-        aborts: aborts.into_inner(),
-        failed,
-        // The closure owns its retry loop here, so a returned abort *is*
-        // a given-up transaction.
-        gave_up: failed,
-        panics: panics.into_inner(),
-        elapsed: start.elapsed(),
-        latencies_us: latencies.into_inner(),
-        ..RunStats::default()
-    }
+    run_workers(spec, &RetryPolicy { max_attempts: 1, ..RetryPolicy::default() }, op)
 }
 
 /// Run a mix with the driver owning the retry loop. The closure performs
-/// exactly **one attempt** of one transaction; on a concurrency-control
-/// abort the driver classifies it, applies `policy`'s attempt bound,
-/// per-class budgets, and jittered exponential backoff, and — on budget
-/// exhaustion — degrades gracefully by counting the transaction in
-/// [`RunStats::gave_up`] (never panics on aborts). Non-abort errors are
-/// workload programming errors and still panic.
+/// exactly **one attempt** of one transaction; [`retry`] absorbs the
+/// aborts, and on budget exhaustion the transaction is counted in
+/// [`RunStats::gave_up`] (never a panic). A closure that *panics* is
+/// counted in [`RunStats::panics`] and the worker moves on to its next
+/// transaction. Non-abort errors are workload programming errors and
+/// still panic the run.
 pub fn run_mix_with_policy<F>(spec: MixSpec, policy: &RetryPolicy, op: F) -> RunStats
 where
     F: Fn(usize, &mut StdRng) -> Result<(), EngineError> + Sync,
 {
+    run_workers(spec, policy, |t, rng| op(t, rng).map(|()| 0))
+}
+
+/// The closed-loop worker loop: `spec.threads` scoped threads, each with
+/// its own seeded rng, each driving `spec.txns_per_thread` transactions
+/// through [`retry`] and folding the outcomes into a private `RunStats`
+/// that is merged once, when the worker finishes.
+fn run_workers<F>(spec: MixSpec, policy: &RetryPolicy, op: F) -> RunStats
+where
+    F: Fn(usize, &mut StdRng) -> Result<usize, EngineError> + Sync,
+{
     assert!(policy.max_attempts >= 1, "RetryPolicy::max_attempts must be ≥ 1");
-    let committed = AtomicU64::new(0);
-    let aborts = AtomicU64::new(0);
-    let gave_up = AtomicU64::new(0);
-    let panics = AtomicU64::new(0);
-    let by_class: Mutex<BTreeMap<AbortClass, u64>> = Mutex::new(BTreeMap::new());
-    let gave_up_class: Mutex<BTreeMap<AbortClass, u64>> = Mutex::new(BTreeMap::new());
-    let latencies: Mutex<Vec<u64>> = Mutex::new(Vec::new());
+    let total = Mutex::new(RunStats::default());
     let start = Instant::now();
     std::thread::scope(|scope| {
         for t in 0..spec.threads {
-            let op = &op;
-            let committed = &committed;
-            let aborts = &aborts;
-            let gave_up = &gave_up;
-            let panics = &panics;
-            let by_class = &by_class;
-            let gave_up_class = &gave_up_class;
-            let latencies = &latencies;
+            let (op, total) = (&op, &total);
             scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(spec.seed.wrapping_add(t as u64));
-                let mut local_lat = Vec::with_capacity(spec.txns_per_thread);
+                let mut local = RunStats {
+                    latencies_us: Vec::with_capacity(spec.txns_per_thread),
+                    ..RunStats::default()
+                };
                 for txn_no in 0..spec.txns_per_thread {
                     let t0 = Instant::now();
-                    let mut class_spent: BTreeMap<AbortClass, usize> = BTreeMap::new();
-                    let mut attempt = 0usize;
-                    loop {
-                        attempt += 1;
-                        let outcome =
-                            std::panic::catch_unwind(AssertUnwindSafe(|| op(t, &mut rng)));
-                        match outcome {
-                            Err(_) => {
-                                // A panicking attempt ends this transaction
-                                // (nothing to classify or retry) but never
-                                // the worker or the run.
-                                panics.fetch_add(1, Ordering::Relaxed);
-                                break;
-                            }
-                            Ok(Ok(())) => {
-                                committed.fetch_add(1, Ordering::Relaxed);
-                                local_lat.push(t0.elapsed().as_micros() as u64);
-                                break;
-                            }
-                            Ok(Err(e)) => {
-                                let Some(class) = AbortClass::classify(&e) else {
-                                    panic!("workload programming error: {e}");
-                                };
-                                aborts.fetch_add(1, Ordering::Relaxed);
-                                *by_class.lock().entry(class).or_insert(0) += 1;
-                                let spent = class_spent.entry(class).or_insert(0);
-                                *spent += 1;
-                                let budget_hit = policy
-                                    .class_budgets
-                                    .get(&class)
-                                    .is_some_and(|budget| *spent > *budget);
-                                if attempt >= policy.max_attempts || budget_hit {
-                                    gave_up.fetch_add(1, Ordering::Relaxed);
-                                    *gave_up_class.lock().entry(class).or_insert(0) += 1;
-                                    break;
-                                }
-                                let salt = (t as u64) << 32 | txn_no as u64;
-                                let pause = policy.backoff(attempt, salt);
-                                if !pause.is_zero() {
-                                    std::thread::sleep(pause);
-                                }
-                            }
+                    let salt = (t as u64) << 32 | txn_no as u64;
+                    let attempted = retry(
+                        policy,
+                        salt,
+                        || op(t, &mut rng),
+                        |class, _| {
+                            local.aborts += 1;
+                            *local.aborts_by_class.entry(class).or_insert(0) += 1;
+                        },
+                    );
+                    match attempted {
+                        Attempted::Committed { value: absorbed, .. } => {
+                            local.committed += 1;
+                            local.aborts += absorbed as u64;
+                            local.latencies_us.push(t0.elapsed().as_micros() as u64);
                         }
+                        Attempted::GaveUp { class, .. } => {
+                            local.failed += 1;
+                            local.gave_up += 1;
+                            *local.gave_up_by_class.entry(class).or_insert(0) += 1;
+                        }
+                        Attempted::Failed(e) => panic!("workload programming error: {e}"),
+                        Attempted::Panicked => local.panics += 1,
                     }
                 }
-                latencies.lock().extend(local_lat);
+                total.lock().absorb(local);
             });
         }
     });
-    let gave_up = gave_up.into_inner();
-    RunStats {
-        committed: committed.into_inner(),
-        aborts: aborts.into_inner(),
-        failed: gave_up,
-        gave_up,
-        aborts_by_class: by_class.into_inner(),
-        gave_up_by_class: gave_up_class.into_inner(),
-        panics: panics.into_inner(),
-        elapsed: start.elapsed(),
-        latencies_us: latencies.into_inner(),
-        ..RunStats::default()
-    }
+    RunStats { elapsed: start.elapsed(), ..total.into_inner() }
 }
 
 #[cfg(test)]
@@ -376,8 +367,69 @@ mod tests {
     use super::*;
     use crate::banking;
     use semcc_engine::{Engine, EngineConfig, IsolationLevel};
+    use std::cell::RefCell;
     use std::sync::Arc;
     use std::time::Duration;
+
+    thread_local! {
+        /// Every `(attempt, salt)` this thread passed to `backoff`.
+        pub(super) static BACKOFF_CALLS: RefCell<Vec<(usize, u64)>> =
+            const { RefCell::new(Vec::new()) };
+    }
+
+    #[test]
+    fn retry_follows_scripted_outcomes() {
+        fn fcw() -> EngineError {
+            EngineError::Injected(FaultKind::FcwConflict)
+        }
+        fn timeout() -> EngineError {
+            EngineError::Injected(FaultKind::LockTimeout)
+        }
+        let mut budgeted = RetryPolicy {
+            max_attempts: 4,
+            base_backoff: Duration::from_nanos(1),
+            ..RetryPolicy::default()
+        };
+        budgeted.class_budgets.insert(AbortClass::Fcw, 2);
+        // (name, salt, scripted attempt results, expected end, aborts,
+        // backoffs). The end is "committed", "failed" or the class given
+        // up on; backoff k must be called with `(k, salt)`.
+        type Script = Vec<Result<u32, EngineError>>;
+        let always = |e: fn() -> EngineError| (0..9).map(|_| Err(e())).collect::<Script>();
+        let cases: Vec<(&str, u64, Script, &str, usize, usize)> = vec![
+            ("commit first try", 5, vec![Ok(1)], "committed", 0, 0),
+            ("2 FCW then commit", 6, vec![Err(fcw()), Err(fcw()), Ok(2)], "committed", 2, 2),
+            ("attempt bound (4)", 7, always(timeout), "timeout", 4, 3),
+            ("FCW budget (2) before the bound", 8, always(fcw), "fcw", 3, 2),
+            ("non-abort error", 9, vec![Err(fcw()), Err(EngineError::TxnFinished)], "failed", 1, 1),
+        ];
+        for (name, salt, script, end, aborts_seen, backoffs) in cases {
+            BACKOFF_CALLS.with(|calls| calls.borrow_mut().clear());
+            let mut script = script.into_iter();
+            let mut seen = Vec::new();
+            let attempted = retry(
+                &budgeted,
+                salt,
+                || script.next().expect("retry ran past the script"),
+                |class, _| seen.push(class),
+            );
+            let (got, aborts) = match &attempted {
+                Attempted::Committed { aborts, .. } => ("committed", *aborts),
+                Attempted::GaveUp { class, aborts, error } => {
+                    assert_eq!(AbortClass::classify(error), Some(*class), "{name}");
+                    assert_eq!(seen.last(), Some(class), "{name}: class of the last abort");
+                    (class.name(), *aborts)
+                }
+                Attempted::Failed(_) => ("failed", seen.len()),
+                Attempted::Panicked => ("panicked", seen.len()),
+            };
+            assert_eq!(got, end, "{name}");
+            assert_eq!(aborts, aborts_seen, "{name}: aborts reported");
+            assert_eq!(seen.len(), aborts_seen, "{name}: on_abort saw every abort");
+            let expected: Vec<(usize, u64)> = (1..=backoffs).map(|k| (k, salt)).collect();
+            BACKOFF_CALLS.with(|calls| assert_eq!(*calls.borrow(), expected, "{name}: backoff"));
+        }
+    }
 
     #[test]
     fn driver_counts_and_conserves() {

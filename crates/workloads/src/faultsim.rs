@@ -19,7 +19,7 @@
 //! so the whole run — including the [`FaultEvent`] trail — is bit-for-bit
 //! reproducible.
 
-use crate::driver::{AbortClass, RetryPolicy};
+use crate::driver::{retry, AbortClass, Attempted, RetryPolicy};
 use semcc_core::compens::rollback_effects;
 use semcc_core::{neutral_bindings, seed_neutral, App};
 use semcc_engine::{
@@ -29,6 +29,7 @@ use semcc_engine::{
 };
 use semcc_txn::interp::Stepper;
 use semcc_txn::Program;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -200,7 +201,7 @@ fn audit_crash(
     programs: &[&Program],
     opts: &FaultSimOptions,
     report: &mut FaultSimReport,
-) -> Result<(), String> {
+) {
     *report.crashes_by_class.entry(snap.kind).or_insert(0) += 1;
     let reference = Arc::new(Engine::new(EngineConfig {
         lock_timeout: opts.lock_timeout,
@@ -208,8 +209,10 @@ fn audit_crash(
         faults: None,
         wal: None,
     }));
-    seed_neutral(&reference, app, programs)
-        .map_err(|e| format!("recovery reference seeding failed: {e}"))?;
+    if let Err(e) = seed_neutral(&reference, app, programs) {
+        report.violations.push(format!("recovery reference seeding failed: {e}"));
+        return;
+    }
     let audit = audit_recovery(engine, &reference, &snap.bytes);
     report.audit_checks += audit.report.checks;
     report.violations.extend(audit.report.violations.iter().map(|v| v.to_string()));
@@ -218,7 +221,6 @@ fn audit_crash(
         report.recovery_redo += stats.redo_applied;
         report.recovery_undone += stats.undone;
     }
-    Ok(())
 }
 
 /// Run the fault simulation over `app`'s programs.
@@ -258,62 +260,56 @@ pub fn simulate(app: &App, opts: &FaultSimOptions) -> Result<FaultSimReport, Str
     }
 
     let start = Instant::now();
-    let mut report = FaultSimReport { seed: opts.seed, txns: opts.txns, ..Default::default() };
+    // Shared by the attempt closure (crash audits) and `on_abort`.
+    let report =
+        RefCell::new(FaultSimReport { seed: opts.seed, txns: opts.txns, ..Default::default() });
     // Victims by (txn id → program index), for the compensation cross-check.
     let mut victims: Vec<(TxnId, usize)> = Vec::new();
 
     for i in 0..opts.txns {
         let pi = i % programs.len();
         let t0 = Instant::now();
-        let mut class_spent: BTreeMap<AbortClass, usize> = BTreeMap::new();
-        let mut absorbed = 0u64;
-        let mut tries = 0usize;
-        loop {
-            tries += 1;
-            let (id, res) = attempt(&engine, programs[pi], levels[pi], &bindings[pi]);
-            // Durable mode: every crash the attempt injected left a
-            // snapshot of the surviving log — audit recovery from each one
-            // before driving anything else.
-            if let Some(w) = &wal {
-                for snap in w.take_crash_snapshots() {
-                    audit_crash(&snap, &engine, app, &programs, opts, &mut report)?;
+        let last_id = Cell::new(0);
+        let attempted = retry(
+            &opts.policy,
+            i as u64,
+            || {
+                let (id, res) = attempt(&engine, programs[pi], levels[pi], &bindings[pi]);
+                last_id.set(id);
+                // Durable mode: every crash the attempt injected left a
+                // snapshot of the surviving log — audit recovery from each
+                // one before driving anything else.
+                for snap in wal.iter().flat_map(|w| w.take_crash_snapshots()) {
+                    audit_crash(&snap, &engine, app, &programs, opts, &mut report.borrow_mut());
+                }
+                res
+            },
+            |class, _| {
+                let id = last_id.get();
+                victims.push((id, pi));
+                let mut report = report.borrow_mut();
+                report.aborts += 1;
+                *report.aborts_by_class.entry(class).or_insert(0) += 1;
+                // Post-abort invariant audit on the fresh victim.
+                let rep = audit_post_abort(&engine, id);
+                report.audit_checks += rep.checks;
+                report.violations.extend(rep.violations.iter().map(|v| v.to_string()));
+            },
+        );
+        let mut report = report.borrow_mut();
+        match attempted {
+            Attempted::Committed { aborts, .. } => {
+                report.committed += 1;
+                if aborts > 0 {
+                    report.recovery_latencies_us.push(t0.elapsed().as_micros() as u64);
                 }
             }
-            match res {
-                Ok(()) => {
-                    report.committed += 1;
-                    if absorbed > 0 {
-                        report.recovery_latencies_us.push(t0.elapsed().as_micros() as u64);
-                    }
-                    break;
-                }
-                Err(e) if e.is_abort() => {
-                    report.aborts += 1;
-                    absorbed += 1;
-                    victims.push((id, pi));
-                    let class = AbortClass::classify(&e).expect("abort class");
-                    *report.aborts_by_class.entry(class).or_insert(0) += 1;
-                    // Post-abort invariant audit on the fresh victim.
-                    let rep = audit_post_abort(&engine, id);
-                    report.audit_checks += rep.checks;
-                    report.violations.extend(rep.violations.iter().map(|v| v.to_string()));
-                    let spent = class_spent.entry(class).or_insert(0);
-                    *spent += 1;
-                    let budget_hit =
-                        opts.policy.class_budgets.get(&class).is_some_and(|b| *spent > *b);
-                    if tries >= opts.policy.max_attempts || budget_hit {
-                        report.gave_up += 1;
-                        break;
-                    }
-                    let pause = opts.policy.backoff(tries, i as u64);
-                    if !pause.is_zero() {
-                        std::thread::sleep(pause);
-                    }
-                }
-                Err(e) => return Err(format!("workload programming error: {e}")),
-            }
+            Attempted::GaveUp { .. } => report.gave_up += 1,
+            Attempted::Failed(e) => return Err(format!("workload programming error: {e}")),
+            Attempted::Panicked => return Err(format!("transaction {i} panicked")),
         }
     }
+    let mut report = report.into_inner();
 
     // Whole-engine quiescence.
     let rep = audit_quiescent(&engine);

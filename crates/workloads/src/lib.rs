@@ -27,5 +27,7 @@ pub mod orders;
 pub mod payroll;
 pub mod tpcc;
 
-pub use driver::{run_mix, run_mix_with_policy, AbortClass, MixSpec, RetryPolicy, RunStats};
+pub use driver::{
+    retry, run_mix, run_mix_with_policy, AbortClass, Attempted, MixSpec, RetryPolicy, RunStats,
+};
 pub use faultsim::{simulate, simulate_sweep, FaultSimOptions, FaultSimReport};
