@@ -475,12 +475,4 @@ echo "== rustdoc (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "   cargo doc: no warnings"
 
-echo "== fault-plan property suite (~200 seeded random plans, all levels) =="
-cargo test -q -p semcc-workloads --test faultsim_prop > /dev/null
-echo "   auditor: zero violations across the random-plan suite"
-
-echo "== SSI differential property suite (200-seed vacuity gate + mixed soundness) =="
-cargo test -q -p semcc-explore --test prop_ssi > /dev/null
-echo "   all-SSI: zero divergent schedules; mixed vectors: zero soundness violations"
-
 echo "ci: all green"

@@ -158,7 +158,7 @@ impl History {
     }
 
     /// A history with recording disabled (zero overhead apart from the
-    /// flag check) — used by throughput benchmarks.
+    /// flag check; see [`History::record`]) — used by throughput benchmarks.
     pub fn disabled() -> Self {
         History::default()
     }
@@ -188,11 +188,14 @@ impl History {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Append an event (no-op when disabled).
-    pub fn record(&self, txn: TxnId, level: IsolationLevel, op: Op) {
+    /// Append an event. `op` is only called when recording is on, so a
+    /// disabled history costs its callers the flag check and nothing else:
+    /// no key, value or row is cloned for an event that would be dropped.
+    pub fn record(&self, txn: TxnId, level: IsolationLevel, op: impl FnOnce() -> Op) {
         if !self.is_enabled() {
             return;
         }
+        let op = op();
         let mut inner = self.inner.lock();
         let seq = inner.next_seq;
         inner.next_seq += 1;
@@ -242,13 +245,13 @@ mod tests {
     #[test]
     fn record_and_replay() {
         let h = History::new();
-        h.record(1, IsolationLevel::ReadCommitted, Op::Begin);
-        h.record(
-            1,
-            IsolationLevel::ReadCommitted,
-            Op::Read { key: Key::item("x"), value: Value::Int(1), src: ReadSrc::Committed(0) },
-        );
-        h.record(1, IsolationLevel::ReadCommitted, Op::Commit { ts: 1 });
+        h.record(1, IsolationLevel::ReadCommitted, || Op::Begin);
+        h.record(1, IsolationLevel::ReadCommitted, || Op::Read {
+            key: Key::item("x"),
+            value: Value::Int(1),
+            src: ReadSrc::Committed(0),
+        });
+        h.record(1, IsolationLevel::ReadCommitted, || Op::Commit { ts: 1 });
         let ev = h.events();
         assert_eq!(ev.len(), 3);
         assert_eq!(ev[0].seq, 0);
@@ -259,22 +262,22 @@ mod tests {
     #[test]
     fn disabled_history_records_nothing() {
         let h = History::disabled();
-        h.record(1, IsolationLevel::Snapshot, Op::Begin);
+        h.record(1, IsolationLevel::Snapshot, || Op::Begin);
         assert!(h.is_empty());
         h.set_enabled(true);
-        h.record(1, IsolationLevel::Snapshot, Op::Begin);
+        h.record(1, IsolationLevel::Snapshot, || Op::Begin);
         assert_eq!(h.len(), 1);
     }
 
     #[test]
     fn clear_resets() {
         let h = History::new();
-        h.record(1, IsolationLevel::Snapshot, Op::Begin);
+        h.record(1, IsolationLevel::Snapshot, || Op::Begin);
         h.clear();
         assert!(h.is_empty());
         assert_eq!(h.dropped(), 0);
         // Sequence numbers restart so replays after clear are identical.
-        h.record(1, IsolationLevel::Snapshot, Op::Begin);
+        h.record(1, IsolationLevel::Snapshot, || Op::Begin);
         assert_eq!(h.events()[0].seq, 0);
     }
 
@@ -283,7 +286,7 @@ mod tests {
         let h = History::bounded(4);
         assert_eq!(h.cap(), Some(4));
         for i in 0..10 {
-            h.record(i, IsolationLevel::ReadCommitted, Op::Begin);
+            h.record(i, IsolationLevel::ReadCommitted, || Op::Begin);
         }
         assert_eq!(h.len(), 4, "retention bound holds");
         assert_eq!(h.dropped(), 6);
@@ -302,7 +305,7 @@ mod tests {
         // must retain exactly `cap` events no matter how many are recorded.
         let h = History::bounded(256);
         for i in 0..100_000u64 {
-            h.record(i, IsolationLevel::Serializable, Op::Commit { ts: i });
+            h.record(i, IsolationLevel::Serializable, || Op::Commit { ts: i });
         }
         assert_eq!(h.len(), 256, "retained set never exceeds the cap");
         assert_eq!(h.dropped(), 100_000 - 256);

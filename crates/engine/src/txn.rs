@@ -8,8 +8,8 @@ use semcc_lock::{Mode, Target};
 use semcc_logic::row::RowPred;
 use semcc_mvcc::{CommitConflict, Key, SsiConflict, SsiKey};
 use semcc_storage::eval::{empty_env, row_matches};
-use semcc_storage::wal::WalRecord;
-use semcc_storage::{Row, RowId, Schema, StorageError, Ts, TxnId, Value};
+use semcc_storage::wal::{Lsn, WalRecord};
+use semcc_storage::{Row, RowId, Schema, StorageError, Table, Ts, TxnId, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -35,15 +35,17 @@ pub struct Txn {
     level: IsolationLevel,
     state: TxnState,
     snapshot_ts: Option<Ts>,
-    /// Items with our dirty in-place writes (locking levels).
-    dirty_items: Vec<String>,
-    /// Row slots with our dirty in-place writes (locking levels).
-    dirty_rows: Vec<(String, RowId)>,
-    /// Private item write buffer (SNAPSHOT).
+    /// Private item write buffer (snapshot levels).
     buf_items: HashMap<String, Value>,
-    /// Private row write buffer (SNAPSHOT): final state per touched slot.
+    /// Private row write buffer (snapshot levels): final state per touched
+    /// slot.
     buf_rows: HashMap<String, BTreeMap<RowId, Option<Row>>>,
-    /// Keys written (first-committer-wins bookkeeping; deduplicated).
+    /// Every key this transaction wrote, once each, in first-write order:
+    /// the one record of its writes. The new version of each key sits in
+    /// the store's dirty slot (locking levels) or in the buffers above
+    /// (snapshot levels). Commit reads this list for its
+    /// first-committer-wins checks, the commit-log entry, SSI's committed
+    /// write set and promote/install; abort reads it for undo.
     write_set: Vec<Key>,
     /// First-read timestamps per key (RC-FCW validation).
     read_ts: HashMap<Key, Ts>,
@@ -57,7 +59,7 @@ impl Txn {
         if level.siread_locks() {
             engine.oracle.ssi_begin(id, snapshot_ts.expect("ssi txn has ts"));
         }
-        engine.history.record(id, level, Op::Begin);
+        engine.history.record(id, level, || Op::Begin);
         if let Some(wal) = &engine.wal {
             wal.append(WalRecord::Begin { txn: id });
         }
@@ -67,8 +69,6 @@ impl Txn {
             level,
             state: TxnState::Active,
             snapshot_ts,
-            dirty_items: Vec::new(),
-            dirty_rows: Vec::new(),
             buf_items: HashMap::new(),
             buf_rows: HashMap::new(),
             write_set: Vec::new(),
@@ -104,9 +104,26 @@ impl Txn {
         }
     }
 
+    /// Note `key` as written: the only bookkeeping a write does. Called as
+    /// soon as the store or the buffer holds the new version, before any
+    /// later step of the statement that can fail, so no error path leaves a
+    /// dirty version behind that abort would not find.
     fn note_write(&mut self, key: Key) {
         if !self.write_set.contains(&key) {
             self.write_set.push(key);
+        }
+    }
+
+    /// Record a history event; `op` is built only when history is on.
+    fn record(&self, op: impl FnOnce() -> Op) {
+        self.engine.history.record(self.id, self.level, op);
+    }
+
+    /// Append `record` when a log is attached and hand its LSN to `stamp`,
+    /// which marks the cell the record describes.
+    fn log(&self, record: impl FnOnce() -> WalRecord, stamp: impl FnOnce(Lsn)) {
+        if let Some(wal) = &self.engine.wal {
+            stamp(wal.append(record()));
         }
     }
 
@@ -114,11 +131,7 @@ impl Txn {
     /// history (so anomaly trails can name it) and convert to an engine
     /// error. The caller's abort path then releases the SSI record.
     fn ssi_fail(&self, e: SsiConflict) -> EngineError {
-        self.engine.history.record(
-            self.id,
-            self.level,
-            Op::SsiAbort { pivot: e.pivot, key: e.key.clone() },
-        );
+        self.record(|| Op::SsiAbort { pivot: e.pivot, key: e.key.clone() });
         EngineError::Ssi(e)
     }
 
@@ -206,56 +219,14 @@ impl Txn {
                 (v, ReadSrc::Snapshot(ts))
             }
         };
-        self.engine.history.record(
-            self.id,
-            self.level,
-            Op::Read { key: Key::item(name), value: value.clone(), src },
-        );
+        self.record(|| Op::Read { key: Key::item(name), value: value.clone(), src });
         Ok(value)
     }
 
     /// Write an item. All locking levels take a long X lock; SNAPSHOT
     /// buffers privately.
     pub fn write(&mut self, name: &str, value: impl Into<Value>) -> Result<(), EngineError> {
-        self.check_active()?;
-        let value = value.into();
-        if self.level.is_snapshot() {
-            if !self.engine.store.has_item(name) {
-                return Err(StorageError::NoSuchItem(name.to_string()).into());
-            }
-            self.ssi_write(&[SsiKey::Point(Key::item(name))])?;
-            self.buf_items.insert(name.to_string(), value.clone());
-        } else {
-            let cell = self.engine.store.item(name)?;
-            self.engine.locks.acquire(self.id, Target::item(name), Mode::X)?;
-            {
-                let mut c = cell.lock();
-                let before = match c.dirty_writer() {
-                    Some(w) if w == self.id => c.read_latest().clone(),
-                    _ => c.read_committed().clone(),
-                };
-                c.write_dirty(self.id, value.clone())?;
-                if let Some(wal) = &self.engine.wal {
-                    let lsn = wal.append(WalRecord::ItemWrite {
-                        txn: self.id,
-                        name: name.to_string(),
-                        before,
-                        after: value.clone(),
-                    });
-                    c.stamp_lsn(lsn);
-                }
-            }
-            if !self.dirty_items.iter().any(|n| n == name) {
-                self.dirty_items.push(name.to_string());
-            }
-        }
-        self.note_write(Key::item(name));
-        self.engine.history.record(
-            self.id,
-            self.level,
-            Op::Write { key: Key::item(name), value: Some(value) },
-        );
-        Ok(())
+        self.write_item(name, ItemOp::Set(value.into())).map(|_| ())
     }
 
     /// Monotone write: store `max(current, floor)` as one atomic
@@ -270,60 +241,63 @@ impl Txn {
     /// Only the write is recorded in history: the re-read happens under the
     /// X lock and is not an interference-exposed read.
     pub fn write_max(&mut self, name: &str, floor: i64) -> Result<i64, EngineError> {
+        let stored = self.write_item(name, ItemOp::Max(floor))?;
+        Ok(stored.as_int().expect("ItemOp::Max stores an integer"))
+    }
+
+    /// The one item-write path; returns the value stored.
+    fn write_item(&mut self, name: &str, op: ItemOp) -> Result<Value, EngineError> {
         self.check_active()?;
-        let stored;
+        let value;
         if self.level.is_snapshot() {
             if !self.engine.store.has_item(name) {
                 return Err(StorageError::NoSuchItem(name.to_string()).into());
             }
-            let current = match self.buf_items.get(name) {
-                Some(v) => v.as_int(),
-                None => {
-                    let ts = self.snapshot_ts.expect("snapshot txn has ts");
-                    let cell = self.engine.store.item(name)?;
-                    let c = cell.lock();
-                    c.read_at(ts)?.as_int()
+            value = match op {
+                ItemOp::Set(v) => v,
+                ItemOp::Max(_) => {
+                    let current = match self.buf_items.get(name) {
+                        Some(v) => v.clone(),
+                        None => {
+                            let ts = self.snapshot_ts.expect("snapshot txn has ts");
+                            let cell = self.engine.store.item(name)?;
+                            let c = cell.lock();
+                            c.read_at(ts)?.clone()
+                        }
+                    };
+                    // The implicit re-read is interference-exposed at SSI
+                    // (it maxes against the snapshot, not the committed
+                    // state), so the read side is registered too.
+                    self.ssi_read(&[SsiKey::Point(Key::item(name))])?;
+                    op.apply(&current)
                 }
             };
-            stored = current.map_or(floor, |c| c.max(floor));
-            // The implicit re-read is interference-exposed at SSI (it maxes
-            // against the snapshot, not the committed state), so register
-            // both sides of the read-modify-write.
-            self.ssi_read(&[SsiKey::Point(Key::item(name))])?;
             self.ssi_write(&[SsiKey::Point(Key::item(name))])?;
-            self.buf_items.insert(name.to_string(), Value::Int(stored));
+            self.buf_items.insert(name.to_string(), value.clone());
         } else {
             let cell = self.engine.store.item(name)?;
             self.engine.locks.acquire(self.id, Target::item(name), Mode::X)?;
-            {
-                let mut c = cell.lock();
-                let before = match c.dirty_writer() {
-                    Some(w) if w == self.id => c.read_latest().clone(),
-                    _ => c.read_committed().clone(),
-                };
-                stored = before.as_int().map_or(floor, |c| c.max(floor));
-                c.write_dirty(self.id, Value::Int(stored))?;
-                if let Some(wal) = &self.engine.wal {
-                    let lsn = wal.append(WalRecord::ItemWrite {
-                        txn: self.id,
-                        name: name.to_string(),
-                        before,
-                        after: Value::Int(stored),
-                    });
-                    c.stamp_lsn(lsn);
-                }
-            }
-            if !self.dirty_items.iter().any(|n| n == name) {
-                self.dirty_items.push(name.to_string());
-            }
+            let mut c = cell.lock();
+            let before = match c.dirty_writer() {
+                Some(w) if w == self.id => c.read_latest().clone(),
+                _ => c.read_committed().clone(),
+            };
+            value = op.apply(&before);
+            c.write_dirty(self.id, value.clone())?;
+            self.log(
+                || WalRecord::ItemWrite {
+                    txn: self.id,
+                    name: name.to_string(),
+                    before,
+                    after: value.clone(),
+                },
+                |lsn| c.stamp_lsn(lsn),
+            );
+            drop(c);
         }
         self.note_write(Key::item(name));
-        self.engine.history.record(
-            self.id,
-            self.level,
-            Op::Write { key: Key::item(name), value: Some(Value::Int(stored)) },
-        );
-        Ok(stored)
+        self.record(|| Op::Write { key: Key::item(name), value: Some(value.clone()) });
+        Ok(value)
     }
 
     // ------------------------------------------------------------------
@@ -362,12 +336,21 @@ impl Txn {
                     }
                     let target = Target::row(table, id);
                     self.engine.locks.acquire(self.id, target.clone(), Mode::S)?;
+                    // The version timestamp is taken under the S lock that
+                    // protects the re-read, and before it: were it taken
+                    // after the release, a writer committing in between
+                    // would have its timestamp recorded against the old
+                    // row, and an update computed from that row would pass
+                    // first-committer-wins validation (a lost update). A
+                    // lock-free SNAPSHOT install that slips between the two
+                    // reads pairs the old timestamp with the new row, which
+                    // only fails validation spuriously.
+                    let ver_ts = t.row_commit_ts(id).unwrap_or(0);
                     // Re-read: the row may have changed while we waited.
                     let current = t.read_row_visible(self.id, id);
                     self.engine.locks.release(self.id, &target); // short lock
                     if let Some(row) = current {
                         if row_matches(&schema, &row, pred, &empty_env) {
-                            let ver_ts = t.row_commit_ts(id).unwrap_or(0);
                             self.note_read_ts(Key::row(table, id), ver_ts);
                             out.push((id, row));
                         }
@@ -400,39 +383,29 @@ impl Txn {
                 self.ssi_read(&[SsiKey::Table(table.to_string())])?;
             }
         }
-        if self.engine.history.is_enabled() {
-            // Row-granular read provenance: which version each matched row
-            // came from, mirroring the per-level disciplines above.
-            let src_of = |id: RowId| match self.level {
-                IsolationLevel::Snapshot | IsolationLevel::Ssi => {
-                    ReadSrc::Snapshot(self.snapshot_ts.expect("snapshot txn has ts"))
-                }
-                IsolationLevel::ReadUncommitted => match t.row_dirty_writer(id) {
-                    Some(w) => ReadSrc::Dirty(w),
-                    None => ReadSrc::Committed(t.row_commit_ts(id).unwrap_or(0)),
-                },
-                _ => match t.row_dirty_writer(id) {
-                    Some(w) if w == self.id => ReadSrc::Dirty(self.id),
-                    _ => ReadSrc::Committed(t.row_commit_ts(id).unwrap_or(0)),
-                },
-            };
-            for (id, _) in &out {
-                self.engine.history.record(
-                    self.id,
-                    self.level,
-                    Op::RowRead { table: table.to_string(), id: *id, src: src_of(*id) },
-                );
+        // Row-granular read provenance: which version each matched row came
+        // from, mirroring the per-level disciplines above.
+        let src_of = |id: RowId| match self.level {
+            IsolationLevel::Snapshot | IsolationLevel::Ssi => {
+                ReadSrc::Snapshot(self.snapshot_ts.expect("snapshot txn has ts"))
             }
-        }
-        self.engine.history.record(
-            self.id,
-            self.level,
-            Op::PredRead {
-                table: table.to_string(),
-                pred: pred.clone(),
-                matched: out.iter().map(|(id, _)| *id).collect(),
+            IsolationLevel::ReadUncommitted => match t.row_dirty_writer(id) {
+                Some(w) => ReadSrc::Dirty(w),
+                None => ReadSrc::Committed(t.row_commit_ts(id).unwrap_or(0)),
             },
-        );
+            _ => match t.row_dirty_writer(id) {
+                Some(w) if w == self.id => ReadSrc::Dirty(self.id),
+                _ => ReadSrc::Committed(t.row_commit_ts(id).unwrap_or(0)),
+            },
+        };
+        for (id, _) in &out {
+            self.record(|| Op::RowRead { table: table.to_string(), id: *id, src: src_of(*id) });
+        }
+        self.record(|| Op::PredRead {
+            table: table.to_string(),
+            pred: pred.clone(),
+            matched: out.iter().map(|(id, _)| *id).collect(),
+        });
         Ok(out)
     }
 
@@ -443,7 +416,7 @@ impl Txn {
 
     /// Snapshot view of a table: versions at the snapshot ts overlaid with
     /// this transaction's private buffer.
-    fn overlay_scan(&self, t: &semcc_storage::Table, table: &str, ts: Ts) -> Vec<(RowId, Row)> {
+    fn overlay_scan(&self, t: &Table, table: &str, ts: Ts) -> Vec<(RowId, Row)> {
         let mut rows: BTreeMap<RowId, Row> = t.scan_at(ts).into_iter().collect();
         if let Some(buf) = self.buf_rows.get(table) {
             for (id, state) in buf {
@@ -484,33 +457,29 @@ impl Txn {
                 SsiKey::Table(table.to_string()),
             ])?;
             self.buf_rows.entry(table.to_string()).or_default().insert(id, Some(row.clone()));
+            self.note_write(Key::row(table, id));
             id
         } else {
             let point = point_pred(&t.schema, &row);
             self.engine.locks.acquire(self.id, Target::pred(table, point), Mode::X)?;
             let id = t.insert_dirty(self.id, row.clone())?;
-            if let Some(wal) = &self.engine.wal {
-                let lsn = wal.append(WalRecord::RowInsert {
+            // Noted before the row lock: if that acquisition fails (an
+            // injected timeout — a fresh slot never conflicts naturally),
+            // the abort path must still discard the dirty version.
+            self.note_write(Key::row(table, id));
+            self.log(
+                || WalRecord::RowInsert {
                     txn: self.id,
                     table: table.to_string(),
                     id,
                     row: row.clone(),
-                });
-                t.stamp_row_lsn(id, lsn);
-            }
-            // Undo entry first: if the row-lock acquisition fails (an
-            // injected timeout — a fresh slot never conflicts naturally),
-            // the abort path must still discard the dirty version.
-            self.dirty_rows.push((table.to_string(), id));
+                },
+                |lsn| t.stamp_row_lsn(id, lsn),
+            );
             self.engine.locks.acquire(self.id, Target::row(table, id), Mode::X)?;
             id
         };
-        self.note_write(Key::row(table, id));
-        self.engine.history.record(
-            self.id,
-            self.level,
-            Op::RowInsert { table: table.to_string(), id, row },
-        );
+        self.record(|| Op::RowInsert { table: table.to_string(), id, row });
         Ok(id)
     }
 
@@ -523,17 +492,33 @@ impl Txn {
         pred: &RowPred,
         f: &dyn Fn(&Row) -> Row,
     ) -> Result<usize, EngineError> {
+        self.modify_where(table, pred, &|row| Some(f(row)))
+    }
+
+    /// DELETE ... WHERE. Returns the number of rows deleted. Locking as for
+    /// [`Txn::update_where`].
+    pub fn delete_where(&mut self, table: &str, pred: &RowPred) -> Result<usize, EngineError> {
+        self.modify_where(table, pred, &|_| None)
+    }
+
+    /// The one WHERE-write path: every row matching `pred` gets the slot
+    /// state `new(row)` — `Some` is an update, `None` a delete. Returns the
+    /// number of rows written.
+    fn modify_where(
+        &mut self,
+        table: &str,
+        pred: &RowPred,
+        new: &dyn Fn(&Row) -> Option<Row>,
+    ) -> Result<usize, EngineError> {
         self.check_active()?;
         let t = self.engine.store.table(table)?;
         let schema = t.schema.clone();
+        let matches = |row: &Row| row_matches(&schema, row, pred, &empty_env);
         let mut n = 0;
         if self.level.is_snapshot() {
             let ts = self.snapshot_ts.expect("snapshot txn has ts");
-            let targets: Vec<(RowId, Row)> = self
-                .overlay_scan(&t, table, ts)
-                .into_iter()
-                .filter(|(_, row)| row_matches(&schema, row, pred, &empty_env))
-                .collect();
+            let mut targets = self.overlay_scan(&t, table, ts);
+            targets.retain(|(_, row)| matches(row));
             // The WHERE scan is a predicate read; the matched slots plus the
             // table itself are the write footprint.
             self.ssi_read(&[SsiKey::Table(table.to_string())])?;
@@ -544,124 +529,48 @@ impl Txn {
                 self.ssi_write(&wkeys)?;
             }
             for (id, row) in targets {
-                let new = f(&row);
-                self.buf_rows.entry(table.to_string()).or_default().insert(id, Some(new.clone()));
+                let state = new(&row);
+                self.record(|| row_write_op(table, id, state.clone()));
+                self.buf_rows.entry(table.to_string()).or_default().insert(id, state);
                 self.note_write(Key::row(table, id));
-                self.engine.history.record(
-                    self.id,
-                    self.level,
-                    Op::RowUpdate { table: table.to_string(), id, row: new },
-                );
                 n += 1;
             }
         } else {
             self.engine.locks.acquire(self.id, Target::pred(table, pred.clone()), Mode::X)?;
-            let candidates: Vec<(RowId, Row)> = t
-                .scan_visible(self.id)
-                .into_iter()
-                .filter(|(_, row)| row_matches(&schema, row, pred, &empty_env))
-                .collect();
+            let mut candidates = t.scan_visible(self.id);
+            candidates.retain(|(_, row)| matches(row));
             for (id, _) in candidates {
                 self.engine.locks.acquire(self.id, Target::row(table, id), Mode::X)?;
                 // Re-read after the (possibly waited-for) lock.
                 let Some(row) = t.read_row_visible(self.id, id) else { continue };
-                if !row_matches(&schema, &row, pred, &empty_env) {
+                if !matches(&row) {
                     continue;
                 }
-                let new = f(&row);
-                t.update_dirty(self.id, id, new.clone())?;
-                if let Some(wal) = &self.engine.wal {
-                    let lsn = wal.append(WalRecord::RowUpdate {
-                        txn: self.id,
-                        table: table.to_string(),
-                        id,
-                        before: Some(row.clone()),
-                        after: new.clone(),
-                    });
-                    t.stamp_row_lsn(id, lsn);
-                }
-                if !self.dirty_rows.contains(&(table.to_string(), id)) {
-                    self.dirty_rows.push((table.to_string(), id));
+                let state = new(&row);
+                match &state {
+                    Some(after) => t.update_dirty(self.id, id, after.clone())?,
+                    None => t.delete_dirty(self.id, id)?,
                 }
                 self.note_write(Key::row(table, id));
-                self.engine.history.record(
-                    self.id,
-                    self.level,
-                    Op::RowUpdate { table: table.to_string(), id, row: new },
+                self.log(
+                    || match state.clone() {
+                        Some(after) => WalRecord::RowUpdate {
+                            txn: self.id,
+                            table: table.to_string(),
+                            id,
+                            before: Some(row),
+                            after,
+                        },
+                        None => WalRecord::RowDelete {
+                            txn: self.id,
+                            table: table.to_string(),
+                            id,
+                            before: Some(row),
+                        },
+                    },
+                    |lsn| t.stamp_row_lsn(id, lsn),
                 );
-                n += 1;
-            }
-        }
-        Ok(n)
-    }
-
-    /// DELETE ... WHERE. Returns the number of rows deleted. Locking as for
-    /// [`Txn::update_where`].
-    pub fn delete_where(&mut self, table: &str, pred: &RowPred) -> Result<usize, EngineError> {
-        self.check_active()?;
-        let t = self.engine.store.table(table)?;
-        let schema = t.schema.clone();
-        let mut n = 0;
-        if self.level.is_snapshot() {
-            let ts = self.snapshot_ts.expect("snapshot txn has ts");
-            let targets: Vec<RowId> = self
-                .overlay_scan(&t, table, ts)
-                .into_iter()
-                .filter(|(_, row)| row_matches(&schema, row, pred, &empty_env))
-                .map(|(id, _)| id)
-                .collect();
-            // Same SSI footprint as update_where: predicate read plus
-            // point + table write intent.
-            self.ssi_read(&[SsiKey::Table(table.to_string())])?;
-            if !targets.is_empty() {
-                let mut wkeys: Vec<SsiKey> =
-                    targets.iter().map(|id| SsiKey::Point(Key::row(table, *id))).collect();
-                wkeys.push(SsiKey::Table(table.to_string()));
-                self.ssi_write(&wkeys)?;
-            }
-            for id in targets {
-                self.buf_rows.entry(table.to_string()).or_default().insert(id, None);
-                self.note_write(Key::row(table, id));
-                self.engine.history.record(
-                    self.id,
-                    self.level,
-                    Op::RowDelete { table: table.to_string(), id },
-                );
-                n += 1;
-            }
-        } else {
-            self.engine.locks.acquire(self.id, Target::pred(table, pred.clone()), Mode::X)?;
-            let candidates: Vec<RowId> = t
-                .scan_visible(self.id)
-                .into_iter()
-                .filter(|(_, row)| row_matches(&schema, row, pred, &empty_env))
-                .map(|(id, _)| id)
-                .collect();
-            for id in candidates {
-                self.engine.locks.acquire(self.id, Target::row(table, id), Mode::X)?;
-                let Some(row) = t.read_row_visible(self.id, id) else { continue };
-                if !row_matches(&schema, &row, pred, &empty_env) {
-                    continue;
-                }
-                t.delete_dirty(self.id, id)?;
-                if let Some(wal) = &self.engine.wal {
-                    let lsn = wal.append(WalRecord::RowDelete {
-                        txn: self.id,
-                        table: table.to_string(),
-                        id,
-                        before: Some(row.clone()),
-                    });
-                    t.stamp_row_lsn(id, lsn);
-                }
-                if !self.dirty_rows.contains(&(table.to_string(), id)) {
-                    self.dirty_rows.push((table.to_string(), id));
-                }
-                self.note_write(Key::row(table, id));
-                self.engine.history.record(
-                    self.id,
-                    self.level,
-                    Op::RowDelete { table: table.to_string(), id },
-                );
+                self.record(|| row_write_op(table, id, state));
                 n += 1;
             }
         }
@@ -704,21 +613,7 @@ impl Txn {
         Some(match self.level {
             IsolationLevel::ReadUncommitted => t.scan_latest(),
             IsolationLevel::Snapshot | IsolationLevel::Ssi => {
-                let ts = self.snapshot_ts?;
-                let mut rows: BTreeMap<RowId, Row> = t.scan_at(ts).into_iter().collect();
-                if let Some(buf) = self.buf_rows.get(table) {
-                    for (id, state) in buf {
-                        match state {
-                            Some(row) => {
-                                rows.insert(*id, row.clone());
-                            }
-                            None => {
-                                rows.remove(id);
-                            }
-                        }
-                    }
-                }
-                rows.into_iter().collect()
+                self.overlay_scan(&t, table, self.snapshot_ts?)
             }
             _ => t.scan_visible(self.id),
         })
@@ -740,54 +635,72 @@ impl Txn {
         result
     }
 
-    fn do_commit(&mut self) -> Result<Ts, EngineError> {
-        let engine = self.engine.clone();
+    fn do_commit(&self) -> Result<Ts, EngineError> {
+        let (engine, id) = (&self.engine, self.id);
         // Fault injection: an artificial first-committer-wins loss at
         // validation, raised before any buffer/dirty state is consumed so
         // the caller's abort path performs the full rollback.
         if let Some(inj) = &engine.faults {
-            if inj.on_commit_validate(self.id) {
+            if inj.on_commit_validate(id) {
                 return Err(EngineError::Injected(semcc_faults::FaultKind::FcwConflict));
             }
         }
-        if self.level.is_snapshot() {
-            let snap = self.snapshot_ts.expect("snapshot txn has ts");
-            let checks: Vec<(Key, Ts)> = self.write_set.iter().map(|k| (k.clone(), snap)).collect();
-            let buf_items = std::mem::take(&mut self.buf_items);
-            let buf_rows = std::mem::take(&mut self.buf_rows);
-            let id = self.id;
+        // First-committer-wins checks. A snapshot level checks every key it
+        // wrote, since its snapshot; RC+FCW checks the keys it also read,
+        // since the version it read; the other levels recorded neither
+        // timestamp and check nothing.
+        let checks: Vec<(Key, Ts)> = self
+            .write_set
+            .iter()
+            .filter_map(|k| {
+                let since = self.snapshot_ts.or_else(|| self.read_ts.get(k).copied())?;
+                Some((k.clone(), since))
+            })
+            .collect();
+        let ts = if self.level.is_snapshot() {
             // WAL ordering: the install records and the Commit record are
             // appended inside the oracle's commit critical section, so no
             // other transaction's records can interleave between them —
             // recovery replays the install group atomically at the Commit.
+            // Installs go in write-set order, so the log is a function of
+            // the transaction and not of a hash map's iteration order.
             let install = |ts: Ts| {
-                for (name, v) in &buf_items {
-                    if let Ok(cell) = engine.store.item(name) {
-                        let mut c = cell.lock();
-                        c.install(ts, v.clone());
-                        if let Some(wal) = &engine.wal {
-                            let lsn = wal.append(WalRecord::ItemInstall {
-                                txn: id,
-                                name: name.clone(),
-                                value: v.clone(),
-                            });
-                            c.stamp_lsn(lsn);
+                for key in &self.write_set {
+                    match key {
+                        Key::Item(name) => {
+                            let (Some(v), Ok(cell)) =
+                                (self.buf_items.get(name), engine.store.item(name))
+                            else {
+                                continue;
+                            };
+                            let mut c = cell.lock();
+                            c.install(ts, v.clone());
+                            self.log(
+                                || WalRecord::ItemInstall {
+                                    txn: id,
+                                    name: name.clone(),
+                                    value: v.clone(),
+                                },
+                                |lsn| c.stamp_lsn(lsn),
+                            );
                         }
-                    }
-                }
-                for (table, rows) in &buf_rows {
-                    if let Ok(t) = engine.store.table(table) {
-                        for (rid, state) in rows {
+                        Key::Row(table, rid) => {
+                            let (Some(state), Ok(t)) = (
+                                self.buf_rows.get(table).and_then(|rows| rows.get(rid)),
+                                engine.store.table(table),
+                            ) else {
+                                continue;
+                            };
                             let _ = t.install(ts, *rid, state.clone());
-                            if let Some(wal) = &engine.wal {
-                                let lsn = wal.append(WalRecord::RowInstall {
+                            self.log(
+                                || WalRecord::RowInstall {
                                     txn: id,
                                     table: table.clone(),
                                     id: *rid,
                                     row: state.clone(),
-                                });
-                                t.stamp_row_lsn(*rid, lsn);
-                            }
+                                },
+                                |lsn| t.stamp_row_lsn(*rid, lsn),
+                            );
                         }
                     }
                 }
@@ -801,7 +714,7 @@ impl Txn {
                 // validation and timestamp assignment.
                 engine
                     .oracle
-                    .ssi_validate_and_commit_with(self.id, &checks, &self.write_set, install)
+                    .ssi_validate_and_commit_with(id, &checks, &self.write_set, install)
                     .map_err(|e| match e {
                         CommitConflict::Fcw(f) => EngineError::Fcw(f),
                         CommitConflict::Ssi(s) => self.ssi_fail(s),
@@ -809,54 +722,49 @@ impl Txn {
             } else {
                 engine.oracle.validate_and_commit_with(&checks, &self.write_set, install)?
             };
-            engine.oracle.end_snapshot(self.id);
-            engine.history.record(self.id, self.level, Op::Commit { ts });
-            Ok(ts)
+            engine.oracle.end_snapshot(id);
+            ts
         } else {
-            let checks: Vec<(Key, Ts)> = if self.level.fcw() {
-                self.write_set
-                    .iter()
-                    .filter_map(|k| self.read_ts.get(k).map(|ts| (k.clone(), *ts)))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let dirty_items = std::mem::take(&mut self.dirty_items);
-            let dirty_rows = std::mem::take(&mut self.dirty_rows);
-            let id = self.id;
-            let res = engine.oracle.validate_and_commit_with(&checks, &self.write_set, |ts| {
+            // A validation failure leaves every dirty version in place for
+            // the caller's abort path, which walks the same write set.
+            let ts = engine.oracle.validate_and_commit_with(&checks, &self.write_set, |ts| {
                 // Commit record first, inside the critical section and with
                 // this transaction's X locks still held: every ItemWrite/Row*
                 // record of the transaction already precedes it, and no
                 // competing writer can slip a record in between.
-                let commit_lsn =
-                    engine.wal.as_ref().map(|wal| wal.append_commit(id, ts)).unwrap_or(0);
-                for name in &dirty_items {
-                    if let Ok(cell) = engine.store.item(name) {
-                        let mut c = cell.lock();
-                        c.promote(id, ts);
-                        c.stamp_lsn(commit_lsn);
+                let commit_lsn = engine.wal.as_ref().map_or(0, |wal| wal.append_commit(id, ts));
+                self.settle_dirty(Some(ts), commit_lsn);
+            })?;
+            engine.locks.release_all(id);
+            ts
+        };
+        self.record(|| Op::Commit { ts });
+        Ok(ts)
+    }
+
+    /// Resolve every dirty version this transaction left in the store
+    /// (locking levels): promote it at `Some(commit_ts)`, discard it at
+    /// `None`, and stamp the cell with the LSN of the Commit or Abort record
+    /// (0 without a log; stamps only ever raise).
+    fn settle_dirty(&self, commit_ts: Option<Ts>, lsn: Lsn) {
+        for key in &self.write_set {
+            match key {
+                Key::Item(name) => {
+                    let Ok(cell) = self.engine.store.item(name) else { continue };
+                    let mut c = cell.lock();
+                    match commit_ts {
+                        Some(ts) => c.promote(self.id, ts),
+                        None => c.discard(self.id),
                     }
+                    c.stamp_lsn(lsn);
                 }
-                for (table, rid) in &dirty_rows {
-                    if let Ok(t) = engine.store.table(table) {
-                        t.promote_row(id, *rid, ts);
-                        t.stamp_row_lsn(*rid, commit_lsn);
+                Key::Row(table, rid) => {
+                    let Ok(t) = self.engine.store.table(table) else { continue };
+                    match commit_ts {
+                        Some(ts) => t.promote_row(self.id, *rid, ts),
+                        None => t.discard_row(self.id, *rid),
                     }
-                }
-            });
-            match res {
-                Ok(ts) => {
-                    engine.locks.release_all(self.id);
-                    engine.history.record(self.id, self.level, Op::Commit { ts });
-                    Ok(ts)
-                }
-                Err(e) => {
-                    // Validation failed: restore the undo lists so
-                    // finish_abort can roll the dirty writes back.
-                    self.dirty_items = dirty_items;
-                    self.dirty_rows = dirty_rows;
-                    Err(e.into())
+                    t.stamp_row_lsn(*rid, lsn);
                 }
             }
         }
@@ -870,42 +778,27 @@ impl Txn {
     }
 
     fn finish_abort(&mut self) {
-        let engine = self.engine.clone();
+        let engine = &self.engine;
         // Abort record before releasing any lock: until release_all below,
         // no competing writer can append a record for the items/rows this
         // transaction dirtied, so recovery sees the rollback at the same
         // log position the live engine performed it.
         let abort_lsn =
-            engine.wal.as_ref().map(|wal| wal.append(WalRecord::Abort { txn: self.id }));
-        for name in std::mem::take(&mut self.dirty_items) {
-            if let Ok(cell) = engine.store.item(&name) {
-                let mut c = cell.lock();
-                c.discard(self.id);
-                if let Some(lsn) = abort_lsn {
-                    c.stamp_lsn(lsn);
-                }
-            }
-        }
-        for (table, id) in std::mem::take(&mut self.dirty_rows) {
-            if let Ok(t) = engine.store.table(&table) {
-                t.discard_row(self.id, id);
-                if let Some(lsn) = abort_lsn {
-                    t.stamp_row_lsn(id, lsn);
-                }
-            }
-        }
-        self.buf_items.clear();
-        self.buf_rows.clear();
-        engine.locks.release_all(self.id);
+            engine.wal.as_ref().map_or(0, |wal| wal.append(WalRecord::Abort { txn: self.id }));
         if self.level.is_snapshot() {
+            // Nothing reached the store, and the private buffers die with
+            // the handle: every caller consumes it or is dropping it.
             engine.oracle.end_snapshot(self.id);
+        } else {
+            self.settle_dirty(None, abort_lsn);
         }
+        engine.locks.release_all(self.id);
         if self.level.siread_locks() {
             // Aborted transactions surrender their SIREAD locks and conflict
             // flags — only *committed* readers keep them.
             engine.oracle.ssi_abort(self.id);
         }
-        engine.history.record(self.id, self.level, Op::Abort);
+        self.record(|| Op::Abort);
         self.state = TxnState::Aborted;
     }
 }
@@ -915,6 +808,33 @@ impl Drop for Txn {
         if self.state == TxnState::Active {
             self.finish_abort();
         }
+    }
+}
+
+/// What an item write stores, given the item's current value in the
+/// writer's own view.
+enum ItemOp {
+    /// The value itself; the current value is not read.
+    Set(Value),
+    /// `max(current, floor)`; a non-integer current value counts as absent.
+    Max(i64),
+}
+
+impl ItemOp {
+    fn apply(self, current: &Value) -> Value {
+        match self {
+            ItemOp::Set(v) => v,
+            ItemOp::Max(floor) => Value::Int(current.as_int().map_or(floor, |c| c.max(floor))),
+        }
+    }
+}
+
+/// The history event of a row write whose new slot state is `state`.
+fn row_write_op(table: &str, id: RowId, state: Option<Row>) -> Op {
+    let table = table.to_string();
+    match state {
+        Some(row) => Op::RowUpdate { table, id, row },
+        None => Op::RowDelete { table, id },
     }
 }
 

@@ -579,6 +579,57 @@ fn rc_fcw_validates_row_level_reads() {
 }
 
 #[test]
+fn rc_fcw_concurrent_row_increments_lose_no_update() {
+    // Four threads increment one row's counter through SELECT, then
+    // UPDATE ... WHERE writing the value *computed from the selected row*,
+    // retrying on any abort. The version timestamp a SELECT records must
+    // belong to the row it returned: were it read after the short S lock is
+    // released, a writer committing in between would have its timestamp
+    // recorded against the old row, the stale increment would pass
+    // first-committer-wins validation, and the counter would end below the
+    // number of commits.
+    const THREADS: i64 = 4;
+    const COMMITS_EACH: i64 = 1000;
+    let e = engine();
+    orders(&e);
+    let key = RowPred::field_eq_int("order_info", 1);
+    let start = Arc::new(std::sync::Barrier::new(THREADS as usize));
+    let workers: Vec<_> = (0..THREADS)
+        .map(|_| {
+            let (e, key, start) = (e.clone(), key.clone(), start.clone());
+            std::thread::spawn(move || {
+                start.wait();
+                let mut committed = 0;
+                while committed < COMMITS_EACH {
+                    let mut t = e.begin(ReadCommittedFcw);
+                    let attempt = (|| -> Result<(), EngineError> {
+                        let rows = t.select("orders", &key)?;
+                        let seen = rows[0].1[2].as_int().expect("int");
+                        let n = t.update_where("orders", &key, &|row| {
+                            let mut r = row.clone();
+                            r[2] = Value::Int(seen + 1);
+                            r
+                        })?;
+                        assert_eq!(n, 1);
+                        Ok(())
+                    })();
+                    match attempt.and_then(|()| t.commit().map(|_| ())) {
+                        Ok(()) => committed += 1,
+                        Err(err) => assert!(err.is_abort(), "unexpected error: {err:?}"),
+                    }
+                }
+            })
+        })
+        .collect();
+    for w in workers {
+        w.join().expect("join");
+    }
+    let rows = e.peek_table("orders").expect("peek");
+    let row = &rows.iter().find(|(_, r)| r[0] == Value::Int(1)).expect("row").1;
+    assert_eq!(row[2], Value::Int(1 + THREADS * COMMITS_EACH), "one increment per commit");
+}
+
+#[test]
 fn dropped_transaction_rolls_back_dirty_state() {
     let e = engine();
     bank(&e);

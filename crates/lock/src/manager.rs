@@ -1,23 +1,25 @@
 //! The lock table: sharded grants, FIFO waiters, deadlock detection.
 //!
 //! The table is split into `LockConfig::shards` independent shards, each
-//! with its own mutex and condvar. Targets route to shards by key hash —
-//! items by name, rows by `(table, id)`, predicate locks by table — chosen
-//! so that any two *conflictable* targets always land in the same shard
-//! (conflicts never cross target variants, rows only conflict on equal
-//! `(table, id)`, and predicates only conflict on the same table). Disjoint
-//! keys therefore never contend on a shared mutex. Request sequence numbers
-//! come from one global atomic, preserving FIFO fairness per key, and
-//! deadlock detection merges a snapshot of every shard so waits-for cycles
-//! that span shards are still found.
+//! with its own mutex and condvar. Targets route to shards by hash — points
+//! by their [`Key`], predicate locks by table — chosen so that any two
+//! *conflictable* targets always land in the same shard (a point never
+//! conflicts with a predicate, points only conflict when equal, and
+//! predicates only conflict on the same table). Disjoint keys therefore
+//! never contend on a shared mutex. Request sequence numbers come from one
+//! global atomic, preserving FIFO fairness per key, and deadlock detection
+//! merges a snapshot of every shard so waits-for cycles that span shards
+//! are still found.
 
 use crate::error::LockError;
 use parking_lot::{Condvar, Mutex};
 use semcc_faults::{FaultInjector, FaultKind};
-use semcc_logic::hash::{fnv1a_step, FNV_OFFSET};
 use semcc_logic::prover::{Prover, Sat};
 use semcc_logic::row::RowPred;
 use semcc_logic::Pred;
+use semcc_storage::Key;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -43,13 +45,11 @@ impl Mode {
     }
 }
 
-/// What is being locked.
+/// What is being locked: a point or a region.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Target {
-    /// A conventional item, by name.
-    Item(String),
-    /// A row: `(table, row-id)`.
-    Row(String, u64),
+    /// One item or one row slot. Conflicts with an equal key only.
+    Key(Key),
     /// A predicate over a table's rows. Conflicts with other predicate
     /// locks on the same table whose predicates may intersect.
     Pred {
@@ -63,12 +63,12 @@ pub enum Target {
 impl Target {
     /// Item-lock constructor.
     pub fn item(name: impl Into<String>) -> Self {
-        Target::Item(name.into())
+        Target::Key(Key::item(name))
     }
 
     /// Row-lock constructor.
     pub fn row(table: impl Into<String>, id: u64) -> Self {
-        Target::Row(table.into(), id)
+        Target::Key(Key::row(table, id))
     }
 
     /// Predicate-lock constructor.
@@ -190,23 +190,19 @@ impl LockManager {
     }
 
     /// The shard a target routes to. Two targets that can conflict always
-    /// hash identically: items by name, rows by `(table, id)`, predicates
-    /// by table alone (any two predicates on one table may intersect).
+    /// hash identically: points by key, predicates by table alone (any two
+    /// predicates on one table may intersect).
     fn shard_index(&self, target: &Target) -> usize {
         if self.shards.len() == 1 {
             return 0;
         }
-        let h = match target {
-            Target::Item(name) => fnv1a_step(fnv1a_step(FNV_OFFSET, b"i"), name.as_bytes()),
-            Target::Row(table, id) => fnv1a_step(
-                fnv1a_step(fnv1a_step(FNV_OFFSET, b"r"), table.as_bytes()),
-                &id.to_le_bytes(),
-            ),
-            Target::Pred { table, .. } => {
-                fnv1a_step(fnv1a_step(FNV_OFFSET, b"p"), table.as_bytes())
-            }
-        };
-        (h % self.shards.len() as u64) as usize
+        // `DefaultHasher::new()` is unkeyed, so routing repeats across runs.
+        let mut h = DefaultHasher::new();
+        match target {
+            Target::Key(key) => key.hash(&mut h),
+            Target::Pred { table, .. } => table.hash(&mut h),
+        }
+        (h.finish() % self.shards.len() as u64) as usize
     }
 
     /// Drop every grant and waiter, returning the manager to its freshly
@@ -231,8 +227,7 @@ impl LockManager {
             return false;
         }
         match (a_target, b_target) {
-            (Target::Item(x), Target::Item(y)) => x == y,
-            (Target::Row(t1, r1), Target::Row(t2, r2)) => t1 == t2 && r1 == r2,
+            (Target::Key(x), Target::Key(y)) => x == y,
             (Target::Pred { table: t1, pred: p1 }, Target::Pred { table: t2, pred: p2 }) => {
                 if t1 != t2 {
                     return false;

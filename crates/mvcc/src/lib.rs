@@ -12,12 +12,10 @@
 //! snapshot, so validation outcomes are strictly serializable with respect
 //! to commit order.
 
-pub mod key;
 pub mod oracle;
 pub mod ssi;
 
-pub use key::Key;
 pub use oracle::{CommitConflict, FcwConflict, Oracle};
 pub use ssi::{SsiConflict, SsiKey};
 
-pub use semcc_storage::{Ts, TxnId};
+pub use semcc_storage::{Key, Ts, TxnId};

@@ -1,9 +1,8 @@
 //! The timestamp oracle and first-committer-wins commit log.
 
-use crate::key::Key;
 use crate::ssi::{SsiConflict, SsiKey, SsiState};
 use parking_lot::Mutex;
-use semcc_storage::{Ts, TxnId};
+use semcc_storage::{Key, Ts, TxnId};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

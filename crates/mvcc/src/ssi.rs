@@ -26,8 +26,7 @@
 //! never set a flag and never abort — the explorer's serial reference
 //! orders stay error-free at SSI.
 
-use crate::key::Key;
-use semcc_storage::{Ts, TxnId};
+use semcc_storage::{Key, Ts, TxnId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 

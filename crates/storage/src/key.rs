@@ -1,4 +1,5 @@
-//! Keys identifying writable units in the commit log.
+//! Keys identifying writable units: what a lock, a commit-log entry, a
+//! SIREAD lock and a transaction's write set all name.
 
 use std::fmt;
 

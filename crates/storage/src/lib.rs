@@ -16,6 +16,7 @@
 pub mod error;
 pub mod eval;
 pub mod item;
+pub mod key;
 pub mod schema;
 pub mod store;
 pub mod table;
@@ -24,6 +25,7 @@ pub mod wal;
 
 pub use error::StorageError;
 pub use item::ItemCell;
+pub use key::Key;
 pub use schema::Schema;
 pub use store::Store;
 pub use table::{Row, RowCell, RowId, Table};

@@ -292,22 +292,7 @@ pub fn run_program_observed(
                 Phase::Pre,
             );
             exec_stmt(&mut txn, &a.stmt, &mut frame)?;
-            // Fault injection: forced abort right after this statement.
-            if let Some(inj) = txn.engine_ref().faults() {
-                if inj.on_stmt(txn.id(), i + 1) {
-                    return Err(EngineError::Injected(FaultKind::AbortAfterStmt));
-                }
-                // Client crash mid-transaction: snapshot the surviving log
-                // *before* the rollback below runs, so no Abort record
-                // reaches it — recovery must undo the loser from the log
-                // alone.
-                if inj.on_stmt_crash(txn.id(), i + 1) {
-                    if let Some(wal) = txn.engine_ref().wal() {
-                        wal.mark_crash(FaultKind::CrashMidTxn.name(), false);
-                    }
-                    return Err(EngineError::Injected(FaultKind::CrashMidTxn));
-                }
-            }
+            stmt_faults(&txn, i + 1)?;
             observer(
                 &txn,
                 FrameView { bindings, locals: &frame.locals, buffers: &frame.buffers },
@@ -327,6 +312,26 @@ pub fn run_program_observed(
             Err(e)
         }
     }
+}
+
+/// The per-statement fault hooks, consulted once `executed` top-level
+/// statements have run: a forced abort, else a client crash
+/// mid-transaction. The crash snapshots the surviving log here, *before*
+/// the caller rolls the transaction back, so it carries the loser's dirty
+/// records but no Abort record — recovery must undo the loser from
+/// before-images alone.
+fn stmt_faults(txn: &Txn, executed: usize) -> Result<(), EngineError> {
+    let Some(inj) = txn.engine_ref().faults() else { return Ok(()) };
+    if inj.on_stmt(txn.id(), executed) {
+        return Err(EngineError::Injected(FaultKind::AbortAfterStmt));
+    }
+    if inj.on_stmt_crash(txn.id(), executed) {
+        if let Some(wal) = txn.engine_ref().wal() {
+            wal.mark_crash(FaultKind::CrashMidTxn.name(), false);
+        }
+        return Err(EngineError::Injected(FaultKind::CrashMidTxn));
+    }
+    Ok(())
 }
 
 /// A resumable single-transaction interpreter: executes one *top-level*
@@ -410,29 +415,9 @@ impl<'p> Stepper<'p> {
         let a = &self.program.body[self.idx];
         exec_stmt(txn, &a.stmt, &mut self.frame)?;
         self.idx += 1;
-        // Fault injection: forced abort right after this statement.
-        let fire =
-            txn.engine_ref().faults().map(|inj| inj.on_stmt(self.id, self.idx)).unwrap_or(false);
-        if fire {
+        if let Err(e) = stmt_faults(txn, self.idx) {
             self.txn.take().expect("txn present: borrowed above").abort();
-            return Err(EngineError::Injected(FaultKind::AbortAfterStmt));
-        }
-        // Client crash mid-transaction: the process dies between
-        // statements. The crash snapshot is taken *before* the rollback
-        // below, so the surviving log carries the loser's dirty records but
-        // no Abort record — recovery must undo it from before-images alone.
-        let crash = self
-            .txn
-            .as_ref()
-            .and_then(|t| t.engine_ref().faults().map(|inj| inj.on_stmt_crash(self.id, self.idx)))
-            .unwrap_or(false);
-        if crash {
-            let txn = self.txn.take().expect("txn present: borrowed above");
-            if let Some(wal) = txn.engine_ref().wal() {
-                wal.mark_crash(FaultKind::CrashMidTxn.name(), false);
-            }
-            txn.abort();
-            return Err(EngineError::Injected(FaultKind::CrashMidTxn));
+            return Err(e);
         }
         Ok(true)
     }
