@@ -18,10 +18,12 @@
 //! ```
 
 use semcc_bench::{row, rule, short};
-use semcc_core::theorems::{check_at_level, check_at_level_opts};
+use semcc_core::theorems::{check_at_level, check_with, LevelReport};
+use semcc_core::{Analyzer, App};
 use semcc_engine::IsolationLevel::*;
 use semcc_txn::symexec::SymOptions;
 use semcc_workloads::{banking, orders, payroll};
+use std::collections::BTreeSet;
 
 fn verdict_at(ok: bool) -> &'static str {
     if ok {
@@ -29,6 +31,16 @@ fn verdict_at(ok: bool) -> &'static str {
     } else {
         "rejected"
     }
+}
+
+/// [`check_at_level`] with one symbolic-execution mechanism switched off.
+fn check_opts(
+    app: &App,
+    txn: &str,
+    level: semcc_engine::IsolationLevel,
+    opts: SymOptions,
+) -> LevelReport {
+    check_with(&Analyzer::new(app), app, txn, level, opts, &BTreeSet::new())
 }
 
 fn main() {
@@ -40,7 +52,7 @@ fn main() {
     println!("== A1: sequential UPDATE merging ==");
     let pay = payroll::app();
     let with = check_at_level(&pay, "Print_Records", ReadCommitted);
-    let without = check_at_level_opts(
+    let without = check_opts(
         &pay,
         "Print_Records",
         ReadCommitted,
@@ -77,7 +89,7 @@ fn main() {
         (&ord, "Delivery", RepeatableRead),
     ] {
         let at = |unroll: usize| {
-            let r = check_at_level_opts(
+            let r = check_opts(
                 app,
                 txn,
                 level,
@@ -140,7 +152,7 @@ fn main() {
             for level in [ReadCommitted, ReadCommittedFcw, RepeatableRead] {
                 total += 1;
                 let precise = check_at_level(app, &p.name, level).ok;
-                let degraded = check_at_level_opts(app, &p.name, level, coarse).ok;
+                let degraded = check_opts(app, &p.name, level, coarse).ok;
                 assert!(
                     precise || !degraded,
                     "{name}/{}: coarse analysis certified what precise rejected — unsound!",

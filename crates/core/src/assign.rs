@@ -5,6 +5,7 @@ use crate::interfere::Analyzer;
 use crate::theorems::{check_with, LevelReport};
 use semcc_engine::IsolationLevel;
 use semcc_txn::symexec::SymOptions;
+use std::collections::BTreeSet;
 
 /// The analyzer's verdict for one transaction type.
 #[derive(Clone, Debug)]
@@ -61,13 +62,16 @@ pub fn assign_levels(app: &App, ladder: &[IsolationLevel]) -> Vec<Assignment> {
     // without re-proving. Each report still carries only its own deltas;
     // the per-type `cache_hits` sums them.
     let analyzer = Analyzer::new(app);
+    let check = |name: &str, level| {
+        check_with(&analyzer, app, name, level, SymOptions::default(), &BTreeSet::new())
+    };
     app.programs
         .iter()
         .map(|p| {
             let mut reports = Vec::new();
             let mut assigned = *ladder.last().expect("non-empty ladder");
             for level in ladder {
-                let r = check_with(&analyzer, app, &p.name, *level, SymOptions::default());
+                let r = check(&p.name, *level);
                 let ok = r.ok;
                 reports.push(r);
                 if ok {
@@ -75,13 +79,7 @@ pub fn assign_levels(app: &App, ladder: &[IsolationLevel]) -> Vec<Assignment> {
                     break;
                 }
             }
-            let snap = check_with(
-                &analyzer,
-                app,
-                &p.name,
-                IsolationLevel::Snapshot,
-                SymOptions::default(),
-            );
+            let snap = check(&p.name, IsolationLevel::Snapshot);
             let snapshot_ok = snap.ok;
             reports.push(snap);
             let cache_hits = reports.iter().map(|r| r.cache_hits).sum();

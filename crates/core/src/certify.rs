@@ -3,10 +3,12 @@
 //! crate re-validates without the prover.
 
 use crate::app::{App, LemmaScope};
-use crate::theorems::check_at_level_certified;
+use crate::interfere::Analyzer;
+use crate::theorems::check_with;
 use semcc_cert::{Certificate, LemmaDecl, TxnCert};
 use semcc_engine::IsolationLevel;
 use semcc_txn::symexec::SymOptions;
+use std::collections::BTreeSet;
 
 /// The levels a certificate covers: the full ANSI ladder plus SNAPSHOT
 /// and SSI (whose whole-app checks are vacuous but still recorded, so a
@@ -43,8 +45,12 @@ pub fn certify_app(app: &App, name: &str, opts: SymOptions) -> Result<Certificat
     let mut reports = Vec::new();
     for program in &app.programs {
         for level in CERTIFIED_LEVELS {
-            let (report, certs) = check_at_level_certified(app, &program.name, level, opts);
-            let certified = certs.map_err(|e| format!("{}@{level}: {e}", program.name))?;
+            let analyzer = Analyzer::new(app);
+            analyzer.start_certifying();
+            let report = check_with(&analyzer, app, &program.name, level, opts, &BTreeSet::new());
+            let certified = analyzer
+                .take_certificates()
+                .map_err(|e| format!("{}@{level}: {e}", program.name))?;
             reports.push(TxnCert {
                 txn: report.txn,
                 level: level.to_string(),

@@ -12,6 +12,7 @@ use crate::interfere::Analyzer;
 use crate::theorems::check_with;
 use semcc_engine::IsolationLevel;
 use semcc_txn::symexec::SymOptions;
+use std::collections::BTreeSet;
 
 /// Obligation counts for one application at one level.
 #[derive(Clone, Debug)]
@@ -56,7 +57,14 @@ pub fn cost_table(app: &App) -> CostTable {
             let mut prover_calls = 0;
             let mut cache_hits = 0;
             for p in &app.programs {
-                let r = check_with(&analyzer, app, &p.name, level, SymOptions::default());
+                let r = check_with(
+                    &analyzer,
+                    app,
+                    &p.name,
+                    level,
+                    SymOptions::default(),
+                    &BTreeSet::new(),
+                );
                 obligations += r.obligations;
                 prover_calls += r.prover_calls;
                 cache_hits += r.cache_hits;

@@ -19,15 +19,14 @@
 //! * **explicit levels**: re-check each type at the given level; a failed
 //!   theorem becomes one diagnostic per statically-exposed anomaly kind.
 
-use crate::app::{App, LemmaScope};
+use crate::app::App;
 use crate::assign::{assign_levels, default_ladder};
-use crate::compens::rename_unit;
-use crate::interfere::{Analyzer, Verdict};
+use crate::interfere::Analyzer;
 use crate::sdg::{predict_exposures, DangerousStructure, DepEdge, DepGraph, Exposure};
-use crate::theorems::check_with_singletons;
+use crate::theorems::{check_with, obligations};
 use semcc_engine::{AnomalyKind, IsolationLevel};
 use semcc_txn::stmt::Stmt;
-use semcc_txn::symexec::{summarize, SymOptions};
+use semcc_txn::symexec::SymOptions;
 use semcc_txn::Program;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -123,7 +122,7 @@ pub fn lint(app: &App, levels: Option<&BTreeMap<String, IsolationLevel>>) -> Lin
 }
 
 /// Like [`lint`], but skip self-interference obligations for the types in
-/// `singletons` (see [`check_with_singletons`]): the refined differential
+/// `singletons` (see [`check_with`]): the refined differential
 /// oracle uses this when it knows the explored system runs at most one
 /// instance of those types. An empty set reproduces [`lint`] exactly.
 pub fn lint_with_singletons(
@@ -159,7 +158,7 @@ pub fn lint_with_singletons(
     // (and thus rendered failure text) identical to `check_at_level`.
     let check = |name: &str, level: IsolationLevel| {
         let a = Analyzer::new(app);
-        check_with_singletons(&a, app, name, level, opts, singletons)
+        check_with(&a, app, name, level, opts, singletons)
     };
 
     let mut diagnostics = Vec::new();
@@ -186,7 +185,7 @@ pub fn lint_with_singletons(
                 let mut statements = stmt_refs(program, reads, writes);
                 statements.extend(stmt_refs(partner_prog, writes, reads));
                 let counterexample =
-                    snapshot_counterexample(app, &analyzer, program, opts).unwrap_or_default();
+                    counterexample(app, &analyzer, victim, IsolationLevel::Snapshot, opts);
                 let mut provenance = vec![format!("Theorem 5 (SNAPSHOT) fails for {victim}")];
                 provenance.extend(report.failures.iter().cloned());
                 diagnostics.push(Diagnostic {
@@ -233,11 +232,14 @@ pub fn lint_with_singletons(
                 // still report the level's characteristic phenomenon.
                 kinds.push((level_default_kind(eff), None));
             }
-            let counterexample = if eff.is_snapshot() {
-                snapshot_counterexample(app, &analyzer, program, opts).unwrap_or_default()
+            // Best effort below SNAPSHOT: Theorem 2's obligation shape,
+            // which Theorems 1, 4 and 6 refine.
+            let shape = if eff.is_snapshot() {
+                IsolationLevel::Snapshot
             } else {
-                unit_counterexample(app, &analyzer, program, opts).unwrap_or_default()
+                IsolationLevel::ReadCommitted
             };
+            let counterexample = counterexample(app, &analyzer, name, shape, opts);
             for (kind, why) in kinds {
                 let partner = partner_for(&dangerous, &graph, name, kind);
                 let statements = match kind {
@@ -402,85 +404,29 @@ fn kind_of(s: &Stmt) -> String {
     }
 }
 
-/// Mirror Theorem 5's condition 2 and ask the prover for a *model* of the
-/// first violated triple: a concrete assignment to parameters, logical
-/// constants and pre-state items under which some other type's unit effect
-/// breaks the victim's snapshot-read postcondition or `Q`.
-fn snapshot_counterexample(
+/// Ask the prover for a *model* of the first of `victim`'s obligations at
+/// `level` the analyzer cannot discharge: a concrete assignment to
+/// parameters, logical constants and pre-state items under which some
+/// type's unit effect breaks the protected assertion. Empty when there is
+/// no such obligation or no linear model of one.
+fn counterexample(
     app: &App,
     analyzer: &Analyzer<'_>,
-    program: &Program,
+    victim: &str,
+    level: IsolationLevel,
     opts: SymOptions,
-) -> Option<Vec<(String, i64)>> {
-    let paths_i = summarize(program, opts);
-    let writing_i: Vec<_> = paths_i.iter().filter(|p| !p.is_read_only()).collect();
-    if writing_i.is_empty() {
-        return None;
-    }
-    let assertions = [program.snapshot_read_post.clone(), program.result.clone()];
+) -> Vec<(String, i64)> {
     for other in &app.programs {
-        for q in summarize(other, opts).iter() {
-            if q.is_read_only() {
+        for ob in obligations(app, victim, &other.name, level, false, opts).list {
+            if analyzer.preserves(&ob.assertion, &ob.effect, &ob.writer, ob.scope).is_preserved() {
                 continue;
             }
-            let q_renamed = rename_unit(q, "u$");
-            let q_writes = q_renamed.written_items();
-            let all_intersect = writing_i.iter().all(|p| {
-                let pw = p.written_items();
-                q_writes.iter().any(|w| pw.contains(w))
-            });
-            if all_intersect {
-                continue;
-            }
-            for assertion in &assertions {
-                if let Verdict::MayInterfere(_) =
-                    analyzer.preserves(assertion, &q_renamed, &other.name, LemmaScope::Unit)
-                {
-                    if let Some(model) = analyzer.counterexample(assertion, &q_renamed) {
-                        return Some(model.into_iter().map(|(v, x)| (v.to_string(), x)).collect());
-                    }
-                }
+            if let Some(model) = analyzer.counterexample(&ob.assertion, &ob.effect) {
+                return model.into_iter().map(|(v, x)| (v.to_string(), x)).collect();
             }
         }
     }
-    None
-}
-
-/// Best-effort counterexample for the non-snapshot theorems: find a unit
-/// effect of some type that violates one of the victim's read
-/// postconditions or `Q` (the Theorem 2 obligation shape, which Theorems
-/// 1, 4 and 6 refine).
-fn unit_counterexample(
-    app: &App,
-    analyzer: &Analyzer<'_>,
-    program: &Program,
-    opts: SymOptions,
-) -> Option<Vec<(String, i64)>> {
-    let mut assertions: Vec<semcc_logic::Pred> = program
-        .all_stmts()
-        .iter()
-        .filter(|a| a.stmt.is_db_read())
-        .map(|a| a.post.clone())
-        .collect();
-    assertions.push(program.result.clone());
-    for other in &app.programs {
-        for q in summarize(other, opts).iter() {
-            if q.is_read_only() {
-                continue;
-            }
-            let q_renamed = rename_unit(q, "u$");
-            for assertion in &assertions {
-                if let Verdict::MayInterfere(_) =
-                    analyzer.preserves(assertion, &q_renamed, &other.name, LemmaScope::Unit)
-                {
-                    if let Some(model) = analyzer.counterexample(assertion, &q_renamed) {
-                        return Some(model.into_iter().map(|(v, x)| (v.to_string(), x)).collect());
-                    }
-                }
-            }
-        }
-    }
-    None
+    Vec::new()
 }
 
 #[cfg(test)]

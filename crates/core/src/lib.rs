@@ -44,8 +44,7 @@ pub use sdg::{
     StmtFootprint,
 };
 pub use theorems::{
-    check_at_level, check_at_level_certified, check_pair_collect, check_pair_with, check_with,
-    check_with_singletons, FailedObligation, LevelReport,
+    check_at_level, check_pair, check_with, obligations, FailedObligation, LevelReport, Obligation,
 };
 pub use witness::{
     neutral_bindings, replay_witness, replay_witnesses, seed_neutral, Witness, WitnessOutcome,

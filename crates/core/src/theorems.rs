@@ -1,21 +1,35 @@
-//! Theorems 1–6: per-isolation-level obligation enumeration.
+//! Theorems 1–6 as one obligation generator.
 //!
-//! Each function enumerates exactly the non-interference triples the
-//! corresponding theorem requires and discharges them with the
+//! An isolation level, against a class of partner, is a rule: which unit
+//! of the interferer runs between the victim's steps, which of the
+//! victim's assertions that unit must preserve, and which pairs the level's
+//! locks or first-committer-wins validation excuse (the private `rule`
+//! function is the table, one row per theorem; DESIGN.md §6 prints it).
+//! A rule applied to `(victim, interferer)` is a list of [`Obligation`]s
+//! ([`obligations`]); a verdict is that list discharged in order by the
 //! [`Analyzer`]. The returned [`LevelReport`] records whether every
-//! obligation was proven, how many obligations the theorem generated (the
-//! analysis-cost metric behind the paper's `(KN)² → K²` claim), and the
-//! reasons for any failures.
+//! obligation was proven, how many the rule generated (the analysis-cost
+//! metric behind the paper's `(KN)² → K²` claim), and the reasons for any
+//! failures.
+//!
+//! Fresh constants are numbered by a process-global counter and the
+//! analyzer's memo is keyed on printed predicates, so the order of
+//! `summarize`, `rollback_effects` and prover calls is observable in every
+//! `prover calls` / `cache hits` column: obligations are generated per
+//! pair (effects outer, assertions inner), discharged before the next pair
+//! is generated, and nothing is hoisted or cached across pairs.
 
 use crate::app::{App, LemmaScope};
-use crate::compens::{forward_write_effects, rename_unit, rollback_effects, StmtEffect};
+use crate::compens::{forward_write_effects, rename_unit, rollback_effects};
 use crate::interfere::{Analyzer, Verdict};
 use semcc_engine::IsolationLevel;
+use semcc_logic::row::RowPred;
 use semcc_logic::Pred;
 use semcc_txn::stmt::Stmt;
 use semcc_txn::symexec::{summarize, SymOptions};
 use semcc_txn::{PathSummary, Program, RelEffect};
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
 /// The verdict for one transaction type at one isolation level.
 #[derive(Clone, Debug)]
@@ -37,137 +51,62 @@ pub struct LevelReport {
     pub failures: Vec<String>,
 }
 
-/// Check one transaction type at one isolation level (default symbolic-
-/// execution options).
-pub fn check_at_level(app: &App, txn_name: &str, level: IsolationLevel) -> LevelReport {
-    check_at_level_opts(app, txn_name, level, SymOptions::default())
+/// The victim's assertions a rule protects, in discharge order.
+#[derive(Clone, Copy)]
+enum Protects {
+    /// `I_i` when `invariant`, then every read statement's postcondition,
+    /// then `Q_i`.
+    Reads { invariant: bool },
+    /// Nothing for a transaction without a SELECT (Theorem 4); otherwise
+    /// `Q_i`, then every SELECT's postcondition.
+    Selects,
+    /// Nothing for a read-only transaction (all its assertions are facts
+    /// about its immutable snapshot); otherwise the snapshot read step's
+    /// postcondition, then `Q_i`.
+    SnapshotRead,
 }
 
-/// Like [`check_at_level`] but with explicit symbolic-execution options —
-/// the hook the ablation harness uses to switch off update merging or
-/// loop unrolling and observe the verdicts degrade (soundly upward).
-pub fn check_at_level_opts(
-    app: &App,
-    txn_name: &str,
-    level: IsolationLevel,
-    opts: SymOptions,
-) -> LevelReport {
-    let analyzer = Analyzer::new(app);
-    check_with(&analyzer, app, txn_name, level, opts)
+/// The pairs a level's locks or validation excuse.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Escape {
+    /// Nothing is excused.
+    Nothing,
+    /// First-committer-wins validates a read followed by a write of the
+    /// same item ([`fcw_exempt`]). Per Theorem 3's proof only the `X = x`
+    /// currency conjunct is protected: the read's *precondition* must
+    /// still be interference-free (the post is `sp(pre, X := x)`, and
+    /// Lemma 1 transfers preservation of the pre to everything else).
+    Fcw,
+    /// A SELECT's long tuple locks block UPDATE/DELETE effects whose
+    /// predicates intersect its own (Theorem 6 case 2). Decided by the
+    /// prover, so only when case 1 fails, during discharge.
+    TupleLocks,
+    /// An interfering path whose writes intersect the writes of *every*
+    /// writing path of the victim is aborted by first-committer-wins
+    /// whenever both commit with effects (Theorem 5 condition 1).
+    /// Syntactic, so decided during generation.
+    WriteSets,
 }
 
-/// Run the theorem for `(txn_name, level)` on a caller-supplied analyzer.
+/// One row of the level table.
+struct Rule {
+    /// What interferes: every write statement of the interferer, rollback
+    /// compensators included ([`LemmaScope::Stmt`]), or every writing path
+    /// of it as a committed unit ([`LemmaScope::Unit`]).
+    unit: LemmaScope,
+    protects: Protects,
+    escape: Escape,
+}
+
+/// The rule protecting a victim at `level` against one concurrent
+/// interferer, classed by the interferer's own level; `None` when the
+/// level's locks or aborts leave nothing to prove.
 ///
-/// Sharing one analyzer across many `(txn, level)` checks reuses its memoized
-/// prover cache; a certifying analyzer additionally records proof
-/// certificates for every discharged preservation query. The report's
-/// `prover_calls`/`cache_hits` count only the queries this check issued.
-pub fn check_with(
-    analyzer: &Analyzer<'_>,
-    app: &App,
-    txn_name: &str,
-    level: IsolationLevel,
-    opts: SymOptions,
-) -> LevelReport {
-    check_with_singletons(analyzer, app, txn_name, level, opts, &BTreeSet::new())
-}
-
-/// Like [`check_with`], but skip self-interference obligations for the
-/// transaction types in `singletons`.
-///
-/// The theorems quantify over *every* concurrent instance, including a
-/// second instance of the checked type itself. When a deployed system is
-/// known to run at most one instance of a type at a time (e.g. a
-/// differential-oracle cell exploring exactly one instance per name),
-/// `T × T` obligations for that type are vacuous: there is no second `T`
-/// to interfere. An empty set reproduces [`check_with`] exactly.
-pub fn check_with_singletons(
-    analyzer: &Analyzer<'_>,
-    app: &App,
-    txn_name: &str,
-    level: IsolationLevel,
-    opts: SymOptions,
-    singletons: &BTreeSet<String>,
-) -> LevelReport {
-    let program =
-        app.program(txn_name).unwrap_or_else(|| panic!("unknown transaction type {txn_name}"));
-    let calls_before = analyzer.prover_calls();
-    let hits_before = analyzer.cache_hits();
-    let mut report = LevelReport {
-        txn: txn_name.to_string(),
-        level,
-        ok: true,
-        obligations: 0,
-        prover_calls: 0,
-        cache_hits: 0,
-        failures: Vec::new(),
-    };
-    match level {
-        IsolationLevel::ReadUncommitted => thm1(app, program, analyzer, &mut report, singletons),
-        IsolationLevel::ReadCommitted => {
-            thm2(app, program, analyzer, &mut report, false, opts, singletons)
-        }
-        IsolationLevel::ReadCommittedFcw => {
-            thm2(app, program, analyzer, &mut report, true, opts, singletons)
-        }
-        IsolationLevel::RepeatableRead => {
-            thm4_6(app, program, analyzer, &mut report, opts, singletons)
-        }
-        IsolationLevel::Snapshot => thm5(app, program, analyzer, &mut report, opts, singletons),
-        IsolationLevel::Ssi => {
-            // Serializable Snapshot Isolation: a single-level whole-app
-            // check means every concurrent transaction is SSI-tracked, and
-            // aborting every dangerous-structure pivot before commit keeps
-            // the execution serializable (Cahill et al.) — vacuously safe
-            // for any footprints, like SERIALIZABLE. Mixed-vector
-            // obligations live in `check_pair_collect`, where the partner's
-            // tracking class is explicit.
-        }
-        IsolationLevel::Serializable => { /* always correct: zero obligations */ }
-    }
-    report.prover_calls = analyzer.prover_calls() - calls_before;
-    report.cache_hits = analyzer.cache_hits() - hits_before;
-    report
-}
-
-/// Whether the `other × program` obligation family is vacuous because
-/// `program` is a known singleton and `other` is itself.
-fn skip_self(program: &Program, other: &Program, singletons: &BTreeSet<String>) -> bool {
-    other.name == program.name && singletons.contains(&program.name)
-}
-
-/// One obligation that failed during a pair check, with enough structure
-/// to extract a scalar countermodel or compile an executable witness —
-/// the raw material of a synthesis refutation certificate.
-#[derive(Clone, Debug)]
-pub struct FailedObligation {
-    /// The protected assertion's description (e.g. `post(read #1 of T)`).
-    pub what: String,
-    /// The interfering effect's description.
-    pub eff_desc: String,
-    /// The protected assertion `P`.
-    pub assertion: Pred,
-    /// The interfering path summary (after any renaming/filtering the
-    /// theorem applied).
-    pub effect: PathSummary,
-    /// Lemma scope the preservation query ran at.
-    pub scope: LemmaScope,
-    /// The analyzer's reason for `MayInterfere`.
-    pub reason: String,
-}
-
-/// Obligations protecting `victim` at `level` against one concurrent
-/// instance of `interferer`, classed by the interferer's own level:
-/// `partner_snapshot = false` means the interferer runs somewhere on the
-/// ANSI ladder (its writes go through the lock manager), `true` means it
-/// runs under SNAPSHOT isolation (its write buffer is installed at commit
-/// without acquiring the victim's read or predicate locks — the
-/// "piercing" mixes the SI/2PL soundness suite found).
-///
-/// The theorems' obligation families are per-interferer, so the
-/// conjunction of `check_pair_with` over every interferer with
-/// `partner_snapshot = false` reproduces [`check_with`] exactly at every
-/// ladder level. Vs a SNAPSHOT partner the dispatch changes:
+/// For a ladder or SNAPSHOT victim `partner_snapshot = false` means the
+/// interferer runs somewhere on the ANSI ladder (its writes go through the
+/// lock manager), `true` means it is snapshot-class (its write buffer is
+/// installed at commit without acquiring the victim's read or predicate
+/// locks — the "piercing" mixes the SI/2PL soundness suite found):
 ///
 /// * RU / RC / RC+FCW keep Theorems 1–3 — statement- and unit-level
 ///   visibility over-approximates commit-time buffer installation
@@ -184,33 +123,285 @@ pub struct FailedObligation {
 ///   partner's class (its snapshot reads are immune to when the partner's
 ///   writes land, and its own first-committer-wins validation is
 ///   victim-side).
-pub fn check_pair_with(
-    analyzer: &Analyzer<'_>,
+///
+/// For an SSI victim rw-antidependency tracking only covers pairs where
+/// *both* sides hold SSI records, so `partner_snapshot` means "the partner
+/// is SSI-tracked too" (callers pass `partner == Ssi`, NOT the
+/// snapshot-class test). Tracked pair: every dangerous structure is
+/// aborted before commit (Cahill et al.) — vacuously safe for any
+/// footprints, like SERIALIZABLE. Untracked partner: SSI degrades to
+/// exactly SNAPSHOT (same reads, same FCW, plus aborts that only shrink
+/// the behavior set), so Theorem 5's obligations carry over verbatim.
+fn rule(level: IsolationLevel, partner_snapshot: bool) -> Option<Rule> {
+    use IsolationLevel::*;
+    use LemmaScope::{Stmt, Unit};
+    let row = |unit, protects, escape| Some(Rule { unit, protects, escape });
+    match (level, partner_snapshot) {
+        // Theorem 1: every individual write statement of every transaction,
+        // including those that roll it back.
+        (ReadUncommitted, _) => row(Stmt, Protects::Reads { invariant: true }, Escape::Nothing),
+        // Theorem 2: every transaction as a unit.
+        (ReadCommitted, _) | (RepeatableRead, true) | (Serializable, true) => {
+            row(Unit, Protects::Reads { invariant: false }, Escape::Nothing)
+        }
+        // Theorem 3.
+        (ReadCommittedFcw, _) => row(Unit, Protects::Reads { invariant: false }, Escape::Fcw),
+        // Theorems 4 and 6.
+        (RepeatableRead, false) => row(Unit, Protects::Selects, Escape::TupleLocks),
+        // Theorem 5.
+        (Snapshot, _) | (Ssi, false) => row(Unit, Protects::SnapshotRead, Escape::WriteSets),
+        (Serializable, false) | (Ssi, true) => None,
+    }
+}
+
+/// The region a SELECT's long tuple locks cover.
+#[derive(Clone, Debug)]
+pub struct TupleLocks {
+    /// The SELECT's table.
+    pub table: String,
+    /// The SELECT's filter.
+    pub filter: RowPred,
+}
+
+/// One non-interference triple `{P ∧ P'} S {P}` a rule requires.
+#[derive(Clone, Debug)]
+pub struct Obligation {
+    /// The protected assertion's description (e.g. `post(read #1 of T)`).
+    pub what: Rc<str>,
+    /// The protected assertion `P`.
+    pub assertion: Rc<Pred>,
+    /// The interfering effect's description.
+    pub eff_desc: Rc<str>,
+    /// The interfering effect `S` with its context `P'`, renamed apart;
+    /// shared by every assertion it is checked against.
+    pub effect: Rc<PathSummary>,
+    /// The interfering transaction type (whose lemmas apply).
+    pub writer: Rc<str>,
+    /// Lemma scope the preservation query runs at.
+    pub scope: LemmaScope,
+    /// Theorem 6 case 2: when `effect` does not preserve `assertion`,
+    /// only what these tuple locks do not block has to.
+    pub escape: Option<Rc<TupleLocks>>,
+}
+
+/// An [`Obligation`] that could not be discharged — enough structure to
+/// extract a scalar countermodel or compile an executable witness, the raw
+/// material of a synthesis refutation certificate.
+#[derive(Clone, Debug)]
+pub struct FailedObligation {
+    /// The obligation as it was last tried (after Theorem 6's case 2, with
+    /// the tuple-lock-blocked effects removed).
+    pub obligation: Obligation,
+    /// The analyzer's reason for `MayInterfere`.
+    pub reason: String,
+}
+
+/// What a victim owes against one interferer.
+#[derive(Debug, Default)]
+pub struct Owed {
+    /// The obligations the prover has to discharge, in discharge order.
+    pub list: Vec<Obligation>,
+    /// Writing paths of the interferer weighed against Theorem 5's
+    /// condition 1: one obligation each in [`LevelReport::obligations`],
+    /// decided syntactically during generation.
+    pub syntactic: usize,
+}
+
+/// The obligations protecting `victim` at `level` against one concurrent
+/// instance of `interferer`. `partner_snapshot` is the interferer's class:
+/// for a ladder or SNAPSHOT victim, whether it is snapshot-class (SNAPSHOT
+/// or SSI: its writes are installed at commit past the victim's locks);
+/// for an SSI victim, whether it is SSI-tracked too.
+pub fn obligations(
     app: &App,
     victim: &str,
     interferer: &str,
     level: IsolationLevel,
     partner_snapshot: bool,
     opts: SymOptions,
-) -> LevelReport {
-    check_pair_collect(analyzer, app, victim, interferer, level, partner_snapshot, opts).0
+) -> Owed {
+    let lookup =
+        |name: &str| app.program(name).unwrap_or_else(|| panic!("unknown transaction type {name}"));
+    let (program, other) = (lookup(victim), lookup(interferer));
+    let mut owed = Owed::default();
+    let Some(rule) = rule(level, partner_snapshot) else { return owed };
+
+    // The protected assertions, each shared by every effect it is checked
+    // against.
+    type Protected = (Rc<str>, Rc<Pred>, Option<Rc<TupleLocks>>);
+    let protect = |what: String, p: &Pred| -> Protected { (what.into(), Rc::new(p.clone()), None) };
+    let flat = program.all_stmts();
+    let q = protect(format!("Q_{}", program.name), &program.result);
+    let mut protected: Vec<Protected> = Vec::new();
+    let mut victim_writes: Vec<BTreeSet<String>> = Vec::new();
+    match rule.protects {
+        Protects::Reads { invariant } => {
+            if invariant {
+                protected.push(protect(format!("I_{}", program.name), &program.consistency));
+            }
+            for (idx, read) in flat.iter().enumerate().filter(|(_, a)| a.stmt.is_db_read()) {
+                let what = format!("post(read #{idx} of {})", program.name);
+                protected.push(if rule.escape == Escape::Fcw && fcw_exempt(app, program, idx) {
+                    protect(format!("{what} (pre, FCW-exempt read)"), &read.pre)
+                } else {
+                    protect(what, &read.post)
+                });
+            }
+            protected.push(q);
+        }
+        Protects::Selects => {
+            let selects: Vec<Protected> = flat
+                .iter()
+                .enumerate()
+                .filter_map(|(i, a)| {
+                    let (table, filter) = select_region(&a.stmt)?;
+                    let locks = (rule.escape == Escape::TupleLocks).then(|| {
+                        Rc::new(TupleLocks { table: table.clone(), filter: filter.clone() })
+                    });
+                    let post = protect(format!("post(SELECT #{i} of {})", program.name), &a.post);
+                    Some((post.0, post.1, locks))
+                })
+                .collect();
+            if selects.is_empty() {
+                return owed;
+            }
+            protected.push(q);
+            protected.extend(selects);
+        }
+        Protects::SnapshotRead => {
+            victim_writes = summarize(program, opts)
+                .iter()
+                .filter(|p| !p.is_read_only())
+                .map(PathSummary::written_items)
+                .collect();
+            if victim_writes.is_empty() {
+                return owed;
+            }
+            let what = format!("read-step post of {}", program.name);
+            protected.push(protect(what, &program.snapshot_read_post));
+            protected.push(q);
+        }
+    }
+
+    let effects: Vec<(String, PathSummary)> = match rule.unit {
+        LemmaScope::Stmt => forward_write_effects(other)
+            .into_iter()
+            .chain(rollback_effects(other, &app.schemas))
+            .map(|e| (e.description, e.summary))
+            .collect(),
+        LemmaScope::Unit => summarize(other, opts)
+            .iter()
+            .enumerate()
+            .filter(|(_, path)| !path.is_read_only())
+            .map(|(pi, path)| {
+                (format!("{} (unit, path {pi})", other.name), rename_unit(path, "u$"))
+            })
+            .collect(),
+    };
+    let writer: Rc<str> = other.name.as_str().into();
+    for (eff_desc, effect) in effects {
+        if rule.escape == Escape::WriteSets {
+            owed.syntactic += 1;
+            let writes = effect.written_items();
+            if victim_writes.iter().all(|pw| writes.iter().any(|w| pw.contains(w))) {
+                continue;
+            }
+        }
+        let (eff_desc, effect): (Rc<str>, _) = (eff_desc.into(), Rc::new(effect));
+        owed.list.extend(protected.iter().map(|(what, assertion, escape)| Obligation {
+            what: what.clone(),
+            assertion: assertion.clone(),
+            eff_desc: eff_desc.clone(),
+            effect: effect.clone(),
+            writer: writer.clone(),
+            scope: rule.unit,
+            escape: escape.clone(),
+        }));
+    }
+    owed
 }
 
-/// Like [`check_pair_with`], but additionally return the structured
-/// failed obligations (certificate raw material).
-pub fn check_pair_collect(
+/// Discharge `obs` in order, counting each in `report` and recording the
+/// ones the analyzer could not prove.
+fn discharge(
+    analyzer: &Analyzer<'_>,
+    obs: &[Obligation],
+    report: &mut LevelReport,
+    fails: &mut Vec<FailedObligation>,
+) {
+    for ob in obs {
+        report.obligations += 1;
+        let preserved_by =
+            |eff: &PathSummary| analyzer.preserves(&ob.assertion, eff, &ob.writer, ob.scope);
+        let Verdict::MayInterfere(mut reason) = preserved_by(&ob.effect) else { continue };
+        let mut unblocked = None;
+        if let Some(locks) = &ob.escape {
+            // Theorem 6 case (2): retry with the tuple-lock-blocked effects
+            // removed; only the rest may interfere.
+            let rest = locks.unblocked(analyzer, &ob.assertion, &ob.effect);
+            let Verdict::MayInterfere(r) = preserved_by(&rest) else { continue };
+            reason = r;
+            unblocked = Some(rest);
+        }
+        let mut obligation = ob.clone();
+        let mut beyond = "";
+        if let Some(rest) = unblocked {
+            beyond = " beyond tuple-lock protection";
+            obligation.eff_desc =
+                format!("{} (tuple-lock-blocked effects removed)", ob.eff_desc).into();
+            obligation.effect = Rc::new(rest);
+        }
+        report
+            .failures
+            .push(format!("{} may interfere with {}{beyond}: {reason}", ob.eff_desc, ob.what));
+        fails.push(FailedObligation { obligation, reason });
+    }
+}
+
+impl TupleLocks {
+    /// `unit` without the effects these locks physically block while the
+    /// SELECT's postcondition `post` holds: an UPDATE/DELETE on the
+    /// SELECT's table whose predicate intersects the SELECT's (the paper's
+    /// condition) — refined for soundness: an UPDATE must additionally be
+    /// unable to move an *outside* row into the region, since only read
+    /// (inside) tuples are locked.
+    fn unblocked(&self, analyzer: &Analyzer<'_>, post: &Pred, unit: &PathSummary) -> PathSummary {
+        let intersects = |filter: &RowPred| {
+            analyzer.regions_may_intersect(&unit.condition, filter, &self.filter)
+        };
+        let blocked = |e: &RelEffect| match e {
+            _ if e.table() != self.table => false,
+            RelEffect::Delete { filter, .. } => intersects(filter),
+            RelEffect::Update { filter, sets, .. } => {
+                intersects(filter)
+                    && analyzer.update_cannot_move_into(
+                        &Pred::and([post.clone(), unit.condition.clone()]),
+                        filter,
+                        sets,
+                        &self.filter,
+                    )
+            }
+            _ => false,
+        };
+        let mut out = unit.clone();
+        out.effects.retain(|e| !blocked(e));
+        out
+    }
+}
+
+/// Discharge everything `victim` owes at `level` against each of
+/// `interferers` in turn: the one place a [`LevelReport`] is built. The
+/// report's `prover_calls`/`cache_hits` count only the queries this check
+/// issued.
+fn check_against<'p>(
     analyzer: &Analyzer<'_>,
     app: &App,
     victim: &str,
-    interferer: &str,
+    interferers: impl Iterator<Item = &'p str>,
     level: IsolationLevel,
     partner_snapshot: bool,
     opts: SymOptions,
 ) -> (LevelReport, Vec<FailedObligation>) {
-    let program =
-        app.program(victim).unwrap_or_else(|| panic!("unknown transaction type {victim}"));
-    let other =
-        app.program(interferer).unwrap_or_else(|| panic!("unknown transaction type {interferer}"));
     let calls_before = analyzer.prover_calls();
     let hits_before = analyzer.cache_hits();
     let mut report = LevelReport {
@@ -223,222 +414,84 @@ pub fn check_pair_collect(
         failures: Vec::new(),
     };
     let mut fails = Vec::new();
-    {
-        use IsolationLevel::*;
-        let f = Some(&mut fails);
-        match (level, partner_snapshot) {
-            (ReadUncommitted, _) => thm1_pair(app, program, other, analyzer, &mut report, f),
-            (ReadCommitted, _) => {
-                thm2_pair(app, program, other, analyzer, &mut report, false, opts, f)
-            }
-            (ReadCommittedFcw, _) => {
-                thm2_pair(app, program, other, analyzer, &mut report, true, opts, f)
-            }
-            (RepeatableRead, false) => {
-                thm4_6_pair(app, program, other, analyzer, &mut report, opts, f)
-            }
-            (RepeatableRead, true) | (Serializable, true) => {
-                thm2_pair(app, program, other, analyzer, &mut report, false, opts, f)
-            }
-            (Serializable, false) => { /* zero obligations */ }
-            (Snapshot, _) => thm5_pair(app, program, other, analyzer, &mut report, opts, f),
-            // SSI victim: rw-antidependency tracking only covers pairs
-            // where *both* sides hold SSI records, so `partner_snapshot`
-            // here means "the partner is SSI-tracked too" (callers pass
-            // `partner == Ssi`, NOT the snapshot-class test used for
-            // ladder victims). Tracked pair: every dangerous structure is
-            // aborted before commit — zero obligations. Untracked partner:
-            // SSI degrades to exactly SNAPSHOT (same reads, same FCW, plus
-            // aborts that only shrink the behavior set), so Theorem 5's
-            // obligations carry over verbatim.
-            (Ssi, true) => { /* both SSI-tracked: pivots abort, zero obligations */ }
-            (Ssi, false) => thm5_pair(app, program, other, analyzer, &mut report, opts, f),
-        }
+    for other in interferers {
+        let owed = obligations(app, victim, other, level, partner_snapshot, opts);
+        report.obligations += owed.syntactic;
+        discharge(analyzer, &owed.list, &mut report, &mut fails);
     }
+    report.ok = fails.is_empty();
     report.prover_calls = analyzer.prover_calls() - calls_before;
     report.cache_hits = analyzer.cache_hits() - hits_before;
     (report, fails)
 }
 
-/// Like [`check_at_level_opts`], but additionally emit a proof certificate
-/// for every discharged preservation query (the data [`semcc_cert::verify()`]
-/// re-validates independently). The second component is `Err` when a
-/// discharge could not be traced — the verdicts stand, but the run is not
-/// certifiable.
-pub fn check_at_level_certified(
+/// Check one transaction type at one isolation level against the whole
+/// application (fresh analyzer, default symbolic-execution options).
+pub fn check_at_level(app: &App, txn_name: &str, level: IsolationLevel) -> LevelReport {
+    check_with(&Analyzer::new(app), app, txn_name, level, SymOptions::default(), &BTreeSet::new())
+}
+
+/// Check `txn_name` at `level` against every transaction type of the
+/// application, all assumed to run at `level`'s own partner class, on a
+/// caller-supplied analyzer.
+///
+/// Sharing one analyzer across many `(txn, level)` checks reuses its
+/// memoized prover cache; a certifying analyzer additionally records proof
+/// certificates for every discharged preservation query. `opts` is the
+/// hook the ablation harness uses to switch off update merging or loop
+/// unrolling and observe the verdicts degrade (soundly upward).
+///
+/// The theorems quantify over *every* concurrent instance, including a
+/// second instance of the checked type itself. When a deployed system is
+/// known to run at most one instance of a type at a time (e.g. a
+/// differential-oracle cell exploring exactly one instance per name),
+/// `T × T` obligations for that type are vacuous: there is no second `T`
+/// to interfere. `singletons` names those types; usually it is empty.
+pub fn check_with(
+    analyzer: &Analyzer<'_>,
     app: &App,
     txn_name: &str,
     level: IsolationLevel,
     opts: SymOptions,
-) -> (LevelReport, Result<Vec<semcc_cert::ObligationCert>, String>) {
-    let analyzer = Analyzer::new(app);
-    analyzer.start_certifying();
-    let report = check_with(&analyzer, app, txn_name, level, opts);
-    (report, analyzer.take_certificates())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn check(
-    analyzer: &Analyzer<'_>,
-    report: &mut LevelReport,
-    assertion: &Pred,
-    what: &str,
-    eff: &PathSummary,
-    writer: &str,
-    scope: LemmaScope,
-    eff_desc: &str,
-    fails: Option<&mut Vec<FailedObligation>>,
-) {
-    report.obligations += 1;
-    if let Verdict::MayInterfere(reason) = analyzer.preserves(assertion, eff, writer, scope) {
-        report.ok = false;
-        report.failures.push(format!("{eff_desc} may interfere with {what}: {reason}"));
-        if let Some(fails) = fails {
-            fails.push(FailedObligation {
-                what: what.to_string(),
-                eff_desc: eff_desc.to_string(),
-                assertion: assertion.clone(),
-                effect: eff.clone(),
-                scope,
-                reason,
-            });
-        }
-    }
-}
-
-/// The assertions Theorems 1–3 protect for `T_i`: the postcondition of
-/// every read statement plus `Q_i` (Theorem 1 adds `I_i`).
-fn read_posts(program: &Program) -> Vec<(usize, String, Pred)> {
-    let flat = program.all_stmts();
-    flat.iter()
-        .enumerate()
-        .filter(|(_, a)| a.stmt.is_db_read())
-        .map(|(i, a)| (i, format!("post(read #{i} of {})", program.name), a.post.clone()))
-        .collect()
-}
-
-/// Theorem 1 — READ UNCOMMITTED: every individual write statement of every
-/// transaction (including rollback compensators) must not interfere with
-/// `I_i`, each read postcondition, and `Q_i`.
-fn thm1(
-    app: &App,
-    program: &Program,
-    analyzer: &Analyzer<'_>,
-    report: &mut LevelReport,
     singletons: &BTreeSet<String>,
-) {
-    for other in &app.programs {
-        if skip_self(program, other, singletons) {
-            continue;
-        }
-        thm1_pair(app, program, other, analyzer, report, None);
-    }
+) -> LevelReport {
+    // A single-level whole-app check at SSI means every concurrent
+    // transaction is SSI-tracked too.
+    let partner_snapshot = level == IsolationLevel::Ssi;
+    let interferers = app
+        .programs
+        .iter()
+        .map(|p| p.name.as_str())
+        .filter(|&other| !(other == txn_name && singletons.contains(txn_name)));
+    check_against(analyzer, app, txn_name, interferers, level, partner_snapshot, opts).0
 }
 
-/// Theorem 1's obligation family for one `(victim, interferer)` pair.
-fn thm1_pair(
-    app: &App,
-    program: &Program,
-    other: &Program,
+/// Check `victim` at `level` against one concurrent instance of
+/// `interferer` of the given partner class (see [`obligations`]), also
+/// returning the structured failed obligations. The obligation families
+/// are per-interferer, so the conjunction over every interferer with
+/// `partner_snapshot = false` reproduces [`check_with`] exactly at every
+/// ladder level.
+pub fn check_pair(
     analyzer: &Analyzer<'_>,
-    report: &mut LevelReport,
-    mut fails: Option<&mut Vec<FailedObligation>>,
-) {
-    let mut assertions: Vec<(String, Pred)> =
-        vec![(format!("I_{}", program.name), program.consistency.clone())];
-    for (_, what, p) in read_posts(program) {
-        assertions.push((what, p));
-    }
-    assertions.push((format!("Q_{}", program.name), program.result.clone()));
-
-    let mut effects: Vec<StmtEffect> = forward_write_effects(other);
-    effects.extend(rollback_effects(other, &app.schemas));
-    for eff in &effects {
-        for (what, assertion) in &assertions {
-            check(
-                analyzer,
-                report,
-                assertion,
-                what,
-                &eff.summary,
-                &other.name,
-                LemmaScope::Stmt,
-                &eff.description,
-                fails.as_deref_mut(),
-            );
-        }
-    }
-}
-
-/// Theorems 2 and 3 — READ COMMITTED (+ first-committer-wins): every
-/// transaction *as a unit* must not interfere with each read postcondition
-/// (at RC-FCW, only those reads not followed by a write of the same item)
-/// and `Q_i`.
-fn thm2(
     app: &App,
-    program: &Program,
-    analyzer: &Analyzer<'_>,
-    report: &mut LevelReport,
-    fcw: bool,
+    victim: &str,
+    interferer: &str,
+    level: IsolationLevel,
+    partner_snapshot: bool,
     opts: SymOptions,
-    singletons: &BTreeSet<String>,
-) {
-    for other in &app.programs {
-        if skip_self(program, other, singletons) {
-            continue;
-        }
-        thm2_pair(app, program, other, analyzer, report, fcw, opts, None);
-    }
+) -> (LevelReport, Vec<FailedObligation>) {
+    let other = std::iter::once(interferer);
+    check_against(analyzer, app, victim, other, level, partner_snapshot, opts)
 }
 
-/// Theorem 2/3's obligation family for one `(victim, interferer)` pair.
-#[allow(clippy::too_many_arguments)]
-fn thm2_pair(
-    app: &App,
-    program: &Program,
-    other: &Program,
-    analyzer: &Analyzer<'_>,
-    report: &mut LevelReport,
-    fcw: bool,
-    opts: SymOptions,
-    mut fails: Option<&mut Vec<FailedObligation>>,
-) {
-    let mut assertions: Vec<(String, Pred)> = Vec::new();
-    let flat = program.all_stmts();
-    for (idx, what, p) in read_posts(program) {
-        if fcw && fcw_exempt(app, program, idx) {
-            // Theorem 3's exemption — but per its proof, only the
-            // `X = x` currency conjunct is protected by first-committer-
-            // wins; the read's *precondition* must still be interference-
-            // free (the post is `sp(pre, X := x)`, and Lemma 1 transfers
-            // preservation of the pre to everything except `X = x`).
-            let pre = flat[idx].pre.clone();
-            assertions.push((format!("{what} (pre, FCW-exempt read)"), pre));
-            continue;
-        }
-        assertions.push((what, p));
-    }
-    assertions.push((format!("Q_{}", program.name), program.result.clone()));
-
-    for (pi, path) in summarize(other, opts).iter().enumerate() {
-        if path.is_read_only() {
-            continue;
-        }
-        let unit = rename_unit(path, "u$");
-        let desc = format!("{} (unit, path {pi})", other.name);
-        for (what, assertion) in &assertions {
-            check(
-                analyzer,
-                report,
-                assertion,
-                what,
-                &unit,
-                &other.name,
-                LemmaScope::Unit,
-                &desc,
-                fails.as_deref_mut(),
-            );
-        }
+/// The table and filter of a SELECT statement of any flavour.
+fn select_region(stmt: &Stmt) -> Option<(&String, &RowPred)> {
+    match stmt {
+        Stmt::Select { table, filter, .. }
+        | Stmt::SelectCount { table, filter, .. }
+        | Stmt::SelectValue { table, filter, .. } => Some((table, filter)),
+        _ => None,
     }
 }
 
@@ -461,12 +514,7 @@ fn fcw_exempt(app: &App, program: &Program, idx: usize) -> bool {
     }
     let flat = program.all_stmts();
     let Some(read) = flat.get(idx) else { return false };
-    let (table, filter) = match &read.stmt {
-        Stmt::Select { table, filter, .. }
-        | Stmt::SelectCount { table, filter, .. }
-        | Stmt::SelectValue { table, filter, .. } => (table, filter),
-        _ => return false,
-    };
+    let Some((table, filter)) = select_region(&read.stmt) else { return false };
     let followed = program
         .body
         .iter()
@@ -481,8 +529,8 @@ fn fcw_exempt(app: &App, program: &Program, idx: usize) -> bool {
 }
 
 /// Columns of `table` any transaction of the application ever updates.
-fn app_updated_columns(app: &App, table: &str) -> std::collections::BTreeSet<String> {
-    let mut cols = std::collections::BTreeSet::new();
+fn app_updated_columns(app: &App, table: &str) -> BTreeSet<String> {
+    let mut cols = BTreeSet::new();
     for p in &app.programs {
         for a in p.all_stmts() {
             if let Stmt::Update { table: t, sets, .. } = &a.stmt {
@@ -493,228 +541,6 @@ fn app_updated_columns(app: &App, table: &str) -> std::collections::BTreeSet<Str
         }
     }
     cols
-}
-
-/// Theorems 4 and 6 — REPEATABLE READ.
-///
-/// Conventional transactions (no relational reads) are always semantically
-/// correct (Theorem 4). Relational transactions follow Theorem 6: every
-/// transaction-as-unit must not interfere with `Q_i`; each SELECT's
-/// postcondition must either be preserved, or be interfered with *only*
-/// through UPDATE/DELETE effects whose predicates intersect the SELECT's —
-/// those are blocked by the SELECT's long tuple locks.
-fn thm4_6(
-    app: &App,
-    program: &Program,
-    analyzer: &Analyzer<'_>,
-    report: &mut LevelReport,
-    opts: SymOptions,
-    singletons: &BTreeSet<String>,
-) {
-    for other in &app.programs {
-        if skip_self(program, other, singletons) {
-            continue;
-        }
-        thm4_6_pair(app, program, other, analyzer, report, opts, None);
-    }
-}
-
-/// Theorem 4/6's obligation family for one `(victim, interferer)` pair.
-fn thm4_6_pair(
-    _app: &App,
-    program: &Program,
-    other: &Program,
-    analyzer: &Analyzer<'_>,
-    report: &mut LevelReport,
-    opts: SymOptions,
-    mut fails: Option<&mut Vec<FailedObligation>>,
-) {
-    let flat = program.all_stmts();
-    let selects: Vec<(usize, &Stmt, Pred)> = flat
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| {
-            matches!(
-                a.stmt,
-                Stmt::Select { .. } | Stmt::SelectCount { .. } | Stmt::SelectValue { .. }
-            )
-        })
-        .map(|(i, a)| (i, &a.stmt, a.post.clone()))
-        .collect();
-    if selects.is_empty() {
-        // Theorem 4: conventional model, REPEATABLE READ is always correct.
-        return;
-    }
-    let q = (format!("Q_{}", program.name), program.result.clone());
-    {
-        for (pi, path) in summarize(other, opts).iter().enumerate() {
-            if path.is_read_only() {
-                continue;
-            }
-            let unit = rename_unit(path, "u$");
-            let desc = format!("{} (unit, path {pi})", other.name);
-            check(
-                analyzer,
-                report,
-                &q.1,
-                &q.0,
-                &unit,
-                &other.name,
-                LemmaScope::Unit,
-                &desc,
-                fails.as_deref_mut(),
-            );
-            for (i, stmt, post) in &selects {
-                let what = format!("post(SELECT #{i} of {})", program.name);
-                report.obligations += 1;
-                if analyzer.preserves(post, &unit, &other.name, LemmaScope::Unit).is_preserved() {
-                    continue; // Theorem 6 case (1)
-                }
-                // Theorem 6 case (2): retry with the tuple-lock-blocked
-                // effects removed; only those may interfere.
-                let select_filter = match stmt {
-                    Stmt::Select { filter, .. }
-                    | Stmt::SelectCount { filter, .. }
-                    | Stmt::SelectValue { filter, .. } => filter.clone(),
-                    _ => unreachable!("selects were filtered above"),
-                };
-                let select_table = match stmt {
-                    Stmt::Select { table, .. }
-                    | Stmt::SelectCount { table, .. }
-                    | Stmt::SelectValue { table, .. } => table.clone(),
-                    _ => unreachable!(),
-                };
-                // An effect is exempt (physically blocked by the SELECT's
-                // long tuple locks) when it is an UPDATE/DELETE on the
-                // SELECT's table whose predicate intersects the SELECT's
-                // (the paper's condition) — refined for soundness: an
-                // UPDATE must additionally be unable to move an *outside*
-                // row into the region, since only read (inside) tuples
-                // are locked.
-                let exempt = |e: &RelEffect| -> bool {
-                    if e.table() != select_table {
-                        return false;
-                    }
-                    match e {
-                        RelEffect::Delete { filter, .. } => {
-                            analyzer.regions_may_intersect(&unit.condition, filter, &select_filter)
-                        }
-                        RelEffect::Update { filter, sets, .. } => {
-                            analyzer.regions_may_intersect(&unit.condition, filter, &select_filter)
-                                && analyzer.update_cannot_move_into(
-                                    &Pred::and([post.clone(), unit.condition.clone()]),
-                                    filter,
-                                    sets,
-                                    &select_filter,
-                                )
-                        }
-                        _ => false,
-                    }
-                };
-                let blocked_removed = PathSummary {
-                    condition: unit.condition.clone(),
-                    assign: unit.assign.clone(),
-                    havoc_items: unit.havoc_items.clone(),
-                    effects: unit.effects.iter().filter(|e| !exempt(e)).cloned().collect(),
-                    reads: unit.reads.clone(),
-                };
-                if let Verdict::MayInterfere(reason) =
-                    analyzer.preserves(post, &blocked_removed, &other.name, LemmaScope::Unit)
-                {
-                    report.ok = false;
-                    report.failures.push(format!(
-                        "{desc} may interfere with {what} beyond tuple-lock protection: {reason}"
-                    ));
-                    if let Some(fails) = fails.as_deref_mut() {
-                        fails.push(FailedObligation {
-                            what: what.clone(),
-                            eff_desc: format!("{desc} (tuple-lock-blocked effects removed)"),
-                            assertion: post.clone(),
-                            effect: blocked_removed.clone(),
-                            scope: LemmaScope::Unit,
-                            reason,
-                        });
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Theorem 5 — SNAPSHOT. For each pair of (committed, writing) paths
-/// `(p of T_i, q of T_j)`: either their write sets intersect (first
-/// committer wins aborts one) or `q` must preserve the postcondition of
-/// `T_i`'s read step and `Q_i`. Read-only paths are harmless on either
-/// side: a read-only `q` has no effect; a read-only `p` makes all of
-/// `T_i`'s assertions facts about its immutable snapshot.
-fn thm5(
-    app: &App,
-    program: &Program,
-    analyzer: &Analyzer<'_>,
-    report: &mut LevelReport,
-    opts: SymOptions,
-    singletons: &BTreeSet<String>,
-) {
-    for other in &app.programs {
-        if skip_self(program, other, singletons) {
-            continue;
-        }
-        thm5_pair(app, program, other, analyzer, report, opts, None);
-    }
-}
-
-/// Theorem 5's obligation family for one `(victim, interferer)` pair.
-fn thm5_pair(
-    _app: &App,
-    program: &Program,
-    other: &Program,
-    analyzer: &Analyzer<'_>,
-    report: &mut LevelReport,
-    opts: SymOptions,
-    mut fails: Option<&mut Vec<FailedObligation>>,
-) {
-    let paths_i = summarize(program, opts);
-    let writing_i: Vec<&PathSummary> = paths_i.iter().filter(|p| !p.is_read_only()).collect();
-    if writing_i.is_empty() {
-        return; // read-only transaction: snapshot reads are immutable
-    }
-    let assertions = [
-        (format!("read-step post of {}", program.name), program.snapshot_read_post.clone()),
-        (format!("Q_{}", program.name), program.result.clone()),
-    ];
-    for (qi, q) in summarize(other, opts).iter().enumerate() {
-        if q.is_read_only() {
-            continue;
-        }
-        let q_renamed = rename_unit(q, "u$");
-        // Condition 1: q's writes intersect the writes of EVERY writing
-        // path of T_i (then whenever both commit with effects, FCW
-        // aborts one).
-        let q_writes = q_renamed.written_items();
-        let all_intersect = writing_i.iter().all(|p| {
-            let pw = p.written_items();
-            q_writes.iter().any(|w| pw.contains(w))
-        });
-        report.obligations += 1;
-        if all_intersect {
-            continue;
-        }
-        // Condition 2.
-        let desc = format!("{} (unit, path {qi})", other.name);
-        for (what, assertion) in &assertions {
-            check(
-                analyzer,
-                report,
-                assertion,
-                what,
-                &q_renamed,
-                &other.name,
-                LemmaScope::Unit,
-                &desc,
-                fails.as_deref_mut(),
-            );
-        }
-    }
 }
 
 #[cfg(test)]
@@ -802,6 +628,36 @@ mod tests {
     }
 
     #[test]
+    fn thm3_does_not_exempt_a_read_of_a_different_element() {
+        // Mover reads x[@i] and writes x[@j]. First-committer-wins
+        // validates only keys both read and written, so nothing protects
+        // the read of x[i]: its pinned post must stay an obligation at
+        // RC+FCW exactly as at RC, where Incr's unit invalidates it.
+        let at = |index: &str| ItemRef::indexed("x", semcc_logic::Expr::param(index));
+        let mover = ProgramBuilder::new("Mover")
+            .param_int("i")
+            .param_int("j")
+            .consistency(pp("x >= 0"))
+            .result(pp("x >= 0"))
+            .stmt(
+                Stmt::ReadItem { item: at("i"), into: "X".into() },
+                pp("x >= 0"),
+                pp("x >= 0 && x = :X"),
+            )
+            .stmt(
+                Stmt::WriteItem { item: at("j"), value: semcc_logic::Expr::local("X") },
+                pp("x >= 0 && :X >= 0"),
+                pp("x >= 0"),
+            )
+            .build();
+        let app = App::new().with_program(mover).with_program(incrementer());
+        assert!(!check_at_level(&app, "Mover", ReadCommitted).ok);
+        let fcw = check_at_level(&app, "Mover", ReadCommittedFcw);
+        assert!(!fcw.ok, "a write of x[@j] must not exempt the read of x[@i]");
+        assert!(fcw.failures.iter().all(|f| !f.contains("FCW-exempt")), "{:?}", fcw.failures);
+    }
+
+    #[test]
     fn thm4_conventional_rr_is_free() {
         let r = check_at_level(&app(), "Reader", RepeatableRead);
         assert!(r.ok);
@@ -849,30 +705,19 @@ mod tests {
             .build();
         let app = App::new().with_program(pinner);
         let analyzer = Analyzer::new(&app);
-        let base = check_with(&analyzer, &app, "Pinner", ReadCommitted, SymOptions::default());
+        let check = |singletons: &BTreeSet<String>| {
+            check_with(&analyzer, &app, "Pinner", ReadCommitted, SymOptions::default(), singletons)
+        };
+        let base = check(&BTreeSet::new());
         assert!(!base.ok, "a second Pinner invalidates the pinned read");
-        let singletons: BTreeSet<String> = ["Pinner".to_string()].into();
-        let solo = check_with_singletons(
-            &analyzer,
-            &app,
-            "Pinner",
-            ReadCommitted,
-            SymOptions::default(),
-            &singletons,
-        );
+        assert!(base.obligations > 0);
+        let solo = check(&["Pinner".to_string()].into());
         assert!(solo.ok, "no second instance, no interference: {:?}", solo.failures);
         assert_eq!(solo.obligations, 0);
-        // An empty set reproduces check_with exactly.
-        let empty = check_with_singletons(
-            &analyzer,
-            &app,
-            "Pinner",
-            ReadCommitted,
-            SymOptions::default(),
-            &BTreeSet::new(),
-        );
-        assert_eq!(empty.ok, base.ok);
-        assert_eq!(empty.obligations, base.obligations);
+        // Naming another type changes nothing.
+        let other = check(&["Incr".to_string()].into());
+        assert_eq!(other.ok, base.ok);
+        assert_eq!(other.obligations, base.obligations);
     }
 
     #[test]
@@ -882,27 +727,20 @@ mod tests {
         // must reproduce the whole-app check — same verdict, same
         // obligation count.
         let app = app();
-        for level in [
-            ReadUncommitted,
-            ReadCommitted,
-            ReadCommittedFcw,
-            RepeatableRead,
-            Serializable,
-            Snapshot,
-        ] {
+        for level in IsolationLevel::ALL {
             for victim in ["Reader", "Incr"] {
                 let whole = check_at_level(&app, victim, level);
                 let analyzer = Analyzer::new(&app);
                 let mut ok = true;
                 let mut obligations = 0;
                 for other in &app.programs {
-                    let r = check_pair_with(
+                    let (r, _) = check_pair(
                         &analyzer,
                         &app,
                         victim,
                         &other.name,
                         level,
-                        false,
+                        level == Ssi,
                         SymOptions::default(),
                     );
                     ok &= r.ok;
@@ -922,40 +760,19 @@ mod tests {
         // the pinned reader.
         let app = app();
         let analyzer = Analyzer::new(&app);
-        let base = check_pair_with(
-            &analyzer,
-            &app,
-            "Reader",
-            "Incr",
-            Serializable,
-            false,
-            SymOptions::default(),
-        );
+        let pair = |partner_snapshot| {
+            let opts = SymOptions::default();
+            check_pair(&analyzer, &app, "Reader", "Incr", Serializable, partner_snapshot, opts)
+        };
+        let (base, _) = pair(false);
         assert!(base.ok);
         assert_eq!(base.obligations, 0);
-        let pierced = check_pair_with(
-            &analyzer,
-            &app,
-            "Reader",
-            "Incr",
-            Serializable,
-            true,
-            SymOptions::default(),
-        );
+        let (pierced, fails) = pair(true);
         assert!(!pierced.ok, "Incr's installed unit invalidates the pinned read");
         assert!(pierced.obligations > 0);
         // The failed obligation carries certificate raw material.
-        let (_, fails) = check_pair_collect(
-            &analyzer,
-            &app,
-            "Reader",
-            "Incr",
-            Serializable,
-            true,
-            SymOptions::default(),
-        );
         assert!(!fails.is_empty());
-        assert!(fails[0].what.contains("read"));
+        assert!(fails[0].obligation.what.contains("read"));
     }
 
     #[test]

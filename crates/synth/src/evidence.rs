@@ -86,8 +86,9 @@ fn anomaly_for(code: u8, partner_snapshot: bool, relational: bool) -> AnomalyKin
 /// renamings, and rigid as `check_countermodel` requires.
 fn countermodel_evidence(
     cache: &PairCache<'_>,
-    fo: &FailedObligation,
+    failed: &FailedObligation,
 ) -> (PredEvidence, Vec<(String, i64)>) {
+    let fo = &failed.obligation;
     let assign: Vec<(Var, Expr)> = fo.effect.assign.pairs.clone();
     let havoc_fresh: Vec<(Var, Var)> = fo
         .effect
@@ -111,7 +112,7 @@ fn countermodel_evidence(
             let printable = model.iter().map(|(v, x)| (v.to_string(), *x)).collect();
             return (
                 PredEvidence::Countermodel {
-                    assertion: fo.assertion.clone(),
+                    assertion: (*fo.assertion).clone(),
                     condition: fo.effect.condition.clone(),
                     assign,
                     havoc_fresh,
@@ -121,10 +122,10 @@ fn countermodel_evidence(
             );
         }
     }
-    let reason = if fo.reason.is_empty() {
+    let reason = if failed.reason.is_empty() {
         format!("{} may not preserve {}", fo.eff_desc, fo.what)
     } else {
-        fo.reason.clone()
+        failed.reason.clone()
     };
     (PredEvidence::Trusted { reason }, Vec::new())
 }
@@ -171,9 +172,11 @@ pub(crate) fn refute_predecessors(
                 .find(|&(i, j, vc)| !cache.get(i, j, vc, partner_bit(vc, pred[j])).ok)
                 .expect("an unsafe predecessor fails a pair involving the lowered coordinate");
             let partner_snapshot = partner_bit(vcode, pred[interferer]);
-            let fails = cache.collect(victim, interferer, vcode, partner_snapshot);
-            let fo = fails.first().expect("a failed pair records at least one failed obligation");
-            let (evidence, counterexample) = countermodel_evidence(cache, fo);
+            let (_, fails) = cache.run(victim, interferer, vcode, partner_snapshot);
+            let failed =
+                fails.first().expect("a failed pair records at least one failed obligation");
+            let (evidence, counterexample) = countermodel_evidence(cache, failed);
+            let (fo, reason) = (&failed.obligation, &failed.reason);
             if opts.witnesses {
                 let kind = anomaly_for(vcode, partner_snapshot, !fo.effect.effects.is_empty());
                 let diag = Diagnostic {
@@ -187,7 +190,7 @@ pub(crate) fn refute_predecessors(
                     counterexample,
                     message: format!(
                         "lowering {} to {} breaks {}: {}",
-                        txns[coord], DOMAIN[lowered as usize], fo.what, fo.reason
+                        txns[coord], DOMAIN[lowered as usize], fo.what, reason
                     ),
                 };
                 let report = LintReport {
@@ -211,8 +214,8 @@ pub(crate) fn refute_predecessors(
                 interferer: txns[interferer].clone(),
                 victim_level: DOMAIN[vcode as usize],
                 partner_snapshot,
-                what: fo.what.clone(),
-                reason: fo.reason.clone(),
+                what: fo.what.to_string(),
+                reason: reason.clone(),
                 evidence,
                 witness: None,
             });

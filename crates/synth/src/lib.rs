@@ -14,7 +14,7 @@
 //!
 //! A vector `v` is safe iff every ordered pair `(i, j)` of types (including
 //! `i = j`) passes the pairwise interference lemma
-//! [`check_pair_collect`] for victim `i` at `v[i]` against interferer `j`
+//! [`check_pair`] for victim `i` at `v[i]` against interferer `j`
 //! classed by its partner bit: for a non-SSI victim, whether `v[j]` is
 //! snapshot-class (SNAPSHOT or SSI); for an SSI victim, whether `v[j]` is
 //! *also* SSI (both tracked ⇒ dangerous-structure aborts make the pair
@@ -49,7 +49,7 @@
 //! is measured on `visited / lattice`: the naive sweep evaluates every
 //! pair of every vector from scratch.
 
-use semcc_core::theorems::{check_pair_collect, FailedObligation};
+use semcc_core::theorems::{check_pair, FailedObligation, LevelReport};
 use semcc_core::{Analyzer, App};
 use semcc_engine::IsolationLevel;
 use semcc_txn::symexec::SymOptions;
@@ -122,7 +122,7 @@ impl Default for SynthOptions {
 }
 
 /// Outcome of one pairwise interference lemma, memoized under the
-/// `(victim footprint, interferer footprint, level, partner class)` key.
+/// `(victim, interferer, level, partner class)` key.
 #[derive(Clone, Debug)]
 pub struct PairOutcome {
     /// All obligations of the pair discharged.
@@ -213,92 +213,58 @@ impl Synthesis {
     }
 }
 
-/// Memoized pairwise-lemma cache. Keys are `(victim footprint hash,
-/// interferer footprint hash, victim level code, partner bit)` — the
-/// partner bit is [`partner_bit`]: snapshot-class partner for non-SSI
-/// victims, SSI-tracked partner for SSI victims. The lemma's verdict
-/// depends on nothing else, so two types with identical footprints share
-/// entries. One shared [`Analyzer`] underneath additionally memoizes the
-/// individual prover queries across pairs.
+/// Memoized pairwise-lemma cache. Keys are `(victim index, interferer
+/// index, victim level code, partner bit)` — the partner bit is
+/// [`partner_bit`]: snapshot-class partner for non-SSI victims,
+/// SSI-tracked partner for SSI victims. The lemma's verdict depends on
+/// nothing else. One shared [`Analyzer`] underneath additionally memoizes
+/// the individual prover queries across pairs.
 pub struct PairCache<'a> {
     app: &'a App,
     analyzer: Analyzer<'a>,
     sym: SymOptions,
-    /// Footprint hash per type (program name + printed body, FNV-1a).
-    fp: Vec<u64>,
-    outcomes: BTreeMap<(u64, u64, u8, bool), PairOutcome>,
+    outcomes: BTreeMap<(usize, usize, u8, bool), PairOutcome>,
     evals: usize,
     hits: usize,
 }
 
-/// FNV-1a over a byte string: footprint hashes and policy digests.
+/// FNV-1a over a byte string: policy digests.
 pub use semcc_logic::hash::fnv1a;
 
 impl<'a> PairCache<'a> {
     pub fn new(app: &'a App, sym: SymOptions) -> Self {
-        let fp = app
-            .programs
-            .iter()
-            .map(|p| fnv1a(format!("{}\u{0}{:?}", p.name, p).as_bytes()))
-            .collect();
         PairCache {
             app,
             analyzer: Analyzer::new(app),
             sym,
-            fp,
             outcomes: BTreeMap::new(),
             evals: 0,
             hits: 0,
         }
     }
 
-    fn key(&self, victim: usize, interferer: usize, code: u8, snap: bool) -> (u64, u64, u8, bool) {
-        (self.fp[victim], self.fp[interferer], code, snap)
-    }
-
     /// Whether this pair is already cached as failed (no evaluation).
     fn known_failed(&self, victim: usize, interferer: usize, code: u8, snap: bool) -> bool {
-        self.outcomes.get(&self.key(victim, interferer, code, snap)).is_some_and(|o| !o.ok)
+        self.outcomes.get(&(victim, interferer, code, snap)).is_some_and(|o| !o.ok)
     }
 
     /// Whether this pair is cached at all (no evaluation).
     fn known(&self, victim: usize, interferer: usize, code: u8, snap: bool) -> bool {
-        self.outcomes.contains_key(&self.key(victim, interferer, code, snap))
+        self.outcomes.contains_key(&(victim, interferer, code, snap))
     }
 
-    /// Look up the pair lemma, evaluating it on a miss.
-    pub fn get(&mut self, victim: usize, interferer: usize, code: u8, snap: bool) -> PairOutcome {
-        let key = self.key(victim, interferer, code, snap);
-        if let Some(o) = self.outcomes.get(&key) {
-            self.hits += 1;
-            return o.clone();
-        }
-        let (report, _) = check_pair_collect(
-            &self.analyzer,
-            self.app,
-            &self.app.programs[victim].name,
-            &self.app.programs[interferer].name,
-            DOMAIN[code as usize],
-            snap,
-            self.sym,
-        );
-        self.evals += 1;
-        let outcome = PairOutcome { ok: report.ok, obligations: report.obligations };
-        self.outcomes.insert(key, outcome.clone());
-        outcome
-    }
-
-    /// Re-run the pair lemma collecting structured failures (certificate
-    /// raw material). Deterministic, and the analyzer's memo cache makes
-    /// the re-run nearly free.
-    pub fn collect(
+    /// Run the pair lemma on the shared analyzer, past the outcome cache:
+    /// its report and its structured failures (certificate raw material).
+    /// Deterministic, and the analyzer's memo cache makes a re-run nearly
+    /// free.
+    pub fn run(
         &self,
         victim: usize,
         interferer: usize,
         code: u8,
         snap: bool,
-    ) -> Vec<FailedObligation> {
-        check_pair_collect(
+    ) -> (LevelReport, Vec<FailedObligation>) {
+        check_pair(
             &self.analyzer,
             self.app,
             &self.app.programs[victim].name,
@@ -307,7 +273,20 @@ impl<'a> PairCache<'a> {
             snap,
             self.sym,
         )
-        .1
+    }
+
+    /// Look up the pair lemma, evaluating it on a miss.
+    pub fn get(&mut self, victim: usize, interferer: usize, code: u8, snap: bool) -> PairOutcome {
+        let key = (victim, interferer, code, snap);
+        if let Some(o) = self.outcomes.get(&key) {
+            self.hits += 1;
+            return o.clone();
+        }
+        let (report, _) = self.run(victim, interferer, code, snap);
+        self.evals += 1;
+        let outcome = PairOutcome { ok: report.ok, obligations: report.obligations };
+        self.outcomes.insert(key, outcome.clone());
+        outcome
     }
 
     pub fn analyzer(&self) -> &Analyzer<'a> {

@@ -84,9 +84,10 @@ impl Program {
             .collect();
         match &read.stmt {
             Stmt::ReadItem { item, .. } => top_level_writes.iter().any(|s| match s {
-                Stmt::WriteItem { item: w, .. } | Stmt::WriteItemMax { item: w, .. } => {
-                    w.base == item.base
-                }
+                // The whole reference, index included: first-committer-wins
+                // validates only keys both read and written, so may-alias
+                // on the base (right for interference) is wrong here.
+                Stmt::WriteItem { item: w, .. } | Stmt::WriteItemMax { item: w, .. } => w == item,
                 _ => false,
             }),
             _ => false,
