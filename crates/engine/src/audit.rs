@@ -148,8 +148,8 @@ pub fn audit_post_abort(engine: &Engine, victim: TxnId) -> AuditReport {
 }
 
 /// Whole-engine quiescence: with no transaction in flight, nothing in the
-/// store may be dirty and the lock table and snapshot registry must be
-/// empty.
+/// store may be dirty, the lock table and snapshot registry must be
+/// empty, and every table's equality indexes must match its cells.
 pub fn audit_quiescent(engine: &Engine) -> AuditReport {
     let mut rep = AuditReport::default();
 
@@ -186,6 +186,11 @@ pub fn audit_quiescent(engine: &Engine) -> AuditReport {
                     invariant: "quiescent-dirty-row",
                     detail: format!("row {table}[{id}] dirty (writer {w}) with no txn in flight"),
                 });
+            }
+            // Part of the same walk over the tables: an equality index
+            // must be what its stripe's cells would rebuild.
+            for detail in t.index_violations() {
+                rep.violations.push(AuditViolation { txn: 0, invariant: "row-index", detail });
             }
         }
     }

@@ -9,7 +9,7 @@ use semcc_logic::row::RowPred;
 use semcc_mvcc::{CommitConflict, Key, SsiConflict, SsiKey};
 use semcc_storage::eval::{empty_env, row_matches};
 use semcc_storage::wal::{Lsn, WalRecord};
-use semcc_storage::{Row, RowId, Schema, StorageError, Table, Ts, TxnId, Value};
+use semcc_storage::{Row, RowId, Schema, StorageError, Table, Ts, TxnId, Value, View};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -96,6 +96,15 @@ impl Txn {
         self.snapshot_ts
     }
 
+    /// The version of a row slot this transaction's level reads.
+    fn view(&self) -> View {
+        match self.snapshot_ts {
+            Some(ts) => View::At(ts),
+            None if self.level == IsolationLevel::ReadUncommitted => View::Latest,
+            None => View::Visible(self.id),
+        }
+    }
+
     fn check_active(&self) -> Result<(), EngineError> {
         if self.state == TxnState::Active {
             Ok(())
@@ -158,9 +167,9 @@ impl Txn {
     /// makes validation race-free: a concurrent committer may already have
     /// taken a timestamp while its versions are still being installed, and
     /// a read that missed those versions must conflict with it.
-    fn note_read_ts(&mut self, key: Key, version_ts: Ts) {
+    fn note_read_ts(&mut self, key: impl FnOnce() -> Key, version_ts: Ts) {
         if self.level == IsolationLevel::ReadCommittedFcw {
-            self.read_ts.entry(key).or_insert(version_ts);
+            self.read_ts.entry(key()).or_insert(version_ts);
         }
     }
 
@@ -195,7 +204,7 @@ impl Txn {
                     }
                 };
                 self.engine.locks.release(self.id, &target); // short lock
-                self.note_read_ts(Key::item(name), ver_ts);
+                self.note_read_ts(|| Key::item(name), ver_ts);
                 (v, src)
             }
             IsolationLevel::RepeatableRead | IsolationLevel::Serializable => {
@@ -312,71 +321,47 @@ impl Txn {
     ) -> Result<Vec<(RowId, Row)>, EngineError> {
         self.check_active()?;
         let t = self.engine.store.table(table)?;
-        let schema = t.schema.clone();
+        let matches = |row: &Row| row_matches(&t.schema, row, pred, &empty_env);
 
-        // SERIALIZABLE: long S predicate lock first — phantels are blocked
-        // before we even look.
+        // SERIALIZABLE: long S predicate lock first — phantoms are blocked
+        // before we even look, and whatever the access path then examines.
         if self.level.read_predicate_locks() {
             self.engine.locks.acquire(self.id, Target::pred(table, pred.clone()), Mode::S)?;
         }
 
         let mut out: Vec<(RowId, Row)> = Vec::new();
         match self.level {
-            IsolationLevel::ReadUncommitted => {
-                for (id, row) in t.scan_latest() {
-                    if row_matches(&schema, &row, pred, &empty_env) {
-                        out.push((id, row));
-                    }
-                }
-            }
+            IsolationLevel::ReadUncommitted => out = t.rows_matching(self.view(), pred),
             IsolationLevel::ReadCommitted | IsolationLevel::ReadCommittedFcw => {
-                for (id, row) in t.scan_visible(self.id) {
-                    if !row_matches(&schema, &row, pred, &empty_env) {
-                        continue;
-                    }
+                for id in t.ids_matching(self.view(), pred) {
                     let target = Target::row(table, id);
                     self.engine.locks.acquire(self.id, target.clone(), Mode::S)?;
-                    // The version timestamp is taken under the S lock that
-                    // protects the re-read, and before it: were it taken
-                    // after the release, a writer committing in between
-                    // would have its timestamp recorded against the old
-                    // row, and an update computed from that row would pass
-                    // first-committer-wins validation (a lost update). A
-                    // lock-free SNAPSHOT install that slips between the two
-                    // reads pairs the old timestamp with the new row, which
-                    // only fails validation spuriously.
-                    let ver_ts = t.row_commit_ts(id).unwrap_or(0);
-                    // Re-read: the row may have changed while we waited.
-                    let current = t.read_row_visible(self.id, id);
+                    // Re-read: the row may have changed while we waited. The
+                    // version timestamp is taken under the S lock, before it
+                    // is released: were it taken after, a writer committing
+                    // in between would have its timestamp recorded against
+                    // the old row, and an update computed from that row would
+                    // pass first-committer-wins validation (a lost update).
+                    // Timestamp and row come from one stripe access, so a
+                    // lock-free SNAPSHOT install cannot separate them either.
+                    let (ver_ts, current) = t.read_row_visible_ts(self.id, id);
                     self.engine.locks.release(self.id, &target); // short lock
-                    if let Some(row) = current {
-                        if row_matches(&schema, &row, pred, &empty_env) {
-                            self.note_read_ts(Key::row(table, id), ver_ts);
-                            out.push((id, row));
-                        }
+                    if let Some(row) = current.filter(&matches) {
+                        self.note_read_ts(|| Key::row(table, id), ver_ts);
+                        out.push((id, row));
                     }
                 }
             }
             IsolationLevel::RepeatableRead | IsolationLevel::Serializable => {
-                for (id, row) in t.scan_visible(self.id) {
-                    if !row_matches(&schema, &row, pred, &empty_env) {
-                        continue;
-                    }
+                for id in t.ids_matching(self.view(), pred) {
                     self.engine.locks.acquire(self.id, Target::row(table, id), Mode::S)?;
-                    if let Some(row) = t.read_row_visible(self.id, id) {
-                        if row_matches(&schema, &row, pred, &empty_env) {
-                            out.push((id, row));
-                        }
+                    if let Some(row) = t.read_row_visible(self.id, id).filter(&matches) {
+                        out.push((id, row));
                     }
                 }
             }
             IsolationLevel::Snapshot | IsolationLevel::Ssi => {
-                let ts = self.snapshot_ts.expect("snapshot txn has ts");
-                for (id, row) in self.overlay_scan(&t, table, ts) {
-                    if row_matches(&schema, &row, pred, &empty_env) {
-                        out.push((id, row));
-                    }
-                }
+                out = self.overlay_scan(&t, table, pred);
                 // Table-granular SIREAD: covers the predicate, so a
                 // concurrent writer of *any* row in this table (including
                 // phantoms) raises an rw-antidependency.
@@ -414,23 +399,21 @@ impl Txn {
         Ok(self.select(table, pred)?.len() as i64)
     }
 
-    /// Snapshot view of a table: versions at the snapshot ts overlaid with
-    /// this transaction's private buffer.
-    fn overlay_scan(&self, t: &Table, table: &str, ts: Ts) -> Vec<(RowId, Row)> {
-        let mut rows: BTreeMap<RowId, Row> = t.scan_at(ts).into_iter().collect();
-        if let Some(buf) = self.buf_rows.get(table) {
-            for (id, state) in buf {
-                match state {
-                    Some(row) => {
-                        rows.insert(*id, row.clone());
-                    }
-                    None => {
-                        rows.remove(id);
-                    }
-                }
-            }
-        }
-        rows.into_iter().collect()
+    /// This transaction's view of a table through `pred`, id-ascending: the
+    /// stored rows matching under [`Txn::view`] in slots it has not
+    /// buffered a write to, plus the matching rows of its private buffer
+    /// (which only a snapshot level fills).
+    fn overlay_scan(&self, t: &Table, table: &str, pred: &RowPred) -> Vec<(RowId, Row)> {
+        let stored = t.rows_matching(self.view(), pred);
+        let Some(buf) = self.buf_rows.get(table) else { return stored };
+        let buffered = buf.iter().filter_map(|(id, state)| {
+            let row = state.as_ref()?;
+            row_matches(&t.schema, row, pred, &empty_env).then(|| (*id, row.clone()))
+        });
+        let mut rows: Vec<(RowId, Row)> =
+            stored.into_iter().filter(|(id, _)| !buf.contains_key(id)).chain(buffered).collect();
+        rows.sort_by_key(|(id, _)| *id);
+        rows
     }
 
     /// INSERT a row. Writers at locking levels take a long X predicate lock
@@ -512,13 +495,9 @@ impl Txn {
     ) -> Result<usize, EngineError> {
         self.check_active()?;
         let t = self.engine.store.table(table)?;
-        let schema = t.schema.clone();
-        let matches = |row: &Row| row_matches(&schema, row, pred, &empty_env);
         let mut n = 0;
         if self.level.is_snapshot() {
-            let ts = self.snapshot_ts.expect("snapshot txn has ts");
-            let mut targets = self.overlay_scan(&t, table, ts);
-            targets.retain(|(_, row)| matches(row));
+            let targets = self.overlay_scan(&t, table, pred);
             // The WHERE scan is a predicate read; the matched slots plus the
             // table itself are the write footprint.
             self.ssi_read(&[SsiKey::Table(table.to_string())])?;
@@ -536,14 +515,14 @@ impl Txn {
                 n += 1;
             }
         } else {
+            // The predicate lock covers the region whatever rows it holds
+            // now; the access path only decides which cells are examined.
             self.engine.locks.acquire(self.id, Target::pred(table, pred.clone()), Mode::X)?;
-            let mut candidates = t.scan_visible(self.id);
-            candidates.retain(|(_, row)| matches(row));
-            for (id, _) in candidates {
+            for id in t.ids_matching(self.view(), pred) {
                 self.engine.locks.acquire(self.id, Target::row(table, id), Mode::X)?;
                 // Re-read after the (possibly waited-for) lock.
                 let Some(row) = t.read_row_visible(self.id, id) else { continue };
-                if !matches(&row) {
+                if !row_matches(&t.schema, &row, pred, &empty_env) {
                     continue;
                 }
                 let state = new(&row);
@@ -610,13 +589,7 @@ impl Txn {
     /// view; see [`Txn::monitor_item`]).
     pub fn monitor_table(&self, table: &str) -> Option<Vec<(RowId, Row)>> {
         let t = self.engine.store.table(table).ok()?;
-        Some(match self.level {
-            IsolationLevel::ReadUncommitted => t.scan_latest(),
-            IsolationLevel::Snapshot | IsolationLevel::Ssi => {
-                self.overlay_scan(&t, table, self.snapshot_ts?)
-            }
-            _ => t.scan_visible(self.id),
-        })
+        Some(self.overlay_scan(&t, table, &RowPred::True))
     }
 
     // ------------------------------------------------------------------

@@ -228,18 +228,34 @@ fn orders(e: &Arc<Engine>) {
     }
 }
 
-#[test]
-fn phantom_at_rr_but_not_serializable() {
+/// Phantoms and the locks that stop them do not depend on the access
+/// path: the same script runs with `orders`' equality indexes never built
+/// before the first statement (`warm = false`) and already built on both
+/// predicate columns by an earlier lookup (`warm = true`).
+fn phantom_at_rr_but_not_serializable(warm: bool) {
     let e = engine();
     orders(&e);
     let due_today = RowPred::field_eq_int("deliv_date", 1);
+    let of_x = RowPred::field_eq_str("cust_name", "x");
+    let orders_table = e.store().table("orders").expect("orders");
+    if warm {
+        let mut t0 = e.begin(ReadUncommitted);
+        t0.count("orders", &due_today).expect("warm deliv_date");
+        t0.count("orders", &of_x).expect("warm cust_name");
+        t0.commit().expect("commit");
+        assert_eq!(orders_table.indexed_columns(), vec!["cust_name", "deliv_date"]);
+    } else {
+        assert!(orders_table.indexed_columns().is_empty());
+    }
+    let order = |info: i64, cust: &str| {
+        vec![Value::Int(info), Value::str(cust), Value::Int(1), Value::bool(false)]
+    };
 
     // REPEATABLE READ: tuple locks only; a new order slips in.
     let mut t1 = e.begin(RepeatableRead);
     assert_eq!(t1.count("orders", &due_today).expect("count"), 2);
     let mut t2 = e.begin(ReadCommitted);
-    t2.insert("orders", vec![Value::Int(9), Value::str("c9"), Value::Int(1), Value::bool(false)])
-        .expect("phantom insert succeeds at RR");
+    t2.insert("orders", order(9, "c9")).expect("phantom insert succeeds at RR");
     t2.commit().expect("commit");
     assert_eq!(t1.count("orders", &due_today).expect("recount"), 3, "phantom appeared");
     t1.abort();
@@ -248,14 +264,42 @@ fn phantom_at_rr_but_not_serializable() {
     let mut t1 = e.begin(Serializable);
     assert_eq!(t1.count("orders", &due_today).expect("count"), 3);
     let mut t2 = e.begin(ReadCommitted);
-    let r = t2.insert(
-        "orders",
-        vec![Value::Int(10), Value::str("c10"), Value::Int(1), Value::bool(false)],
-    );
+    let r = t2.insert("orders", order(10, "c10"));
     assert!(matches!(r, Err(EngineError::Lock(_))), "got {r:?}");
     t2.abort();
     assert_eq!(t1.count("orders", &due_today).expect("recount"), 3);
     t1.commit().expect("commit");
+
+    // A predicate that matches no row locks no row, and still covers its
+    // region: only the predicate lock can be what blocks the insert.
+    let mut t1 = e.begin(Serializable);
+    assert_eq!(t1.count("orders", &of_x).expect("count"), 0);
+    let mut t2 = e.begin(ReadCommitted);
+    let r = t2.insert("orders", order(11, "x"));
+    assert!(matches!(r, Err(EngineError::Lock(_))), "got {r:?}");
+    t2.abort();
+    assert_eq!(t1.count("orders", &of_x).expect("recount"), 0);
+    t1.commit().expect("commit");
+
+    // The same empty read at REPEATABLE READ leaves the region open.
+    let mut t1 = e.begin(RepeatableRead);
+    assert_eq!(t1.count("orders", &of_x).expect("count"), 0);
+    let mut t2 = e.begin(ReadCommitted);
+    t2.insert("orders", order(12, "x")).expect("nothing covers the empty region at RR");
+    t2.commit().expect("commit");
+    assert_eq!(t1.count("orders", &of_x).expect("recount"), 1, "phantom appeared");
+    t1.abort();
+    assert_eq!(orders_table.index_violations(), Vec::<String>::new());
+}
+
+#[test]
+fn phantom_at_rr_but_not_serializable_cold() {
+    phantom_at_rr_but_not_serializable(false);
+}
+
+#[test]
+fn phantom_at_rr_but_not_serializable_warm() {
+    phantom_at_rr_but_not_serializable(true);
 }
 
 #[test]

@@ -168,6 +168,63 @@ fn every_write_statement_at_every_level_commits_aborts_and_drops_cleanly() {
     }
 }
 
+/// `t`'s `(id, k, v)` rows matching `pred` as a fresh transaction at
+/// `level` reads them.
+fn lookup(e: &Arc<Engine>, level: IsolationLevel, pred: &RowPred) -> Vec<(i64, i64)> {
+    let mut r = e.begin(level);
+    let rows = r.select("t", pred).expect("select");
+    r.commit().expect("reader");
+    rows.iter().map(|(_, row)| (row[0].as_int().expect("k"), row[1].as_int().expect("v"))).collect()
+}
+
+#[test]
+fn an_update_of_the_looked_up_column_moves_the_row_between_keys() {
+    // `k` is the column the lookups go by, so its equality index exists
+    // before the update and must follow the row from `k = 2` to `k = 7`:
+    // back again on abort, for good on commit, and for an older snapshot
+    // the row stays where that snapshot saw it.
+    let (at_2, at_7) = (RowPred::field_eq_int("k", 2), RowPred::field_eq_int("k", 7));
+    let rekey = |row: &Row| vec![Value::Int(7), row[1].clone()];
+    let clean = |e: &Arc<Engine>, case: &str| {
+        let quiet = audit_quiescent(e);
+        assert!(quiet.clean(), "{case}: {:?}", quiet.violations);
+        let t = e.store().table("t").expect("t");
+        assert_eq!(t.indexed_columns(), vec!["k"], "{case}");
+    };
+    for level in IsolationLevel::ALL {
+        let case = format!("rekey at {}", level.name());
+        let (e, wal) = logged_engine(None);
+        assert_eq!(lookup(&e, level, &at_2), vec![(2, 20)], "{case}: warm-up");
+        let before = committed_digest(&e);
+
+        let mut t = e.begin(level);
+        let id = t.id();
+        assert_eq!(t.update_where("t", &at_2, &rekey).expect("update"), 1, "{case}");
+        assert_eq!(t.select("t", &at_7).expect("own write").len(), 1, "{case}");
+        assert_eq!(t.select("t", &at_2).expect("own write").len(), 0, "{case}");
+        t.abort();
+        assert_rolled_back(&e, &wal, id, &before, &case);
+        assert_eq!(lookup(&e, level, &at_2), vec![(2, 20)], "{case}: aborted, found by 2");
+        assert_eq!(lookup(&e, level, &at_7), vec![], "{case}: aborted, not found by 7");
+        clean(&e, &case);
+
+        let mut old_reader = e.begin(IsolationLevel::Snapshot);
+        assert_eq!(old_reader.count("t", &RowPred::True).expect("pin the snapshot"), 3);
+        let mut t = e.begin(level);
+        assert_eq!(t.update_where("t", &at_2, &rekey).expect("update"), 1, "{case}");
+        t.commit().unwrap_or_else(|err| panic!("{case}: {err:?}"));
+        let found =
+            |rows: Vec<(u64, Row)>| rows.iter().map(|(_, r)| r[1].clone()).collect::<Vec<_>>();
+        assert_eq!(found(old_reader.select("t", &at_2).expect("old")), vec![Value::Int(20)]);
+        assert_eq!(found(old_reader.select("t", &at_7).expect("old")), vec![], "{case}");
+        old_reader.commit().expect("read-only snapshot commits");
+        assert_eq!(lookup(&e, level, &at_2), vec![], "{case}: committed, not found by 2");
+        assert_eq!(lookup(&e, level, &at_7), vec![(7, 20)], "{case}: committed, found by 7");
+        clean(&e, &case);
+        assert_recovery_agrees(&e, &wal, &case);
+    }
+}
+
 #[test]
 fn insert_whose_row_lock_fails_leaves_no_dirty_slot() {
     // An insert at a locking level takes the predicate lock (acquisition 1),

@@ -285,7 +285,7 @@ impl LockManager {
         }
 
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let waiter = Waiter { seq, txn, target: target.clone(), mode };
+        let waiter = Waiter { seq, txn, target, mode };
 
         if !self.grantable(&state, &waiter) {
             self.waits.fetch_add(1, Ordering::Relaxed);
@@ -321,7 +321,7 @@ impl LockManager {
             }
         }
 
-        self.install_grant(&mut state, txn, target, mode);
+        self.install_grant(&mut state, txn, waiter.target, mode);
         drop(state);
         // Granting may unblock fairness-ordered waiters behind us only when
         // locks are *released*, but an upgrade consumed a waiter slot —

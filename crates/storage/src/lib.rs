@@ -28,7 +28,7 @@ pub use item::ItemCell;
 pub use key::Key;
 pub use schema::Schema;
 pub use store::Store;
-pub use table::{Row, RowCell, RowId, Table};
+pub use table::{Row, RowCell, RowId, Table, View};
 pub use value::Value;
 pub use wal::{CrashSnapshot, Lsn, Wal, WalPolicy, WalRecord};
 

@@ -6,14 +6,26 @@
 //! Inserting creates a fresh slot with a dirty birth — visible to READ
 //! UNCOMMITTED scans before commit, exactly the phantom/dirty behavior the
 //! paper reasons about.
+//!
+//! Every predicate read goes through [`Table::rows_matching`]: the filter
+//! runs on the version a [`View`] selects, under the stripe lock and before
+//! anything is cloned. When the predicate pins a column to a literal, each
+//! stripe answers from a per-column equality index that only ever proposes
+//! *candidates*: every candidate is read through the view and re-checked
+//! with the whole predicate, exactly as a scanned cell is (DESIGN.md,
+//! "Access path").
 
 use crate::error::StorageError;
+use crate::eval::{empty_env, row_matches};
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::wal::Lsn;
 use crate::{Ts, TxnId};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
+use semcc_logic::hash::{fnv1a, fnv1a_step};
+use semcc_logic::row::{RowExpr, RowPred};
+use semcc_logic::CmpOp;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A tuple: values in schema column order.
@@ -21,6 +33,21 @@ pub type Row = Vec<Value>;
 
 /// Stable identifier of a row slot within its table.
 pub type RowId = u64;
+
+/// Which version of a slot a read goes through.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum View {
+    /// Newest state including any dirty version (READ UNCOMMITTED).
+    Latest,
+    /// Newest committed state, overlaid with the given transaction's own
+    /// dirty version; other writers' dirty versions are invisible (the
+    /// locking levels).
+    Visible(TxnId),
+    /// Newest committed state at or before the timestamp (snapshot levels).
+    At(Ts),
+    /// Newest committed state.
+    Committed,
+}
 
 /// A versioned row slot.
 #[derive(Clone, Debug, Default)]
@@ -37,6 +64,16 @@ impl RowCell {
     /// LSN of the newest WAL record that touched this slot.
     pub fn lsn(&self) -> Lsn {
         self.lsn
+    }
+
+    /// The slot's state under `view`.
+    pub fn read(&self, view: View) -> Option<&Row> {
+        match view {
+            View::Latest => self.read_latest(),
+            View::Visible(txn) if self.dirty_writer() == Some(txn) => self.read_latest(),
+            View::Visible(_) | View::Committed => self.read_committed(),
+            View::At(ts) => self.read_at(ts),
+        }
     }
 
     /// Newest state including dirty (READ UNCOMMITTED view).
@@ -67,31 +104,49 @@ impl RowCell {
         self.committed.last().map(|(t, _)| *t)
     }
 
-    fn write_dirty(&mut self, txn: TxnId, v: Option<Row>) -> Result<(), StorageError> {
+    /// Every row version the slot still holds: the committed chain, then
+    /// the dirty slot. This is what the equality indexes cover.
+    fn held(&self) -> impl Iterator<Item = &Row> {
+        let committed = self.committed.iter().filter_map(|(_, v)| v.as_ref());
+        committed.chain(self.dirty.iter().filter_map(|(_, v)| v.as_ref()))
+    }
+
+    /// Set the dirty slot; returns the row of `txn`'s own earlier dirty
+    /// version, which the slot no longer holds.
+    fn write_dirty(&mut self, txn: TxnId, v: Option<Row>) -> Result<Option<Row>, StorageError> {
         match &self.dirty {
             Some((holder, _)) if *holder != txn => {
                 Err(StorageError::DirtyConflict { holder: *holder, writer: txn })
             }
-            _ => {
-                self.dirty = Some((txn, v));
-                Ok(())
-            }
+            _ => Ok(self.dirty.replace((txn, v)).and_then(|(_, old)| old)),
         }
+    }
+
+    /// Append a committed version. Most slots only ever hold one, so the
+    /// first is given exactly its own room, not `Vec`'s four-element start.
+    fn push_committed(&mut self, ts: Ts, v: Option<Row>) {
+        if self.committed.is_empty() {
+            self.committed.reserve_exact(1);
+        }
+        self.committed.push((ts, v));
     }
 
     fn promote(&mut self, txn: TxnId, ts: Ts) {
         if let Some((holder, v)) = self.dirty.take() {
             if holder == txn {
-                self.committed.push((ts, v));
+                self.push_committed(ts, v);
             } else {
                 self.dirty = Some((holder, v));
             }
         }
     }
 
-    fn discard(&mut self, txn: TxnId) {
-        if matches!(&self.dirty, Some((holder, _)) if *holder == txn) {
-            self.dirty = None;
+    /// Drop `txn`'s dirty version; returns the row it held.
+    fn discard(&mut self, txn: TxnId) -> Option<Row> {
+        if self.dirty_writer() == Some(txn) {
+            self.dirty.take().and_then(|(_, v)| v)
+        } else {
+            None
         }
     }
 
@@ -108,12 +163,145 @@ impl RowCell {
             && self.committed.iter().all(|(t, v)| *t <= watermark || v.is_none())
     }
 
-    fn gc(&mut self, watermark: Ts) {
+    /// Drop the versions no snapshot at or above `watermark` can read;
+    /// returns them.
+    fn gc(&mut self, watermark: Ts) -> Vec<(Ts, Option<Row>)> {
         let keep_from = self.committed.iter().rposition(|(t, _)| *t <= watermark).unwrap_or(0);
-        if keep_from > 0 {
-            self.committed.drain(..keep_from);
+        self.committed.drain(..keep_from).collect()
+    }
+}
+
+/// The hash a value is indexed under. Equal values hash equal; nothing
+/// else is relied on, because every candidate is re-checked.
+fn index_hash(v: &Value) -> u64 {
+    match v {
+        Value::Int(i) => hash_int(*i),
+        Value::Str(s) => hash_str(s),
+    }
+}
+
+fn hash_int(i: i64) -> u64 {
+    fnv1a_step(fnv1a(b"i"), &i.to_le_bytes())
+}
+
+fn hash_str(s: &str) -> u64 {
+    fnv1a_step(fnv1a(b"s"), s.as_bytes())
+}
+
+/// The equality index of one column within one stripe: `(hash(v), id)` is
+/// present iff some version slot `id` still holds has `v` in the column.
+#[derive(Debug)]
+struct ColumnIndex {
+    column: usize,
+    entries: BTreeSet<(u64, RowId)>,
+}
+
+impl ColumnIndex {
+    /// The index of `column` over every version in `cells`.
+    fn build(column: usize, cells: &BTreeMap<RowId, RowCell>) -> Self {
+        let entries = cells
+            .iter()
+            .flat_map(|(id, cell)| cell.held().map(move |row| (index_hash(&row[column]), *id)))
+            .collect();
+        ColumnIndex { column, entries }
+    }
+}
+
+/// Slot `id` now holds `row`.
+fn index_row(indexes: &mut [ColumnIndex], id: RowId, row: &Row) {
+    for ix in indexes {
+        ix.entries.insert((index_hash(&row[ix.column]), id));
+    }
+}
+
+/// Slot `id` dropped the version `gone`; `cell` is what it still holds.
+/// An entry stays while another held version carries the same hash.
+fn unindex_row(indexes: &mut [ColumnIndex], id: RowId, gone: &Row, cell: Option<&RowCell>) {
+    for ix in indexes {
+        let hash = index_hash(&gone[ix.column]);
+        let still_held =
+            cell.is_some_and(|c| c.held().any(|row| index_hash(&row[ix.column]) == hash));
+        if !still_held {
+            ix.entries.remove(&(hash, id));
         }
     }
+}
+
+/// One stripe of the row map, with the equality indexes built over it so
+/// far. Both live under the stripe's one mutex, so an index is never out
+/// of step with the cells a reader sees.
+#[derive(Debug, Default)]
+struct Stripe {
+    cells: BTreeMap<RowId, RowCell>,
+    indexes: Vec<ColumnIndex>,
+}
+
+impl Stripe {
+    /// Put `cell` into slot `id`, replacing whatever was there.
+    fn put(&mut self, id: RowId, cell: RowCell) {
+        for row in cell.held() {
+            index_row(&mut self.indexes, id, row);
+        }
+        if let Some(old) = self.cells.insert(id, cell) {
+            for row in old.held() {
+                unindex_row(&mut self.indexes, id, row, self.cells.get(&id));
+            }
+        }
+    }
+
+    /// Write slot `id`'s dirty version for `txn`.
+    fn write_dirty(&mut self, txn: TxnId, id: RowId, v: Option<Row>) -> Result<(), StorageError> {
+        let cell = self.cells.get_mut(&id).ok_or(StorageError::NoVisibleVersion)?;
+        let displaced = cell.write_dirty(txn, v)?;
+        if let Some((_, Some(row))) = &cell.dirty {
+            index_row(&mut self.indexes, id, row);
+        }
+        if let Some(old) = displaced {
+            unindex_row(&mut self.indexes, id, &old, Some(cell));
+        }
+        Ok(())
+    }
+}
+
+/// The slots that may hold `hash` in `column`, ascending; builds the
+/// column's index over `cells` on first use.
+fn candidates<'a>(
+    indexes: &'a mut Vec<ColumnIndex>,
+    cells: &BTreeMap<RowId, RowCell>,
+    column: usize,
+    hash: u64,
+) -> impl Iterator<Item = RowId> + 'a {
+    let at = match indexes.iter().position(|ix| ix.column == column) {
+        Some(at) => at,
+        None => {
+            indexes.push(ColumnIndex::build(column, cells));
+            indexes.len() - 1
+        }
+    };
+    indexes[at].entries.range((hash, RowId::MIN)..=(hash, RowId::MAX)).map(|(_, id)| *id)
+}
+
+/// The first top-level conjunct of `pred` that pins a column to a literal,
+/// as `(column, hash of the literal)`. A row can only match `pred` if it
+/// holds that literal in that column.
+fn equality_probe(schema: &Schema, pred: &RowPred) -> Option<(usize, u64)> {
+    let conjuncts = match pred {
+        RowPred::And(ps) => ps.as_slice(),
+        single => std::slice::from_ref(single),
+    };
+    conjuncts.iter().find_map(|p| {
+        let RowPred::Cmp(CmpOp::Eq, a, b) = p else { return None };
+        let (column, literal) = match (a, b) {
+            (RowExpr::Field(c), lit) | (lit, RowExpr::Field(c)) => (c, lit),
+            _ => return None,
+        };
+        let hash = match literal {
+            RowExpr::Int(i) => hash_int(*i),
+            RowExpr::Str(s) => hash_str(s),
+            _ => return None,
+        };
+        Some((schema.columns.iter().position(|c| c == column)?, hash))
+    })
 }
 
 /// A relational table.
@@ -127,8 +315,10 @@ impl RowCell {
 pub struct Table {
     /// The table's schema.
     pub schema: Schema,
-    stripes: Vec<Mutex<BTreeMap<RowId, RowCell>>>,
+    stripes: Vec<Mutex<Stripe>>,
     next_row: AtomicU64,
+    /// Cells [`Table::rows_matching`] has read so far.
+    examined: AtomicU64,
 }
 
 impl Table {
@@ -144,24 +334,110 @@ impl Table {
         let n = n.max(1);
         Table {
             schema,
-            stripes: (0..n).map(|_| Mutex::new(BTreeMap::new())).collect(),
+            stripes: (0..n).map(|_| Mutex::new(Stripe::default())).collect(),
             next_row: AtomicU64::new(1),
+            examined: AtomicU64::new(0),
         }
     }
 
-    fn rows(&self, id: RowId) -> &Mutex<BTreeMap<RowId, RowCell>> {
+    fn stripe(&self, id: RowId) -> &Mutex<Stripe> {
         &self.stripes[(id % self.stripes.len() as u64) as usize]
     }
 
-    /// Collect `(id, f(cell))` across every stripe, sorted by id — the
-    /// scan order the single-map layout produced for free.
-    fn collect_rows<T>(&self, f: impl Fn(&RowId, &RowCell) -> Option<T>) -> Vec<(RowId, T)> {
+    /// Let `visit` append `(id, _)` pairs from every stripe in turn, then
+    /// sort by id — the scan order the single-map layout produced for free.
+    fn collect_rows<T>(
+        &self,
+        mut visit: impl FnMut(&mut Stripe, &mut Vec<(RowId, T)>),
+    ) -> Vec<(RowId, T)> {
         let mut out = Vec::new();
         for stripe in &self.stripes {
-            out.extend(stripe.lock().iter().filter_map(|(id, cell)| f(id, cell).map(|v| (*id, v))));
+            visit(&mut stripe.lock(), &mut out);
         }
         if self.stripes.len() > 1 {
             out.sort_by_key(|(id, _)| *id);
+        }
+        out
+    }
+
+    /// The one walk for a predicate: `keep(row)` for every slot whose state
+    /// under `view` matches `pred`, id-ascending. Stripe by stripe, under
+    /// the stripe lock, it examines either every cell or, when `pred` pins
+    /// a column to a literal, the cells the column's index proposes.
+    fn matching<T>(&self, view: View, pred: &RowPred, keep: impl Fn(&Row) -> T) -> Vec<(RowId, T)> {
+        let probe = equality_probe(&self.schema, pred);
+        self.collect_rows(|stripe, out| {
+            let mut examined = 0;
+            let mut examine = |id: RowId, cell: &RowCell| {
+                examined += 1;
+                if let Some(row) = cell.read(view) {
+                    if row_matches(&self.schema, row, pred, &empty_env) {
+                        out.push((id, keep(row)));
+                    }
+                }
+            };
+            match probe {
+                Some((column, hash)) => {
+                    let Stripe { cells, indexes } = stripe;
+                    for id in candidates(indexes, cells, column, hash) {
+                        if let Some(cell) = cells.get(&id) {
+                            examine(id, cell);
+                        }
+                    }
+                }
+                None => stripe.cells.iter().for_each(|(id, cell)| examine(*id, cell)),
+            }
+            self.examined.fetch_add(examined, Ordering::Relaxed);
+        })
+    }
+
+    /// Rows whose state under `view` matches `pred`, id-ascending. What is
+    /// returned is exactly `scan(view)` filtered by `row_matches`.
+    pub fn rows_matching(&self, view: View, pred: &RowPred) -> Vec<(RowId, Row)> {
+        self.matching(view, pred, Row::clone)
+    }
+
+    /// The ids of [`Table::rows_matching`], for callers that lock each slot
+    /// and read it again.
+    pub fn ids_matching(&self, view: View, pred: &RowPred) -> Vec<RowId> {
+        self.matching(view, pred, |_| ()).into_iter().map(|(id, ())| id).collect()
+    }
+
+    /// Cells [`Table::rows_matching`] and [`Table::ids_matching`] have read
+    /// since the table was created: rows visited per relational statement,
+    /// as a difference of two readings.
+    pub fn rows_examined(&self) -> u64 {
+        self.examined.load(Ordering::Relaxed)
+    }
+
+    /// Names of the columns an equality index has been built for, in
+    /// schema order.
+    pub fn indexed_columns(&self) -> Vec<&str> {
+        let mut columns = BTreeSet::new();
+        for stripe in &self.stripes {
+            columns.extend(stripe.lock().indexes.iter().map(|ix| ix.column));
+        }
+        columns.into_iter().map(|c| self.schema.columns[c].as_str()).collect()
+    }
+
+    /// Audit: every built index equals the index rebuilt from its stripe's
+    /// cells. Returns one line per index that does not.
+    pub fn index_violations(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        for (n, stripe) in self.stripes.iter().enumerate() {
+            let stripe = stripe.lock();
+            for ix in &stripe.indexes {
+                let rebuilt = ColumnIndex::build(ix.column, &stripe.cells);
+                if rebuilt.entries != ix.entries {
+                    out.push(format!(
+                        "{}.{} stripe {n}: index holds {} entries, its cells {}",
+                        self.schema.name,
+                        self.schema.columns[ix.column],
+                        ix.entries.len(),
+                        rebuilt.entries.len()
+                    ));
+                }
+            }
         }
         out
     }
@@ -190,7 +466,7 @@ impl Table {
         self.check_arity(&row)?;
         self.next_row.fetch_max(id + 1, Ordering::Relaxed);
         let cell = RowCell { committed: vec![(ts, Some(row))], dirty: None, lsn: 0 };
-        self.rows(id).lock().insert(id, cell);
+        self.stripe(id).lock().put(id, cell);
         Ok(())
     }
 
@@ -207,36 +483,32 @@ impl Table {
         self.check_arity(&row)?;
         self.next_row.fetch_max(id + 1, Ordering::Relaxed);
         let cell = RowCell { committed: Vec::new(), dirty: Some((txn, Some(row))), lsn: 0 };
-        self.rows(id).lock().insert(id, cell);
+        self.stripe(id).lock().put(id, cell);
         Ok(())
     }
 
     /// Stamp slot `id` with the LSN of the WAL record describing the
     /// mutation just performed. No-op on a missing slot.
     pub fn stamp_row_lsn(&self, id: RowId, lsn: Lsn) {
-        if let Some(cell) = self.rows(id).lock().get_mut(&id) {
+        if let Some(cell) = self.stripe(id).lock().cells.get_mut(&id) {
             cell.lsn = cell.lsn.max(lsn);
         }
     }
 
     /// LSN stamped on slot `id`, if the slot exists.
     pub fn row_lsn(&self, id: RowId) -> Option<Lsn> {
-        self.rows(id).lock().get(&id).map(|c| c.lsn)
+        self.stripe(id).lock().cells.get(&id).map(|c| c.lsn)
     }
 
     /// Replace the row in slot `id` with a dirty version for `txn`.
     pub fn update_dirty(&self, txn: TxnId, id: RowId, row: Row) -> Result<(), StorageError> {
         self.check_arity(&row)?;
-        let mut rows = self.rows(id).lock();
-        let cell = rows.get_mut(&id).ok_or(StorageError::NoVisibleVersion)?;
-        cell.write_dirty(txn, Some(row))
+        self.stripe(id).lock().write_dirty(txn, id, Some(row))
     }
 
     /// Mark slot `id` dirty-deleted for `txn`.
     pub fn delete_dirty(&self, txn: TxnId, id: RowId) -> Result<(), StorageError> {
-        let mut rows = self.rows(id).lock();
-        let cell = rows.get_mut(&id).ok_or(StorageError::NoVisibleVersion)?;
-        cell.write_dirty(txn, None)
+        self.stripe(id).lock().write_dirty(txn, id, None)
     }
 
     /// Install a committed version of slot `id` directly (SNAPSHOT commit).
@@ -245,9 +517,11 @@ impl Table {
         if let Some(r) = &row {
             self.check_arity(r)?;
         }
-        let mut rows = self.rows(id).lock();
-        let cell = rows.entry(id).or_default();
-        cell.committed.push((ts, row));
+        let mut stripe = self.stripe(id).lock();
+        if let Some(r) = &row {
+            index_row(&mut stripe.indexes, id, r);
+        }
+        stripe.cells.entry(id).or_default().push_committed(ts, row);
         Ok(())
     }
 
@@ -258,100 +532,115 @@ impl Table {
 
     /// Promote `txn`'s dirty changes on `id` (commit).
     pub fn promote_row(&self, txn: TxnId, id: RowId, ts: Ts) {
-        if let Some(cell) = self.rows(id).lock().get_mut(&id) {
+        if let Some(cell) = self.stripe(id).lock().cells.get_mut(&id) {
             cell.promote(txn, ts);
         }
     }
 
     /// Discard `txn`'s dirty changes on `id` (abort).
     pub fn discard_row(&self, txn: TxnId, id: RowId) {
-        let mut rows = self.rows(id).lock();
-        if let Some(cell) = rows.get_mut(&id) {
-            cell.discard(txn);
-            // A slot that never committed anything can be dropped eagerly.
-            if cell.dirty.is_none() && cell.committed.is_empty() {
-                rows.remove(&id);
-            }
+        let mut stripe = self.stripe(id).lock();
+        let Stripe { cells, indexes } = &mut *stripe;
+        let Some(cell) = cells.get_mut(&id) else { return };
+        let displaced = cell.discard(txn);
+        // A slot that never committed anything can be dropped eagerly.
+        if cell.dirty.is_none() && cell.committed.is_empty() {
+            cells.remove(&id);
+        }
+        if let Some(old) = displaced {
+            unindex_row(indexes, id, &old, cells.get(&id));
         }
     }
 
     /// Scan visible rows, newest-including-dirty (READ UNCOMMITTED view).
     pub fn scan_latest(&self) -> Vec<(RowId, Row)> {
-        self.collect_rows(|_, cell| cell.read_latest().cloned())
+        self.rows_matching(View::Latest, &RowPred::True)
     }
 
     /// Scan newest committed rows.
     pub fn scan_committed(&self) -> Vec<(RowId, Row)> {
-        self.collect_rows(|_, cell| cell.read_committed().cloned())
+        self.rows_matching(View::Committed, &RowPred::True)
     }
 
     /// Scan rows as transaction `txn` sees them under a locking level:
     /// its own dirty changes overlay the newest committed state; other
     /// transactions' dirty changes are invisible.
     pub fn scan_visible(&self, txn: TxnId) -> Vec<(RowId, Row)> {
-        self.collect_rows(|_, cell| {
-            match cell.dirty_writer() {
-                Some(w) if w == txn => cell.read_latest(),
-                _ => cell.read_committed(),
-            }
-            .cloned()
-        })
-    }
-
-    /// Read one slot as transaction `txn` sees it under a locking level.
-    pub fn read_row_visible(&self, txn: TxnId, id: RowId) -> Option<Row> {
-        let rows = self.rows(id).lock();
-        let cell = rows.get(&id)?;
-        match cell.dirty_writer() {
-            Some(w) if w == txn => cell.read_latest().cloned(),
-            _ => cell.read_committed().cloned(),
-        }
+        self.rows_matching(View::Visible(txn), &RowPred::True)
     }
 
     /// Scan rows visible at snapshot `ts`.
     pub fn scan_at(&self, ts: Ts) -> Vec<(RowId, Row)> {
-        self.collect_rows(|_, cell| cell.read_at(ts).cloned())
+        self.rows_matching(View::At(ts), &RowPred::True)
     }
 
-    /// Read one slot under the chosen visibility.
+    fn read_row(&self, id: RowId, view: View) -> Option<Row> {
+        self.stripe(id).lock().cells.get(&id).and_then(|c| c.read(view).cloned())
+    }
+
+    /// Read one slot as transaction `txn` sees it under a locking level.
+    pub fn read_row_visible(&self, txn: TxnId, id: RowId) -> Option<Row> {
+        self.read_row(id, View::Visible(txn))
+    }
+
+    /// [`Table::read_row_visible`] together with the slot's latest commit
+    /// timestamp (0 if it never committed), both read under one stripe
+    /// lock so no install can separate the timestamp from the row.
+    pub fn read_row_visible_ts(&self, txn: TxnId, id: RowId) -> (Ts, Option<Row>) {
+        match self.stripe(id).lock().cells.get(&id) {
+            Some(c) => (c.latest_commit_ts().unwrap_or(0), c.read(View::Visible(txn)).cloned()),
+            None => (0, None),
+        }
+    }
+
+    /// Read one slot's newest committed state.
     pub fn read_row_committed(&self, id: RowId) -> Option<Row> {
-        self.rows(id).lock().get(&id).and_then(|c| c.read_committed().cloned())
+        self.read_row(id, View::Committed)
     }
 
     /// Read one slot at snapshot `ts`.
     pub fn read_row_at(&self, id: RowId, ts: Ts) -> Option<Row> {
-        self.rows(id).lock().get(&id).and_then(|c| c.read_at(ts).cloned())
+        self.read_row(id, View::At(ts))
     }
 
     /// Read one slot including dirty state.
     pub fn read_row_latest(&self, id: RowId) -> Option<Row> {
-        self.rows(id).lock().get(&id).and_then(|c| c.read_latest().cloned())
+        self.read_row(id, View::Latest)
     }
 
     /// Latest commit timestamp of a slot (None if never committed).
     pub fn row_commit_ts(&self, id: RowId) -> Option<Ts> {
-        self.rows(id).lock().get(&id).and_then(|c| c.latest_commit_ts())
+        self.stripe(id).lock().cells.get(&id).and_then(|c| c.latest_commit_ts())
     }
 
     /// The uncommitted writer of a slot, if any.
     pub fn row_dirty_writer(&self, id: RowId) -> Option<TxnId> {
-        self.rows(id).lock().get(&id).and_then(|c| c.dirty_writer())
+        self.stripe(id).lock().cells.get(&id).and_then(|c| c.dirty_writer())
     }
 
     /// Every row slot with an uncommitted version, with its writer
     /// (post-abort auditing: an aborted writer must own none).
     pub fn dirty_rows(&self) -> Vec<(RowId, TxnId)> {
-        self.collect_rows(|_, c| c.dirty_writer())
+        self.collect_rows(|stripe, out| {
+            out.extend(stripe.cells.iter().filter_map(|(id, c)| Some((*id, c.dirty_writer()?))));
+        })
     }
 
     /// Garbage-collect versions below the watermark and drop dead slots.
     pub fn gc(&self, watermark: Ts) {
         for stripe in &self.stripes {
-            stripe.lock().retain(|_, cell| {
+            let mut stripe = stripe.lock();
+            let Stripe { cells, indexes } = &mut *stripe;
+            cells.retain(|id, cell| {
                 if cell.is_garbage(watermark) {
+                    cell.held().for_each(|row| unindex_row(indexes, *id, row, None));
                     return false;
                 }
-                cell.gc(watermark);
+                for (_, gone) in cell.gc(watermark) {
+                    if let Some(row) = gone {
+                        unindex_row(indexes, *id, &row, Some(cell));
+                    }
+                }
                 true
             });
         }
@@ -361,7 +650,7 @@ impl Table {
     pub fn committed_len(&self) -> usize {
         self.stripes
             .iter()
-            .map(|s| s.lock().values().filter(|c| c.read_committed().is_some()).count())
+            .map(|s| s.lock().cells.values().filter(|c| c.read_committed().is_some()).count())
             .sum()
     }
 }
@@ -494,6 +783,60 @@ mod tests {
         t.discard_row(9, 3);
         t.gc(10);
         assert_eq!(t.committed_len(), 16, "live rows survive gc");
+    }
+
+    #[test]
+    fn visible_row_and_commit_ts_come_from_one_read() {
+        let t = orders();
+        let id = t.load_row(3, row(1, "a", 10, false)).expect("load");
+        assert_eq!(t.read_row_visible_ts(7, id), (3, Some(row(1, "a", 10, false))));
+        t.update_dirty(7, id, row(1, "a", 10, true)).expect("update");
+        // The writer sees its own dirty version, stamped with the committed
+        // timestamp; everyone else still sees the committed row.
+        assert_eq!(t.read_row_visible_ts(7, id), (3, Some(row(1, "a", 10, true))));
+        assert_eq!(t.read_row_visible_ts(8, id), (3, Some(row(1, "a", 10, false))));
+        // A dirty birth has no committed timestamp and no foreign reader.
+        let born = t.insert_dirty(7, row(2, "b", 11, false)).expect("insert");
+        assert_eq!(t.read_row_visible_ts(7, born), (0, Some(row(2, "b", 11, false))));
+        assert_eq!(t.read_row_visible_ts(8, born), (0, None));
+        assert_eq!(t.read_row_visible_ts(7, 99), (0, None), "missing slot");
+    }
+
+    #[test]
+    fn equality_lookup_examines_candidates_and_returns_what_the_scan_returns() {
+        for stripes in [1, 4] {
+            let t = Table::with_stripes(orders().schema, stripes);
+            for i in 0..40 {
+                t.load_row(1, row(i, if i % 4 == 0 { "a" } else { "b" }, i % 5, false))
+                    .expect("load");
+            }
+            let by_cust = RowPred::field_eq_str("cust", "a");
+            let both = RowPred::and([RowPred::field_eq_int("done", 0), by_cust.clone()]);
+            let scan = |p: &RowPred| -> Vec<(RowId, Row)> {
+                let all = t.scan_committed().into_iter();
+                all.filter(|(_, r)| row_matches(&t.schema, r, p, &empty_env)).collect()
+            };
+            let (want_both, want_cust) = (scan(&both), scan(&by_cust));
+            let cold = t.rows_examined();
+            assert_eq!(t.rows_matching(View::Committed, &both), want_both);
+            assert_eq!(t.rows_examined() - cold, 40, "first conjunct is `done`: all forty hold 0");
+            let warm = t.rows_examined();
+            assert_eq!(t.rows_matching(View::Committed, &by_cust), want_cust);
+            assert_eq!(t.rows_examined() - warm, 10, "ten rows hold `a`");
+            assert_eq!(t.indexed_columns(), vec!["cust", "done"]);
+
+            // A row that moves out of `a` stays a candidate while an old
+            // version holds `a`, and is never returned for it.
+            t.update_dirty(9, 1, row(0, "c", 0, false)).expect("update");
+            assert_eq!(t.ids_matching(View::Latest, &by_cust).len(), 9);
+            assert_eq!(t.ids_matching(View::Committed, &by_cust).len(), 10);
+            t.promote_row(9, 1, 5);
+            t.gc(5);
+            let before = t.rows_examined();
+            assert_eq!(t.ids_matching(View::Committed, &by_cust).len(), 9);
+            assert_eq!(t.rows_examined() - before, 9, "gc dropped the last version holding `a`");
+            assert_eq!(t.index_violations(), Vec::<String>::new());
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::stmt::{AStmt, ItemRef, Stmt};
 use semcc_engine::{Engine, EngineError, FaultKind, IsolationLevel, Txn};
 use semcc_logic::row::{RowExpr, RowPred};
 use semcc_logic::Var;
-use semcc_storage::{Row, RowId, Ts, Value};
+use semcc_storage::{Row, RowId, Table, Ts, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -176,31 +176,21 @@ fn exec_stmt(txn: &mut Txn, stmt: &Stmt, frame: &mut Frame<'_>) -> Result<(), En
             let (_, row) = rows
                 .first()
                 .ok_or_else(|| EngineError::Invalid(format!("empty SELECT INTO on {table}")))?;
-            let schema = txn_schema(txn, table)?;
-            let idx = schema.column_index(column).map_err(EngineError::Storage)?;
+            let idx = txn_table(txn, table)?.schema.column_index(column)?;
             frame.locals.insert(into.clone(), row[idx].clone());
         }
         Stmt::Update { table, filter, sets } => {
             let bound = bind_row_pred(filter, frame)?;
-            let schema = txn_schema(txn, table)?;
+            let t = txn_table(txn, table)?;
             let set_idx: Vec<(usize, &ColExpr)> = sets
                 .iter()
-                .map(|(c, e)| schema.column_index(c).map(|i| (i, e)))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(EngineError::Storage)?;
-            // Snapshot the frame for the closure (it cannot borrow mutably).
-            let locals = frame.locals.clone();
-            let bindings = frame.bindings.clone();
-            let schema2 = schema.clone();
-            let f = move |old: &Row| -> Row {
-                let env = |v: &Var| match v {
-                    Var::Local(n) => locals.get(n).cloned(),
-                    Var::Param(n) => bindings.get(n).cloned(),
-                    _ => None,
-                };
+                .map(|(c, e)| t.schema.column_index(c).map(|i| (i, e)))
+                .collect::<Result<Vec<_>, _>>()?;
+            let env = |v: &Var| frame.lookup(v);
+            let f = |old: &Row| -> Row {
                 let mut new = old.clone();
                 for (i, e) in &set_idx {
-                    if let Some(v) = e.eval(&schema2, Some(old), &env) {
+                    if let Some(v) = e.eval(&t.schema, Some(old), &env) {
                         new[*i] = v;
                     }
                 }
@@ -209,12 +199,12 @@ fn exec_stmt(txn: &mut Txn, stmt: &Stmt, frame: &mut Frame<'_>) -> Result<(), En
             txn.update_where(table, &bound, &f)?;
         }
         Stmt::Insert { table, values } => {
-            let schema = txn_schema(txn, table)?;
+            let t = txn_table(txn, table)?;
             let env = |v: &Var| frame.lookup(v);
             let row: Row = values
                 .iter()
                 .map(|e| {
-                    e.eval(&schema, None, &env)
+                    e.eval(&t.schema, None, &env)
                         .ok_or_else(|| EngineError::Invalid(format!("unbound insert value {e}")))
                 })
                 .collect::<Result<Vec<_>, _>>()?;
@@ -231,9 +221,10 @@ fn exec_stmt(txn: &mut Txn, stmt: &Stmt, frame: &mut Frame<'_>) -> Result<(), En
     Ok(())
 }
 
-fn txn_schema(txn: &Txn, table: &str) -> Result<semcc_storage::Schema, EngineError> {
-    // Schema access goes through the engine the txn belongs to.
-    txn.engine_ref().store().table(table).map(|t| t.schema.clone()).map_err(EngineError::Storage)
+/// The table a statement names, through the engine the txn belongs to;
+/// statements borrow its schema instead of cloning it.
+fn txn_table(txn: &Txn, table: &str) -> Result<Arc<Table>, EngineError> {
+    Ok(txn.engine_ref().store().table(table)?)
 }
 
 /// Where an observer is invoked relative to a statement.

@@ -3,7 +3,7 @@
 use crate::stmt::{visit_stmts, AStmt, Stmt};
 use semcc_logic::{Pred, Var};
 use semcc_storage::Value;
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Declared parameter kind.
@@ -197,9 +197,14 @@ impl ProgramBuilder {
 }
 
 /// Concrete parameter bindings for one execution.
+///
+/// A program has a handful of parameters and a server holds one
+/// `Bindings` per queued request, so they are a list sized to what is
+/// bound and searched by name, not a hash table, and a name given as a
+/// literal is borrowed, not copied.
 #[derive(Clone, Debug, Default)]
 pub struct Bindings {
-    map: HashMap<String, Value>,
+    params: Vec<(Cow<'static, str>, Value)>,
 }
 
 impl Bindings {
@@ -208,22 +213,29 @@ impl Bindings {
         Bindings::default()
     }
 
-    /// Bind a parameter.
-    pub fn set(mut self, name: impl Into<String>, v: impl Into<Value>) -> Self {
-        self.map.insert(name.into(), v.into());
+    /// Bind a parameter (rebinding replaces the earlier value).
+    pub fn set(mut self, name: impl Into<Cow<'static, str>>, v: impl Into<Value>) -> Self {
+        let (name, v) = (name.into(), v.into());
+        match self.params.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, bound)) => *bound = v,
+            None => {
+                self.params.reserve_exact(1);
+                self.params.push((name, v));
+            }
+        }
         self
     }
 
     /// Look up a parameter.
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.map.get(name)
+        self.params.iter().find(|(n, _)| n == name).map(|(_, v)| v)
     }
 
     /// Resolve a variable: parameters come from the bindings; everything
     /// else is absent.
     pub fn env(&self) -> impl Fn(&Var) -> Option<Value> + '_ {
         move |v: &Var| match v {
-            Var::Param(name) => self.map.get(name).cloned(),
+            Var::Param(name) => self.get(name).cloned(),
             _ => None,
         }
     }
