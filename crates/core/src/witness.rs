@@ -33,7 +33,7 @@ use semcc_logic::{Expr, Var};
 use semcc_storage::{Schema, Value};
 use semcc_txn::colexpr::ColExpr;
 use semcc_txn::interp::Stepper;
-use semcc_txn::stmt::{AStmt, ItemRef, Stmt};
+use semcc_txn::stmt::{visit_stmts, ItemRef, Stmt};
 use semcc_txn::{Bindings, ParamKind, Program};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -210,7 +210,9 @@ fn attempt(
         bindings_for(interferer, Role::Interferer, &diag.counterexample, strategy, &index_params);
 
     let engine = Arc::new(Engine::new(EngineConfig {
-        lock_timeout: Duration::from_millis(100),
+        // One thread steps both transactions, so a lock that is not free now
+        // can never be granted: a blocked acquire times out at once.
+        lock_timeout: Duration::ZERO,
         record_history: true,
         faults: None,
         wal: None,
@@ -411,8 +413,8 @@ fn bindings_for(
 fn index_param_names(programs: &[&Program]) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
     for p in programs {
-        for_each_stmt(&p.body, &mut |s| {
-            let item = match s {
+        visit_stmts(&p.body, &mut |a| {
+            let item = match &a.stmt {
                 Stmt::ReadItem { item, .. }
                 | Stmt::WriteItem { item, .. }
                 | Stmt::WriteItemMax { item, .. } => item,
@@ -444,7 +446,7 @@ fn seed(
     let mut items: BTreeSet<(String, String)> = BTreeSet::new();
     let mut tables: BTreeSet<String> = BTreeSet::new();
     for p in programs {
-        for_each_stmt(&p.body, &mut |s| match s {
+        visit_stmts(&p.body, &mut |a| match &a.stmt {
             Stmt::ReadItem { item, .. }
             | Stmt::WriteItem { item, .. }
             | Stmt::WriteItemMax { item, .. } => {
@@ -548,7 +550,7 @@ fn string_columns(app: &App) -> BTreeSet<(String, String)> {
             }
             _ => false,
         };
-        for_each_stmt(&p.body, &mut |s| match s {
+        visit_stmts(&p.body, &mut |a| match &a.stmt {
             Stmt::Select { table, filter, .. }
             | Stmt::SelectCount { table, filter, .. }
             | Stmt::SelectValue { table, filter, .. }
@@ -610,21 +612,6 @@ fn collect_str_cols(
 // ---------------------------------------------------------------------------
 // Program-shape helpers
 // ---------------------------------------------------------------------------
-
-/// Visit every statement (descending into branches and loop bodies).
-fn for_each_stmt(block: &[AStmt], f: &mut dyn FnMut(&Stmt)) {
-    for a in block {
-        f(&a.stmt);
-        match &a.stmt {
-            Stmt::If { then_branch, else_branch, .. } => {
-                for_each_stmt(then_branch, f);
-                for_each_stmt(else_branch, f);
-            }
-            Stmt::While { body, .. } => for_each_stmt(body, f),
-            _ => {}
-        }
-    }
-}
 
 /// Whether the statement (including nested blocks) writes the database.
 fn contains_write(s: &Stmt) -> bool {
@@ -694,7 +681,7 @@ fn first_read_idx(p: &Program) -> Option<usize> {
 /// Database footprint (item bases + table names) of a program.
 fn footprint(p: &Program, writes: bool) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
-    for_each_stmt(&p.body, &mut |s| match s {
+    visit_stmts(&p.body, &mut |a| match &a.stmt {
         Stmt::ReadItem { item, .. } if !writes => {
             out.insert(item.base.clone());
         }

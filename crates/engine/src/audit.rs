@@ -21,7 +21,8 @@
 
 use crate::engine::Engine;
 use crate::history::Op;
-use semcc_storage::{Ts, TxnId};
+use semcc_logic::row::RowPred;
+use semcc_storage::{Ts, TxnId, View};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -93,7 +94,7 @@ pub fn audit_post_abort(engine: &Engine, victim: TxnId) -> AuditReport {
     rep.checks += 1;
     for name in engine.store.item_names() {
         if let Ok(cell) = engine.store.item(&name) {
-            if cell.lock().dirty_writer() == Some(victim) {
+            if cell.lock().dirty().is_some_and(|(w, _)| w == victim) {
                 rep.violations.push(AuditViolation {
                     txn: victim,
                     invariant: "dirty-item",
@@ -167,7 +168,7 @@ pub fn audit_quiescent(engine: &Engine) -> AuditReport {
     rep.checks += 1;
     for name in engine.store.item_names() {
         if let Ok(cell) = engine.store.item(&name) {
-            if let Some(w) = cell.lock().dirty_writer() {
+            if let Some((w, _)) = cell.lock().dirty() {
                 rep.violations.push(AuditViolation {
                     txn: w,
                     invariant: "quiescent-dirty-item",
@@ -366,9 +367,8 @@ pub fn committed_digest(engine: &Engine) -> String {
     }
     for table in engine.store.table_names() {
         if let Ok(t) = engine.store.table(&table) {
-            for (id, row) in t.scan_committed() {
-                let ts = t.row_commit_ts(id).unwrap_or(0);
-                out.push_str(&format!("row {table}[{id}]={row:?}@{ts}\n"));
+            for (id, seen) in t.rows_matching(View::Committed, &RowPred::True) {
+                out.push_str(&format!("row {table}[{id}]={:?}@{}\n", seen.value, seen.latest_ts));
             }
         }
     }

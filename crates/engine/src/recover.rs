@@ -26,7 +26,7 @@
 
 use crate::engine::{Engine, EngineConfig};
 use semcc_storage::wal::{read_records, Lsn, WalRecord};
-use semcc_storage::{Row, RowId, Ts, TxnId, Value};
+use semcc_storage::{Row, RowId, Ts, TxnId, Value, View};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -256,7 +256,7 @@ fn undo_track(engine: &Engine, txn: TxnId, track: &TxnTrack, mismatches: &mut u6
         if let Ok(cell) = engine.store().item(name) {
             let mut c = cell.lock();
             c.discard(txn);
-            if c.read_latest() != before {
+            if c.read(View::Latest).map(|seen| seen.value) != Some(before) {
                 *mismatches += 1;
             }
         }
@@ -264,7 +264,7 @@ fn undo_track(engine: &Engine, txn: TxnId, track: &TxnTrack, mismatches: &mut u6
     for (table, id, before, born) in track.rows.iter().rev() {
         if let Ok(t) = engine.store().table(table) {
             t.discard_row(txn, *id);
-            let now = t.read_row_latest(*id);
+            let now = t.read_row(*id, View::Latest).map(|seen| seen.value);
             let expect = if *born { None } else { before.clone() };
             if now != expect {
                 *mismatches += 1;

@@ -9,7 +9,9 @@ use semcc_logic::row::RowPred;
 use semcc_mvcc::{CommitConflict, Key, SsiConflict, SsiKey};
 use semcc_storage::eval::{empty_env, row_matches};
 use semcc_storage::wal::{Lsn, WalRecord};
-use semcc_storage::{Row, RowId, Schema, StorageError, Table, Ts, TxnId, Value, View};
+use semcc_storage::{
+    ItemCell, Row, RowId, Schema, Seen, Source, StorageError, Table, Ts, TxnId, Value, View,
+};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -96,12 +98,55 @@ impl Txn {
         self.snapshot_ts
     }
 
-    /// The version of a row slot this transaction's level reads.
+    /// The version of an item or a row slot this transaction's level reads.
     fn view(&self) -> View {
         match self.snapshot_ts {
             Some(ts) => View::At(ts),
             None if self.level == IsolationLevel::ReadUncommitted => View::Latest,
             None => View::Visible(self.id),
+        }
+    }
+
+    /// How the history names the version a read through [`Txn::view`] saw.
+    fn read_src(&self, source: Source) -> ReadSrc {
+        match (self.snapshot_ts, source) {
+            (Some(ts), _) => ReadSrc::Snapshot(ts),
+            (None, Source::Dirty(writer)) => ReadSrc::Dirty(writer),
+            (None, Source::Committed(ts)) => ReadSrc::Committed(ts),
+        }
+    }
+
+    /// Run `read` under the read lock this level takes on `target()`: none,
+    /// short (released once `read` returns) or long.
+    fn with_read_lock<R>(
+        &self,
+        target: impl Fn() -> Target,
+        read: impl FnOnce() -> R,
+    ) -> Result<R, EngineError> {
+        if !self.level.read_locks() {
+            return Ok(read());
+        }
+        self.engine.locks.acquire(self.id, target(), Mode::S)?;
+        let out = read();
+        if !self.level.long_read_locks() {
+            self.engine.locks.release(self.id, &target());
+        }
+        Ok(out)
+    }
+
+    /// A privately buffered write as a reading: this transaction's own
+    /// uncommitted version, on no chain. Only a snapshot level buffers, and
+    /// none of them consults `latest_ts`.
+    fn buffered<V>(&self, value: V) -> Seen<V> {
+        Seen { value, source: Source::Dirty(self.id), latest_ts: 0 }
+    }
+
+    /// The item as this transaction sees it, no lock taken: its own buffered
+    /// write, else the version of `cell` under [`Txn::view`].
+    fn item_seen(&self, name: &str, cell: &ItemCell) -> Result<Seen<Value>, StorageError> {
+        match self.buf_items.get(name) {
+            Some(v) => Ok(self.buffered(v.clone())),
+            None => cell.read(self.view()).map(Seen::cloned).ok_or(StorageError::NoVisibleVersion),
         }
     }
 
@@ -144,11 +189,11 @@ impl Txn {
         EngineError::Ssi(e)
     }
 
-    /// Register SIREAD locks for `keys` and run rw-antidependency marking.
-    /// No-op below SSI.
-    fn ssi_read(&self, keys: &[SsiKey]) -> Result<(), EngineError> {
+    /// Register a SIREAD lock on `key()` and run rw-antidependency marking.
+    /// No-op below SSI, where the key is not built either.
+    fn ssi_read(&self, key: impl FnOnce() -> SsiKey) -> Result<(), EngineError> {
         if self.level.siread_locks() {
-            self.engine.oracle.ssi_on_read(self.id, keys).map_err(|e| self.ssi_fail(e))?;
+            self.engine.oracle.ssi_on_read(self.id, &[key()]).map_err(|e| self.ssi_fail(e))?;
         }
         Ok(())
     }
@@ -181,54 +226,17 @@ impl Txn {
     pub fn read(&mut self, name: &str) -> Result<Value, EngineError> {
         self.check_active()?;
         let cell = self.engine.store.item(name)?;
-        let (value, src) = match self.level {
-            IsolationLevel::ReadUncommitted => {
-                let c = cell.lock();
-                let src = match c.dirty_writer() {
-                    Some(w) => ReadSrc::Dirty(w),
-                    None => ReadSrc::Committed(c.latest_commit_ts()),
-                };
-                (c.read_latest().clone(), src)
-            }
-            IsolationLevel::ReadCommitted | IsolationLevel::ReadCommittedFcw => {
-                let target = Target::item(name);
-                self.engine.locks.acquire(self.id, target.clone(), Mode::S)?;
-                let (v, src, ver_ts) = {
-                    let c = cell.lock();
-                    let ver_ts = c.latest_commit_ts();
-                    match c.dirty_writer() {
-                        Some(w) if w == self.id => {
-                            (c.read_latest().clone(), ReadSrc::Dirty(self.id), ver_ts)
-                        }
-                        _ => (c.read_committed().clone(), ReadSrc::Committed(ver_ts), ver_ts),
-                    }
-                };
-                self.engine.locks.release(self.id, &target); // short lock
-                self.note_read_ts(|| Key::item(name), ver_ts);
-                (v, src)
-            }
-            IsolationLevel::RepeatableRead | IsolationLevel::Serializable => {
-                self.engine.locks.acquire(self.id, Target::item(name), Mode::S)?;
-                let c = cell.lock();
-                match c.dirty_writer() {
-                    Some(w) if w == self.id => (c.read_latest().clone(), ReadSrc::Dirty(self.id)),
-                    _ => (c.read_committed().clone(), ReadSrc::Committed(c.latest_commit_ts())),
-                }
-            }
-            IsolationLevel::Snapshot | IsolationLevel::Ssi => {
-                let ts = self.snapshot_ts.expect("snapshot txn has ts");
-                let v = match self.buf_items.get(name) {
-                    Some(v) => v.clone(),
-                    None => {
-                        let c = cell.lock();
-                        c.read_at(ts)?.clone()
-                    }
-                };
-                self.ssi_read(&[SsiKey::Point(Key::item(name))])?;
-                (v, ReadSrc::Snapshot(ts))
-            }
-        };
-        self.record(|| Op::Read { key: Key::item(name), value: value.clone(), src });
+        // Value, provenance and version timestamp come from one access of
+        // the cell, made while the level's read lock (if any) is held.
+        let Seen { value, source, latest_ts } =
+            self.with_read_lock(|| Target::item(name), || self.item_seen(name, &cell.lock()))??;
+        self.note_read_ts(|| Key::item(name), latest_ts);
+        self.ssi_read(|| SsiKey::Point(Key::item(name)))?;
+        self.record(|| Op::Read {
+            key: Key::item(name),
+            value: value.clone(),
+            src: self.read_src(source),
+        });
         Ok(value)
     }
 
@@ -265,19 +273,12 @@ impl Txn {
             value = match op {
                 ItemOp::Set(v) => v,
                 ItemOp::Max(_) => {
-                    let current = match self.buf_items.get(name) {
-                        Some(v) => v.clone(),
-                        None => {
-                            let ts = self.snapshot_ts.expect("snapshot txn has ts");
-                            let cell = self.engine.store.item(name)?;
-                            let c = cell.lock();
-                            c.read_at(ts)?.clone()
-                        }
-                    };
+                    let cell = self.engine.store.item(name)?;
+                    let current = self.item_seen(name, &cell.lock())?.value;
                     // The implicit re-read is interference-exposed at SSI
                     // (it maxes against the snapshot, not the committed
                     // state), so the read side is registered too.
-                    self.ssi_read(&[SsiKey::Point(Key::item(name))])?;
+                    self.ssi_read(|| SsiKey::Point(Key::item(name)))?;
                     op.apply(&current)
                 }
             };
@@ -287,10 +288,7 @@ impl Txn {
             let cell = self.engine.store.item(name)?;
             self.engine.locks.acquire(self.id, Target::item(name), Mode::X)?;
             let mut c = cell.lock();
-            let before = match c.dirty_writer() {
-                Some(w) if w == self.id => c.read_latest().clone(),
-                _ => c.read_committed().clone(),
-            };
+            let before = self.item_seen(name, &c)?.value;
             value = op.apply(&before);
             c.write_dirty(self.id, value.clone())?;
             self.log(
@@ -321,7 +319,7 @@ impl Txn {
     ) -> Result<Vec<(RowId, Row)>, EngineError> {
         self.check_active()?;
         let t = self.engine.store.table(table)?;
-        let matches = |row: &Row| row_matches(&t.schema, row, pred, &empty_env);
+        let view = self.view();
 
         // SERIALIZABLE: long S predicate lock first — phantoms are blocked
         // before we even look, and whatever the access path then examines.
@@ -329,69 +327,47 @@ impl Txn {
             self.engine.locks.acquire(self.id, Target::pred(table, pred.clone()), Mode::S)?;
         }
 
-        let mut out: Vec<(RowId, Row)> = Vec::new();
-        match self.level {
-            IsolationLevel::ReadUncommitted => out = t.rows_matching(self.view(), pred),
-            IsolationLevel::ReadCommitted | IsolationLevel::ReadCommittedFcw => {
-                for id in t.ids_matching(self.view(), pred) {
-                    let target = Target::row(table, id);
-                    self.engine.locks.acquire(self.id, target.clone(), Mode::S)?;
-                    // Re-read: the row may have changed while we waited. The
-                    // version timestamp is taken under the S lock, before it
-                    // is released: were it taken after, a writer committing
-                    // in between would have its timestamp recorded against
-                    // the old row, and an update computed from that row would
-                    // pass first-committer-wins validation (a lost update).
-                    // Timestamp and row come from one stripe access, so a
-                    // lock-free SNAPSHOT install cannot separate them either.
-                    let (ver_ts, current) = t.read_row_visible_ts(self.id, id);
-                    self.engine.locks.release(self.id, &target); // short lock
-                    if let Some(row) = current.filter(&matches) {
-                        self.note_read_ts(|| Key::row(table, id), ver_ts);
-                        out.push((id, row));
-                    }
+        let found = if self.level.read_locks() {
+            let matches = |s: &Seen<Row>| row_matches(&t.schema, &s.value, pred, &empty_env);
+            let mut found = Vec::new();
+            for id in t.ids_matching(view, pred) {
+                // Re-read under the row lock: the row may have changed while
+                // we waited. Row, provenance and version timestamp come from
+                // that one stripe access, made before a short lock is
+                // released: were the timestamp taken after, a writer
+                // committing in between would have its timestamp recorded
+                // against the old row, and an update computed from that row
+                // would pass first-committer-wins validation (a lost
+                // update). One access also means a lock-free SNAPSHOT
+                // install cannot separate them.
+                let seen =
+                    self.with_read_lock(|| Target::row(table, id), || t.read_row(id, view))?;
+                if let Some(seen) = seen.filter(matches) {
+                    self.note_read_ts(|| Key::row(table, id), seen.latest_ts);
+                    found.push((id, seen));
                 }
             }
-            IsolationLevel::RepeatableRead | IsolationLevel::Serializable => {
-                for id in t.ids_matching(self.view(), pred) {
-                    self.engine.locks.acquire(self.id, Target::row(table, id), Mode::S)?;
-                    if let Some(row) = t.read_row_visible(self.id, id).filter(&matches) {
-                        out.push((id, row));
-                    }
-                }
-            }
-            IsolationLevel::Snapshot | IsolationLevel::Ssi => {
-                out = self.overlay_scan(&t, table, pred);
-                // Table-granular SIREAD: covers the predicate, so a
-                // concurrent writer of *any* row in this table (including
-                // phantoms) raises an rw-antidependency.
-                self.ssi_read(&[SsiKey::Table(table.to_string())])?;
-            }
-        }
-        // Row-granular read provenance: which version each matched row came
-        // from, mirroring the per-level disciplines above.
-        let src_of = |id: RowId| match self.level {
-            IsolationLevel::Snapshot | IsolationLevel::Ssi => {
-                ReadSrc::Snapshot(self.snapshot_ts.expect("snapshot txn has ts"))
-            }
-            IsolationLevel::ReadUncommitted => match t.row_dirty_writer(id) {
-                Some(w) => ReadSrc::Dirty(w),
-                None => ReadSrc::Committed(t.row_commit_ts(id).unwrap_or(0)),
-            },
-            _ => match t.row_dirty_writer(id) {
-                Some(w) if w == self.id => ReadSrc::Dirty(self.id),
-                _ => ReadSrc::Committed(t.row_commit_ts(id).unwrap_or(0)),
-            },
+            found
+        } else {
+            self.overlay_scan(&t, table, pred)
         };
-        for (id, _) in &out {
-            self.record(|| Op::RowRead { table: table.to_string(), id: *id, src: src_of(*id) });
+        // Table-granular SIREAD: covers the predicate, so a concurrent
+        // writer of *any* row in this table (including phantoms) raises an
+        // rw-antidependency.
+        self.ssi_read(|| SsiKey::Table(table.to_string()))?;
+        for (id, seen) in &found {
+            self.record(|| Op::RowRead {
+                table: table.to_string(),
+                id: *id,
+                src: self.read_src(seen.source),
+            });
         }
         self.record(|| Op::PredRead {
             table: table.to_string(),
             pred: pred.clone(),
-            matched: out.iter().map(|(id, _)| *id).collect(),
+            matched: found.iter().map(|(id, _)| *id).collect(),
         });
-        Ok(out)
+        Ok(rows_of(found))
     }
 
     /// SELECT COUNT(*): number of rows matching `pred`.
@@ -399,18 +375,18 @@ impl Txn {
         Ok(self.select(table, pred)?.len() as i64)
     }
 
-    /// This transaction's view of a table through `pred`, id-ascending: the
-    /// stored rows matching under [`Txn::view`] in slots it has not
-    /// buffered a write to, plus the matching rows of its private buffer
-    /// (which only a snapshot level fills).
-    fn overlay_scan(&self, t: &Table, table: &str, pred: &RowPred) -> Vec<(RowId, Row)> {
+    /// This transaction's view of a table through `pred`, id-ascending and
+    /// with no lock taken: the stored rows matching under [`Txn::view`] in
+    /// slots it has not buffered a write to, plus the matching rows of its
+    /// private buffer (which only a snapshot level fills).
+    fn overlay_scan(&self, t: &Table, table: &str, pred: &RowPred) -> Vec<(RowId, Seen<Row>)> {
         let stored = t.rows_matching(self.view(), pred);
         let Some(buf) = self.buf_rows.get(table) else { return stored };
         let buffered = buf.iter().filter_map(|(id, state)| {
-            let row = state.as_ref()?;
-            row_matches(&t.schema, row, pred, &empty_env).then(|| (*id, row.clone()))
+            let row = state.as_ref().filter(|row| row_matches(&t.schema, row, pred, &empty_env))?;
+            Some((*id, self.buffered(row.clone())))
         });
-        let mut rows: Vec<(RowId, Row)> =
+        let mut rows: Vec<(RowId, Seen<Row>)> =
             stored.into_iter().filter(|(id, _)| !buf.contains_key(id)).chain(buffered).collect();
         rows.sort_by_key(|(id, _)| *id);
         rows
@@ -500,14 +476,14 @@ impl Txn {
             let targets = self.overlay_scan(&t, table, pred);
             // The WHERE scan is a predicate read; the matched slots plus the
             // table itself are the write footprint.
-            self.ssi_read(&[SsiKey::Table(table.to_string())])?;
+            self.ssi_read(|| SsiKey::Table(table.to_string()))?;
             if !targets.is_empty() {
                 let mut wkeys: Vec<SsiKey> =
                     targets.iter().map(|(id, _)| SsiKey::Point(Key::row(table, *id))).collect();
                 wkeys.push(SsiKey::Table(table.to_string()));
                 self.ssi_write(&wkeys)?;
             }
-            for (id, row) in targets {
+            for (id, Seen { value: row, .. }) in targets {
                 let state = new(&row);
                 self.record(|| row_write_op(table, id, state.clone()));
                 self.buf_rows.entry(table.to_string()).or_default().insert(id, state);
@@ -521,7 +497,7 @@ impl Txn {
             for id in t.ids_matching(self.view(), pred) {
                 self.engine.locks.acquire(self.id, Target::row(table, id), Mode::X)?;
                 // Re-read after the (possibly waited-for) lock.
-                let Some(row) = t.read_row_visible(self.id, id) else { continue };
+                let Some(Seen { value: row, .. }) = t.read_row(id, self.view()) else { continue };
                 if !row_matches(&t.schema, &row, pred, &empty_env) {
                     continue;
                 }
@@ -566,30 +542,15 @@ impl Txn {
     /// perturbing the schedule.
     pub fn monitor_item(&self, name: &str) -> Option<Value> {
         let cell = self.engine.store.item(name).ok()?;
-        match self.level {
-            IsolationLevel::ReadUncommitted => Some(cell.lock().read_latest().clone()),
-            IsolationLevel::Snapshot | IsolationLevel::Ssi => {
-                if let Some(v) = self.buf_items.get(name) {
-                    return Some(v.clone());
-                }
-                let ts = self.snapshot_ts?;
-                cell.lock().read_at(ts).ok().cloned()
-            }
-            _ => {
-                let c = cell.lock();
-                match c.dirty_writer() {
-                    Some(w) if w == self.id => Some(c.read_latest().clone()),
-                    _ => Some(c.read_committed().clone()),
-                }
-            }
-        }
+        let seen = self.item_seen(name, &cell.lock()).ok()?;
+        Some(seen.value)
     }
 
     /// The rows this transaction would see in `table` right now (monitor
     /// view; see [`Txn::monitor_item`]).
     pub fn monitor_table(&self, table: &str) -> Option<Vec<(RowId, Row)>> {
         let t = self.engine.store.table(table).ok()?;
-        Some(self.overlay_scan(&t, table, &RowPred::True))
+        Some(rows_of(self.overlay_scan(&t, table, &RowPred::True)))
     }
 
     // ------------------------------------------------------------------
@@ -727,7 +688,7 @@ impl Txn {
                     let mut c = cell.lock();
                     match commit_ts {
                         Some(ts) => c.promote(self.id, ts),
-                        None => c.discard(self.id),
+                        None => drop(c.discard(self.id)),
                     }
                     c.stamp_lsn(lsn);
                 }
@@ -800,6 +761,11 @@ impl ItemOp {
             ItemOp::Max(floor) => Value::Int(current.as_int().map_or(floor, |c| c.max(floor))),
         }
     }
+}
+
+/// The rows of a scan, their provenance dropped.
+fn rows_of(found: Vec<(RowId, Seen<Row>)>) -> Vec<(RowId, Row)> {
+    found.into_iter().map(|(id, seen)| (id, seen.value)).collect()
 }
 
 /// The history event of a row write whose new slot state is `state`.

@@ -211,22 +211,47 @@ impl Oracle {
         writes: &[Key],
         install: impl FnOnce(Ts),
     ) -> Result<Ts, FcwConflict> {
+        self.commit_section(None, checks, writes, install).map_err(|e| match e {
+            CommitConflict::Fcw(e) => e,
+            CommitConflict::Ssi(_) => unreachable!("no SSI check runs without a transaction"),
+        })
+    }
+
+    /// The commit critical section: validate `checks`, run the SSI
+    /// precommit check when `ssi_txn` names a tracked transaction, assign
+    /// the timestamp, record `writes`, stamp the SSI record committed, run
+    /// `install`. The commit-log lock is held throughout, the SSI lock from
+    /// the precommit check on.
+    fn commit_section(
+        &self,
+        ssi_txn: Option<TxnId>,
+        checks: &[(Key, Ts)],
+        writes: &[Key],
+        install: impl FnOnce(Ts),
+    ) -> Result<Ts, CommitConflict> {
         let mut log = self.log.lock();
         for (key, since) in checks {
             if let Some(committed) = log.last_write.get(key) {
                 if committed > since {
                     self.fcw_failures.fetch_add(1, Ordering::Relaxed);
-                    return Err(FcwConflict {
+                    return Err(CommitConflict::Fcw(FcwConflict {
                         key: key.clone(),
                         committed_ts: *committed,
                         since_ts: *since,
-                    });
+                    }));
                 }
             }
+        }
+        let mut ssi = ssi_txn.map(|txn| (txn, self.ssi.lock()));
+        if let Some((txn, ssi)) = &mut ssi {
+            ssi.precommit(*txn).map_err(CommitConflict::Ssi)?;
         }
         let ts = self.last_commit.fetch_add(1, Ordering::AcqRel) + 1;
         for key in writes {
             log.last_write.insert(key.clone(), ts);
+        }
+        if let Some((txn, ssi)) = &mut ssi {
+            ssi.commit(*txn, ts);
         }
         self.commits.fetch_add(1, Ordering::Relaxed);
         install(ts);
@@ -282,29 +307,7 @@ impl Oracle {
         writes: &[Key],
         install: impl FnOnce(Ts),
     ) -> Result<Ts, CommitConflict> {
-        let mut log = self.log.lock();
-        for (key, since) in checks {
-            if let Some(committed) = log.last_write.get(key) {
-                if committed > since {
-                    self.fcw_failures.fetch_add(1, Ordering::Relaxed);
-                    return Err(CommitConflict::Fcw(FcwConflict {
-                        key: key.clone(),
-                        committed_ts: *committed,
-                        since_ts: *since,
-                    }));
-                }
-            }
-        }
-        let mut ssi = self.ssi.lock();
-        ssi.precommit(txn).map_err(CommitConflict::Ssi)?;
-        let ts = self.last_commit.fetch_add(1, Ordering::AcqRel) + 1;
-        for key in writes {
-            log.last_write.insert(key.clone(), ts);
-        }
-        ssi.commit(txn, ts);
-        self.commits.fetch_add(1, Ordering::Relaxed);
-        install(ts);
-        Ok(ts)
+        self.commit_section(Some(txn), checks, writes, install)
     }
 
     /// Drop an aborted SSI transaction's record (SIREAD locks, write

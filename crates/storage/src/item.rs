@@ -1,163 +1,51 @@
 //! Versioned conventional items.
 //!
-//! An [`ItemCell`] holds the committed version chain of one named database
-//! item plus at most one *dirty* (uncommitted, in-place) value written by a
-//! locking-mode transaction. The engine's write locks guarantee a single
-//! dirty writer; the cell still defends against violations by returning
-//! [`StorageError::DirtyConflict`].
+//! An [`ItemCell`] is the [`Versioned`] chain of one named database item:
+//! its value type is [`Value`] and its chain is never empty, because an
+//! item is created with an initial version at timestamp 0.
 
-use crate::error::StorageError;
+use crate::chain::{Versioned, View};
 use crate::value::Value;
-use crate::wal::Lsn;
-use crate::{Ts, TxnId};
-
-/// One committed version.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Version {
-    /// Commit timestamp of the writing transaction.
-    pub ts: Ts,
-    /// The committed value.
-    pub value: Value,
-}
+use crate::Ts;
 
 /// A versioned cell for one conventional item.
-#[derive(Clone, Debug)]
-pub struct ItemCell {
-    /// Committed versions in increasing timestamp order (never empty).
-    committed: Vec<Version>,
-    /// In-place uncommitted write, if any.
-    dirty: Option<(TxnId, Value)>,
-    /// LSN of the newest WAL record touching this cell (0 = never logged).
-    lsn: Lsn,
-}
-
-/// Equality compares logical content only; the WAL bookkeeping LSN is
-/// excluded so a recovered cell equals its reference regardless of log
-/// position.
-impl PartialEq for ItemCell {
-    fn eq(&self, other: &Self) -> bool {
-        self.committed == other.committed && self.dirty == other.dirty
-    }
-}
-
-impl Eq for ItemCell {}
+pub type ItemCell = Versioned<Value>;
 
 impl ItemCell {
     /// A cell whose initial value was installed at timestamp 0.
     pub fn new(initial: Value) -> Self {
-        ItemCell { committed: vec![Version { ts: 0, value: initial }], dirty: None, lsn: 0 }
-    }
-
-    /// LSN of the newest WAL record that touched this cell.
-    pub fn lsn(&self) -> Lsn {
-        self.lsn
-    }
-
-    /// Stamp the cell with the LSN of the WAL record describing the
-    /// mutation just performed (monotone; older stamps never regress it).
-    pub fn stamp_lsn(&mut self, lsn: Lsn) {
-        self.lsn = self.lsn.max(lsn);
-    }
-
-    /// Newest value *including* any uncommitted dirty write — the READ
-    /// UNCOMMITTED read path.
-    pub fn read_latest(&self) -> &Value {
-        match &self.dirty {
-            Some((_, v)) => v,
-            None => &self.committed.last().expect("never empty").value,
-        }
+        let mut cell = ItemCell::default();
+        cell.install(0, initial);
+        cell
     }
 
     /// Newest committed value.
     pub fn read_committed(&self) -> &Value {
-        &self.committed.last().expect("never empty").value
-    }
-
-    /// Newest committed value with commit timestamp `<= ts` — the snapshot
-    /// read path.
-    pub fn read_at(&self, ts: Ts) -> Result<&Value, StorageError> {
-        self.committed
-            .iter()
-            .rev()
-            .find(|v| v.ts <= ts)
-            .map(|v| &v.value)
-            .ok_or(StorageError::NoVisibleVersion)
+        self.read(View::Committed).expect("an item's chain is never empty").value
     }
 
     /// Commit timestamp of the newest committed version.
     pub fn latest_commit_ts(&self) -> Ts {
-        self.committed.last().expect("never empty").ts
-    }
-
-    /// The uncommitted writer, if any.
-    pub fn dirty_writer(&self) -> Option<TxnId> {
-        self.dirty.as_ref().map(|(t, _)| *t)
-    }
-
-    /// In-place uncommitted write (locking levels). Re-writing by the same
-    /// transaction replaces its dirty value.
-    pub fn write_dirty(&mut self, txn: TxnId, value: Value) -> Result<(), StorageError> {
-        match &self.dirty {
-            Some((holder, _)) if *holder != txn => {
-                Err(StorageError::DirtyConflict { holder: *holder, writer: txn })
-            }
-            _ => {
-                self.dirty = Some((txn, value));
-                Ok(())
-            }
-        }
-    }
-
-    /// Promote the transaction's dirty value to a committed version at `ts`.
-    /// No-op if the transaction has no dirty write here.
-    pub fn promote(&mut self, txn: TxnId, ts: Ts) {
-        if let Some((holder, v)) = self.dirty.take() {
-            if holder == txn {
-                debug_assert!(ts >= self.latest_commit_ts());
-                self.committed.push(Version { ts, value: v });
-            } else {
-                self.dirty = Some((holder, v));
-            }
-        }
-    }
-
-    /// Discard the transaction's dirty value (abort). No-op if absent.
-    pub fn discard(&mut self, txn: TxnId) {
-        if matches!(&self.dirty, Some((holder, _)) if *holder == txn) {
-            self.dirty = None;
-        }
-    }
-
-    /// Install a committed version directly (SNAPSHOT commit path).
-    pub fn install(&mut self, ts: Ts, value: Value) {
-        debug_assert!(ts >= self.latest_commit_ts());
-        self.committed.push(Version { ts, value });
-    }
-
-    /// Drop versions that no snapshot at or after `watermark` can see
-    /// (all but the newest version with `ts <= watermark`).
-    pub fn gc(&mut self, watermark: Ts) {
-        let keep_from = self.committed.iter().rposition(|v| v.ts <= watermark).unwrap_or(0);
-        if keep_from > 0 {
-            self.committed.drain(..keep_from);
-        }
-    }
-
-    /// Number of committed versions retained (for GC tests/metrics).
-    pub fn version_count(&self) -> usize {
-        self.committed.len()
+        self.read(View::Committed).expect("an item's chain is never empty").latest_ts
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain::Source;
+    use crate::error::StorageError;
+
+    /// The value `view` reads; panics where the view sees no version.
+    fn value(c: &ItemCell, view: View) -> &Value {
+        c.read(view).expect("visible").value
+    }
 
     #[test]
     fn dirty_read_visible_at_latest() {
         let mut c = ItemCell::new(Value::Int(10));
         c.write_dirty(7, Value::Int(99)).expect("first writer");
-        assert_eq!(c.read_latest(), &Value::Int(99));
+        assert_eq!(value(&c, View::Latest), &Value::Int(99));
         assert_eq!(c.read_committed(), &Value::Int(10));
     }
 
@@ -171,7 +59,7 @@ mod tests {
         );
         // same txn may rewrite
         c.write_dirty(1, Value::Int(3)).expect("same writer rewrites");
-        assert_eq!(c.read_latest(), &Value::Int(3));
+        assert_eq!(value(&c, View::Latest), &Value::Int(3));
     }
 
     #[test]
@@ -183,7 +71,7 @@ mod tests {
         assert_eq!(c.latest_commit_ts(), 10);
         c.write_dirty(2, Value::Int(7)).expect("write");
         c.discard(2);
-        assert_eq!(c.read_latest(), &Value::Int(5));
+        assert_eq!(value(&c, View::Latest), &Value::Int(5));
     }
 
     #[test]
@@ -192,9 +80,9 @@ mod tests {
         c.write_dirty(1, Value::Int(5)).expect("write");
         c.promote(2, 10); // different txn: must not commit txn 1's write
         assert_eq!(c.read_committed(), &Value::Int(0));
-        assert_eq!(c.dirty_writer(), Some(1));
+        assert_eq!(c.read(View::Latest).expect("visible").source, Source::Dirty(1));
         c.discard(2); // likewise no-op
-        assert_eq!(c.dirty_writer(), Some(1));
+        assert_eq!(c.read(View::Latest).expect("visible").source, Source::Dirty(1));
     }
 
     #[test]
@@ -202,17 +90,17 @@ mod tests {
         let mut c = ItemCell::new(Value::Int(0));
         c.install(5, Value::Int(50));
         c.install(9, Value::Int(90));
-        assert_eq!(c.read_at(0).expect("visible"), &Value::Int(0));
-        assert_eq!(c.read_at(5).expect("visible"), &Value::Int(50));
-        assert_eq!(c.read_at(7).expect("visible"), &Value::Int(50));
-        assert_eq!(c.read_at(100).expect("visible"), &Value::Int(90));
+        assert_eq!(value(&c, View::At(0)), &Value::Int(0));
+        assert_eq!(value(&c, View::At(5)), &Value::Int(50));
+        assert_eq!(value(&c, View::At(7)), &Value::Int(50));
+        assert_eq!(value(&c, View::At(100)), &Value::Int(90));
     }
 
     #[test]
     fn snapshot_ignores_dirty() {
         let mut c = ItemCell::new(Value::Int(0));
         c.write_dirty(3, Value::Int(33)).expect("write");
-        assert_eq!(c.read_at(100).expect("visible"), &Value::Int(0));
+        assert_eq!(value(&c, View::At(100)), &Value::Int(0));
     }
 
     #[test]
@@ -233,10 +121,10 @@ mod tests {
         c.install(9, Value::Int(90));
         c.gc(7);
         // version at ts 5 must survive (a snapshot at 7 reads it)
-        assert_eq!(c.read_at(7).expect("visible"), &Value::Int(50));
-        assert_eq!(c.version_count(), 2);
+        assert_eq!(value(&c, View::At(7)), &Value::Int(50));
+        assert_eq!(c.versions().count(), 2);
         c.gc(9);
-        assert_eq!(c.version_count(), 1);
+        assert_eq!(c.versions().count(), 1);
         assert_eq!(c.read_committed(), &Value::Int(90));
     }
 }

@@ -6,7 +6,7 @@ use crate::item::ItemCell;
 use crate::schema::Schema;
 use crate::table::Table;
 use crate::value::Value;
-use crate::{Ts, TxnId};
+use crate::Ts;
 use parking_lot::{Mutex, RwLock};
 use semcc_logic::hash::fnv1a;
 use std::collections::HashMap;
@@ -134,42 +134,6 @@ impl Store {
         Ok(self.item(name)?.lock().read_committed().clone())
     }
 
-    /// LSN stamped on an item's cell (recovery diagnostics).
-    pub fn item_lsn(&self, name: &str) -> Result<crate::wal::Lsn, StorageError> {
-        Ok(self.item(name)?.lock().lsn())
-    }
-
-    /// Highest LSN stamped anywhere in the store — the durability
-    /// high-water mark a checkpoint would have to cover.
-    pub fn max_lsn(&self) -> crate::wal::Lsn {
-        let mut max = 0;
-        for stripe in &self.item_stripes {
-            for cell in stripe.read().values() {
-                max = max.max(cell.lock().lsn());
-            }
-        }
-        for stripe in &self.table_stripes {
-            for table in stripe.read().values() {
-                for (id, _) in table.scan_latest() {
-                    max = max.max(table.row_lsn(id).unwrap_or(0));
-                }
-            }
-        }
-        max
-    }
-
-    /// Convenience: discard a transaction's dirty write on one item.
-    pub fn discard_item(&self, txn: TxnId, name: &str) -> Result<(), StorageError> {
-        self.item(name)?.lock().discard(txn);
-        Ok(())
-    }
-
-    /// Convenience: promote a transaction's dirty write on one item.
-    pub fn promote_item(&self, txn: TxnId, name: &str, ts: Ts) -> Result<(), StorageError> {
-        self.item(name)?.lock().promote(txn, ts);
-        Ok(())
-    }
-
     /// Drop every item and table, returning the store to its freshly
     /// constructed state. Callers (the engine's deterministic replay
     /// reset) re-seed initial state afterwards; any outstanding references
@@ -216,11 +180,12 @@ mod tests {
     fn promote_discard_via_store() {
         let s = Store::new();
         s.create_item("x", Value::Int(0)).expect("create");
-        s.item("x").expect("item").lock().write_dirty(1, Value::Int(5)).expect("write");
-        s.promote_item(1, "x", 3).expect("promote");
+        let x = s.item("x").expect("item");
+        x.lock().write_dirty(1, Value::Int(5)).expect("write");
+        x.lock().promote(1, 3);
         assert_eq!(s.peek_committed("x").expect("peek"), Value::Int(5));
-        s.item("x").expect("item").lock().write_dirty(2, Value::Int(9)).expect("write");
-        s.discard_item(2, "x").expect("discard");
+        x.lock().write_dirty(2, Value::Int(9)).expect("write");
+        x.lock().discard(2);
         assert_eq!(s.peek_committed("x").expect("peek"), Value::Int(5));
     }
 
@@ -247,7 +212,7 @@ mod tests {
             cell.install(9, Value::Int(2));
         }
         s.gc(9);
-        assert_eq!(s.item("x").expect("item").lock().version_count(), 1);
+        assert_eq!(s.item("x").expect("item").lock().versions().count(), 1);
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! with the whole predicate, exactly as a scanned cell is (DESIGN.md,
 //! "Access path").
 
+use crate::chain::{Seen, Versioned, View};
 use crate::error::StorageError;
 use crate::eval::{empty_env, row_matches};
 use crate::schema::Schema;
@@ -34,141 +35,28 @@ pub type Row = Vec<Value>;
 /// Stable identifier of a row slot within its table.
 pub type RowId = u64;
 
-/// Which version of a slot a read goes through.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum View {
-    /// Newest state including any dirty version (READ UNCOMMITTED).
-    Latest,
-    /// Newest committed state, overlaid with the given transaction's own
-    /// dirty version; other writers' dirty versions are invisible (the
-    /// locking levels).
-    Visible(TxnId),
-    /// Newest committed state at or before the timestamp (snapshot levels).
-    At(Ts),
-    /// Newest committed state.
-    Committed,
+/// A versioned row slot: `None` records a deletion, an empty chain a birth
+/// that has not committed.
+pub type RowCell = Versioned<Option<Row>>;
+
+/// The row `cell` holds under `view`, if it holds one there.
+fn row_under(cell: &RowCell, view: View) -> Option<Seen<&Row>> {
+    let Seen { value, source, latest_ts } = cell.read(view)?;
+    Some(Seen { value: value.as_ref()?, source, latest_ts })
 }
 
-/// A versioned row slot.
-#[derive(Clone, Debug, Default)]
-pub struct RowCell {
-    /// Committed versions in increasing timestamp order. `None` = absent.
-    committed: Vec<(Ts, Option<Row>)>,
-    /// Uncommitted in-place change, if any. `None` payload = dirty delete.
-    dirty: Option<(TxnId, Option<Row>)>,
-    /// LSN of the newest WAL record touching this slot (0 = never logged).
-    lsn: Lsn,
+/// Every row version the slot still holds: the committed chain, then the
+/// dirty slot. This is what the equality indexes cover.
+fn held(cell: &RowCell) -> impl Iterator<Item = &Row> {
+    let committed = cell.versions().filter_map(|(_, v)| v.as_ref());
+    committed.chain(cell.dirty().and_then(|(_, v)| v.as_ref()))
 }
 
-impl RowCell {
-    /// LSN of the newest WAL record that touched this slot.
-    pub fn lsn(&self) -> Lsn {
-        self.lsn
-    }
-
-    /// The slot's state under `view`.
-    pub fn read(&self, view: View) -> Option<&Row> {
-        match view {
-            View::Latest => self.read_latest(),
-            View::Visible(txn) if self.dirty_writer() == Some(txn) => self.read_latest(),
-            View::Visible(_) | View::Committed => self.read_committed(),
-            View::At(ts) => self.read_at(ts),
-        }
-    }
-
-    /// Newest state including dirty (READ UNCOMMITTED view).
-    pub fn read_latest(&self) -> Option<&Row> {
-        match &self.dirty {
-            Some((_, v)) => v.as_ref(),
-            None => self.read_committed(),
-        }
-    }
-
-    /// Newest committed state.
-    pub fn read_committed(&self) -> Option<&Row> {
-        self.committed.last().and_then(|(_, v)| v.as_ref())
-    }
-
-    /// Newest committed state at or before `ts`.
-    pub fn read_at(&self, ts: Ts) -> Option<&Row> {
-        self.committed.iter().rev().find(|(t, _)| *t <= ts).and_then(|(_, v)| v.as_ref())
-    }
-
-    /// The uncommitted writer, if any.
-    pub fn dirty_writer(&self) -> Option<TxnId> {
-        self.dirty.as_ref().map(|(t, _)| *t)
-    }
-
-    /// Latest commit timestamp, if any version is committed.
-    pub fn latest_commit_ts(&self) -> Option<Ts> {
-        self.committed.last().map(|(t, _)| *t)
-    }
-
-    /// Every row version the slot still holds: the committed chain, then
-    /// the dirty slot. This is what the equality indexes cover.
-    fn held(&self) -> impl Iterator<Item = &Row> {
-        let committed = self.committed.iter().filter_map(|(_, v)| v.as_ref());
-        committed.chain(self.dirty.iter().filter_map(|(_, v)| v.as_ref()))
-    }
-
-    /// Set the dirty slot; returns the row of `txn`'s own earlier dirty
-    /// version, which the slot no longer holds.
-    fn write_dirty(&mut self, txn: TxnId, v: Option<Row>) -> Result<Option<Row>, StorageError> {
-        match &self.dirty {
-            Some((holder, _)) if *holder != txn => {
-                Err(StorageError::DirtyConflict { holder: *holder, writer: txn })
-            }
-            _ => Ok(self.dirty.replace((txn, v)).and_then(|(_, old)| old)),
-        }
-    }
-
-    /// Append a committed version. Most slots only ever hold one, so the
-    /// first is given exactly its own room, not `Vec`'s four-element start.
-    fn push_committed(&mut self, ts: Ts, v: Option<Row>) {
-        if self.committed.is_empty() {
-            self.committed.reserve_exact(1);
-        }
-        self.committed.push((ts, v));
-    }
-
-    fn promote(&mut self, txn: TxnId, ts: Ts) {
-        if let Some((holder, v)) = self.dirty.take() {
-            if holder == txn {
-                self.push_committed(ts, v);
-            } else {
-                self.dirty = Some((holder, v));
-            }
-        }
-    }
-
-    /// Drop `txn`'s dirty version; returns the row it held.
-    fn discard(&mut self, txn: TxnId) -> Option<Row> {
-        if self.dirty_writer() == Some(txn) {
-            self.dirty.take().and_then(|(_, v)| v)
-        } else {
-            None
-        }
-    }
-
-    /// Whether the slot is garbage (no committed presence, no dirty).
-    fn is_garbage(&self, watermark: Ts) -> bool {
-        self.dirty.is_none()
-            && self
-                .committed
-                .iter()
-                .rev()
-                .find(|(t, _)| *t <= watermark)
-                .map(|(_, v)| v.is_none())
-                .unwrap_or(true)
-            && self.committed.iter().all(|(t, v)| *t <= watermark || v.is_none())
-    }
-
-    /// Drop the versions no snapshot at or above `watermark` can read;
-    /// returns them.
-    fn gc(&mut self, watermark: Ts) -> Vec<(Ts, Option<Row>)> {
-        let keep_from = self.committed.iter().rposition(|(t, _)| *t <= watermark).unwrap_or(0);
-        self.committed.drain(..keep_from).collect()
-    }
+/// Whether the slot is garbage (no committed presence, no dirty).
+fn is_garbage(cell: &RowCell, watermark: Ts) -> bool {
+    cell.dirty().is_none()
+        && cell.read(View::At(watermark)).is_none_or(|seen| seen.value.is_none())
+        && cell.versions().all(|(t, v)| t <= watermark || v.is_none())
 }
 
 /// The hash a value is indexed under. Equal values hash equal; nothing
@@ -201,7 +89,7 @@ impl ColumnIndex {
     fn build(column: usize, cells: &BTreeMap<RowId, RowCell>) -> Self {
         let entries = cells
             .iter()
-            .flat_map(|(id, cell)| cell.held().map(move |row| (index_hash(&row[column]), *id)))
+            .flat_map(|(id, cell)| held(cell).map(move |row| (index_hash(&row[column]), *id)))
             .collect();
         ColumnIndex { column, entries }
     }
@@ -220,7 +108,7 @@ fn unindex_row(indexes: &mut [ColumnIndex], id: RowId, gone: &Row, cell: Option<
     for ix in indexes {
         let hash = index_hash(&gone[ix.column]);
         let still_held =
-            cell.is_some_and(|c| c.held().any(|row| index_hash(&row[ix.column]) == hash));
+            cell.is_some_and(|c| held(c).any(|row| index_hash(&row[ix.column]) == hash));
         if !still_held {
             ix.entries.remove(&(hash, id));
         }
@@ -239,11 +127,11 @@ struct Stripe {
 impl Stripe {
     /// Put `cell` into slot `id`, replacing whatever was there.
     fn put(&mut self, id: RowId, cell: RowCell) {
-        for row in cell.held() {
+        for row in held(&cell) {
             index_row(&mut self.indexes, id, row);
         }
         if let Some(old) = self.cells.insert(id, cell) {
-            for row in old.held() {
+            for row in held(&old) {
                 unindex_row(&mut self.indexes, id, row, self.cells.get(&id));
             }
         }
@@ -253,10 +141,10 @@ impl Stripe {
     fn write_dirty(&mut self, txn: TxnId, id: RowId, v: Option<Row>) -> Result<(), StorageError> {
         let cell = self.cells.get_mut(&id).ok_or(StorageError::NoVisibleVersion)?;
         let displaced = cell.write_dirty(txn, v)?;
-        if let Some((_, Some(row))) = &cell.dirty {
+        if let Some((_, Some(row))) = cell.dirty() {
             index_row(&mut self.indexes, id, row);
         }
-        if let Some(old) = displaced {
+        if let Some(old) = displaced.flatten() {
             unindex_row(&mut self.indexes, id, &old, Some(cell));
         }
         Ok(())
@@ -360,19 +248,24 @@ impl Table {
         out
     }
 
-    /// The one walk for a predicate: `keep(row)` for every slot whose state
+    /// The one walk for a predicate: `keep(seen)` for every slot whose row
     /// under `view` matches `pred`, id-ascending. Stripe by stripe, under
     /// the stripe lock, it examines either every cell or, when `pred` pins
     /// a column to a literal, the cells the column's index proposes.
-    fn matching<T>(&self, view: View, pred: &RowPred, keep: impl Fn(&Row) -> T) -> Vec<(RowId, T)> {
+    fn matching<T>(
+        &self,
+        view: View,
+        pred: &RowPred,
+        keep: impl Fn(Seen<&Row>) -> T,
+    ) -> Vec<(RowId, T)> {
         let probe = equality_probe(&self.schema, pred);
         self.collect_rows(|stripe, out| {
             let mut examined = 0;
             let mut examine = |id: RowId, cell: &RowCell| {
                 examined += 1;
-                if let Some(row) = cell.read(view) {
-                    if row_matches(&self.schema, row, pred, &empty_env) {
-                        out.push((id, keep(row)));
+                if let Some(seen) = row_under(cell, view) {
+                    if row_matches(&self.schema, seen.value, pred, &empty_env) {
+                        out.push((id, keep(seen)));
                     }
                 }
             };
@@ -391,10 +284,19 @@ impl Table {
         })
     }
 
-    /// Rows whose state under `view` matches `pred`, id-ascending. What is
-    /// returned is exactly `scan(view)` filtered by `row_matches`.
-    pub fn rows_matching(&self, view: View, pred: &RowPred) -> Vec<(RowId, Row)> {
-        self.matching(view, pred, Row::clone)
+    /// Rows whose state under `view` matches `pred`, id-ascending, each with
+    /// the version that supplied it. What is returned is exactly the scan
+    /// under `view` filtered by `row_matches`.
+    pub fn rows_matching(&self, view: View, pred: &RowPred) -> Vec<(RowId, Seen<Row>)> {
+        self.matching(view, pred, |seen| seen.cloned())
+    }
+
+    /// Slot `id`'s row under `view`, the version that supplied it and the
+    /// slot's latest commit timestamp, all from one access under the stripe
+    /// lock, so no install can separate them. `None` where the view sees no
+    /// row: a missing slot, a deletion, another writer's uncommitted birth.
+    pub fn read_row(&self, id: RowId, view: View) -> Option<Seen<Row>> {
+        self.stripe(id).lock().cells.get(&id).and_then(|c| row_under(c, view)).map(Seen::cloned)
     }
 
     /// The ids of [`Table::rows_matching`], for callers that lock each slot
@@ -465,7 +367,8 @@ impl Table {
     pub fn load_row_at(&self, id: RowId, ts: Ts, row: Row) -> Result<(), StorageError> {
         self.check_arity(&row)?;
         self.next_row.fetch_max(id + 1, Ordering::Relaxed);
-        let cell = RowCell { committed: vec![(ts, Some(row))], dirty: None, lsn: 0 };
+        let mut cell = RowCell::default();
+        cell.install(ts, Some(row));
         self.stripe(id).lock().put(id, cell);
         Ok(())
     }
@@ -482,7 +385,8 @@ impl Table {
     pub fn insert_dirty_at(&self, txn: TxnId, id: RowId, row: Row) -> Result<(), StorageError> {
         self.check_arity(&row)?;
         self.next_row.fetch_max(id + 1, Ordering::Relaxed);
-        let cell = RowCell { committed: Vec::new(), dirty: Some((txn, Some(row))), lsn: 0 };
+        let mut cell = RowCell::default();
+        cell.write_dirty(txn, Some(row))?;
         self.stripe(id).lock().put(id, cell);
         Ok(())
     }
@@ -491,13 +395,13 @@ impl Table {
     /// mutation just performed. No-op on a missing slot.
     pub fn stamp_row_lsn(&self, id: RowId, lsn: Lsn) {
         if let Some(cell) = self.stripe(id).lock().cells.get_mut(&id) {
-            cell.lsn = cell.lsn.max(lsn);
+            cell.stamp_lsn(lsn);
         }
     }
 
     /// LSN stamped on slot `id`, if the slot exists.
     pub fn row_lsn(&self, id: RowId) -> Option<Lsn> {
-        self.stripe(id).lock().cells.get(&id).map(|c| c.lsn)
+        self.stripe(id).lock().cells.get(&id).map(RowCell::lsn)
     }
 
     /// Replace the row in slot `id` with a dirty version for `txn`.
@@ -521,7 +425,7 @@ impl Table {
         if let Some(r) = &row {
             index_row(&mut stripe.indexes, id, r);
         }
-        stripe.cells.entry(id).or_default().push_committed(ts, row);
+        stripe.cells.entry(id).or_default().install(ts, row);
         Ok(())
     }
 
@@ -543,86 +447,33 @@ impl Table {
         let Stripe { cells, indexes } = &mut *stripe;
         let Some(cell) = cells.get_mut(&id) else { return };
         let displaced = cell.discard(txn);
-        // A slot that never committed anything can be dropped eagerly.
-        if cell.dirty.is_none() && cell.committed.is_empty() {
+        // A slot left holding no version at all (a birth that never
+        // committed) is dropped eagerly.
+        if cell.read(View::Latest).is_none() {
             cells.remove(&id);
         }
-        if let Some(old) = displaced {
+        if let Some(old) = displaced.flatten() {
             unindex_row(indexes, id, &old, cells.get(&id));
         }
     }
 
-    /// Scan visible rows, newest-including-dirty (READ UNCOMMITTED view).
-    pub fn scan_latest(&self) -> Vec<(RowId, Row)> {
-        self.rows_matching(View::Latest, &RowPred::True)
-    }
-
     /// Scan newest committed rows.
     pub fn scan_committed(&self) -> Vec<(RowId, Row)> {
-        self.rows_matching(View::Committed, &RowPred::True)
+        self.matching(View::Committed, &RowPred::True, |seen| seen.value.clone())
     }
 
     /// Scan rows as transaction `txn` sees them under a locking level:
     /// its own dirty changes overlay the newest committed state; other
     /// transactions' dirty changes are invisible.
     pub fn scan_visible(&self, txn: TxnId) -> Vec<(RowId, Row)> {
-        self.rows_matching(View::Visible(txn), &RowPred::True)
-    }
-
-    /// Scan rows visible at snapshot `ts`.
-    pub fn scan_at(&self, ts: Ts) -> Vec<(RowId, Row)> {
-        self.rows_matching(View::At(ts), &RowPred::True)
-    }
-
-    fn read_row(&self, id: RowId, view: View) -> Option<Row> {
-        self.stripe(id).lock().cells.get(&id).and_then(|c| c.read(view).cloned())
-    }
-
-    /// Read one slot as transaction `txn` sees it under a locking level.
-    pub fn read_row_visible(&self, txn: TxnId, id: RowId) -> Option<Row> {
-        self.read_row(id, View::Visible(txn))
-    }
-
-    /// [`Table::read_row_visible`] together with the slot's latest commit
-    /// timestamp (0 if it never committed), both read under one stripe
-    /// lock so no install can separate the timestamp from the row.
-    pub fn read_row_visible_ts(&self, txn: TxnId, id: RowId) -> (Ts, Option<Row>) {
-        match self.stripe(id).lock().cells.get(&id) {
-            Some(c) => (c.latest_commit_ts().unwrap_or(0), c.read(View::Visible(txn)).cloned()),
-            None => (0, None),
-        }
-    }
-
-    /// Read one slot's newest committed state.
-    pub fn read_row_committed(&self, id: RowId) -> Option<Row> {
-        self.read_row(id, View::Committed)
-    }
-
-    /// Read one slot at snapshot `ts`.
-    pub fn read_row_at(&self, id: RowId, ts: Ts) -> Option<Row> {
-        self.read_row(id, View::At(ts))
-    }
-
-    /// Read one slot including dirty state.
-    pub fn read_row_latest(&self, id: RowId) -> Option<Row> {
-        self.read_row(id, View::Latest)
-    }
-
-    /// Latest commit timestamp of a slot (None if never committed).
-    pub fn row_commit_ts(&self, id: RowId) -> Option<Ts> {
-        self.stripe(id).lock().cells.get(&id).and_then(|c| c.latest_commit_ts())
-    }
-
-    /// The uncommitted writer of a slot, if any.
-    pub fn row_dirty_writer(&self, id: RowId) -> Option<TxnId> {
-        self.stripe(id).lock().cells.get(&id).and_then(|c| c.dirty_writer())
+        self.matching(View::Visible(txn), &RowPred::True, |seen| seen.value.clone())
     }
 
     /// Every row slot with an uncommitted version, with its writer
     /// (post-abort auditing: an aborted writer must own none).
     pub fn dirty_rows(&self) -> Vec<(RowId, TxnId)> {
         self.collect_rows(|stripe, out| {
-            out.extend(stripe.cells.iter().filter_map(|(id, c)| Some((*id, c.dirty_writer()?))));
+            out.extend(stripe.cells.iter().filter_map(|(id, c)| Some((*id, c.dirty()?.0))));
         })
     }
 
@@ -632,14 +483,12 @@ impl Table {
             let mut stripe = stripe.lock();
             let Stripe { cells, indexes } = &mut *stripe;
             cells.retain(|id, cell| {
-                if cell.is_garbage(watermark) {
-                    cell.held().for_each(|row| unindex_row(indexes, *id, row, None));
+                if is_garbage(cell, watermark) {
+                    held(cell).for_each(|row| unindex_row(indexes, *id, row, None));
                     return false;
                 }
-                for (_, gone) in cell.gc(watermark) {
-                    if let Some(row) = gone {
-                        unindex_row(indexes, *id, &row, Some(cell));
-                    }
+                for row in cell.gc(watermark).into_iter().flatten() {
+                    unindex_row(indexes, *id, &row, Some(cell));
                 }
                 true
             });
@@ -650,7 +499,9 @@ impl Table {
     pub fn committed_len(&self) -> usize {
         self.stripes
             .iter()
-            .map(|s| s.lock().cells.values().filter(|c| c.read_committed().is_some()).count())
+            .map(|s| {
+                s.lock().cells.values().filter(|c| row_under(c, View::Committed).is_some()).count()
+            })
             .sum()
     }
 }
@@ -658,6 +509,7 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain::Source;
 
     fn orders() -> Table {
         Table::new(Schema::new("orders", &["order_info", "cust", "date", "done"], &["order_info"]))
@@ -667,13 +519,23 @@ mod tests {
         vec![Value::Int(info), Value::str(cust), Value::Int(date), Value::bool(done)]
     }
 
+    /// How many rows `view` sees in `t`.
+    fn scan_len(t: &Table, view: View) -> usize {
+        t.rows_matching(view, &RowPred::True).len()
+    }
+
+    /// The row `view` sees in slot `id`.
+    fn row_at(t: &Table, id: RowId, view: View) -> Option<Row> {
+        t.read_row(id, view).map(|seen| seen.value)
+    }
+
     #[test]
     fn dirty_insert_visible_only_to_latest() {
         let t = orders();
         t.insert_dirty(1, row(1, "a", 10, false)).expect("insert");
-        assert_eq!(t.scan_latest().len(), 1);
+        assert_eq!(scan_len(&t, View::Latest), 1);
         assert_eq!(t.scan_committed().len(), 0);
-        assert_eq!(t.scan_at(100).len(), 0);
+        assert_eq!(scan_len(&t, View::At(100)), 0);
     }
 
     #[test]
@@ -682,8 +544,8 @@ mod tests {
         let id = t.insert_dirty(1, row(1, "a", 10, false)).expect("insert");
         t.promote_row(1, id, 5);
         assert_eq!(t.scan_committed().len(), 1);
-        assert_eq!(t.scan_at(4).len(), 0);
-        assert_eq!(t.scan_at(5).len(), 1);
+        assert_eq!(scan_len(&t, View::At(4)), 0);
+        assert_eq!(scan_len(&t, View::At(5)), 1);
     }
 
     #[test]
@@ -691,7 +553,7 @@ mod tests {
         let t = orders();
         let id = t.insert_dirty(1, row(1, "a", 10, false)).expect("insert");
         t.discard_row(1, id);
-        assert_eq!(t.scan_latest().len(), 0);
+        assert_eq!(scan_len(&t, View::Latest), 0);
         assert_eq!(t.committed_len(), 0);
     }
 
@@ -700,15 +562,15 @@ mod tests {
         let t = orders();
         let id = t.load_row(1, row(1, "a", 10, false)).expect("load");
         t.update_dirty(2, id, row(1, "a", 10, true)).expect("update");
-        assert!(t.read_row_latest(id).expect("present")[3].is_truthy());
-        assert!(!t.read_row_committed(id).expect("present")[3].is_truthy());
+        assert!(row_at(&t, id, View::Latest).expect("present")[3].is_truthy());
+        assert!(!row_at(&t, id, View::Committed).expect("present")[3].is_truthy());
         t.discard_row(2, id);
-        assert!(!t.read_row_latest(id).expect("present")[3].is_truthy());
+        assert!(!row_at(&t, id, View::Latest).expect("present")[3].is_truthy());
 
         t.delete_dirty(3, id).expect("delete");
-        assert!(t.read_row_latest(id).is_none());
+        assert!(row_at(&t, id, View::Latest).is_none());
         t.discard_row(3, id);
-        assert!(t.read_row_latest(id).is_some());
+        assert!(row_at(&t, id, View::Latest).is_some());
     }
 
     #[test]
@@ -718,7 +580,7 @@ mod tests {
         t.delete_dirty(2, id).expect("delete");
         t.promote_row(2, id, 7);
         assert_eq!(t.scan_committed().len(), 0);
-        assert_eq!(t.scan_at(6).len(), 1, "old snapshot still sees the row");
+        assert_eq!(scan_len(&t, View::At(6)), 1, "old snapshot still sees the row");
     }
 
     #[test]
@@ -746,8 +608,8 @@ mod tests {
         let t = orders();
         let id = t.reserve_row_id();
         t.install(9, id, Some(row(2, "b", 11, false))).expect("install");
-        assert_eq!(t.scan_at(9).len(), 1);
-        assert_eq!(t.scan_at(8).len(), 0);
+        assert_eq!(scan_len(&t, View::At(9)), 1);
+        assert_eq!(scan_len(&t, View::At(8)), 0);
         t.install(12, id, None).expect("install delete");
         assert_eq!(t.scan_committed().len(), 0);
     }
@@ -788,18 +650,40 @@ mod tests {
     #[test]
     fn visible_row_and_commit_ts_come_from_one_read() {
         let t = orders();
-        let id = t.load_row(3, row(1, "a", 10, false)).expect("load");
-        assert_eq!(t.read_row_visible_ts(7, id), (3, Some(row(1, "a", 10, false))));
-        t.update_dirty(7, id, row(1, "a", 10, true)).expect("update");
-        // The writer sees its own dirty version, stamped with the committed
-        // timestamp; everyone else still sees the committed row.
-        assert_eq!(t.read_row_visible_ts(7, id), (3, Some(row(1, "a", 10, true))));
-        assert_eq!(t.read_row_visible_ts(8, id), (3, Some(row(1, "a", 10, false))));
+        let seen = |value: Row, source, latest_ts| Some(Seen { value, source, latest_ts });
+        let (old, new) = (row(1, "a", 10, false), row(1, "a", 10, true));
+        let id = t.load_row(3, old.clone()).expect("load");
+        t.install(5, id, Some(old.clone())).expect("second committed version");
+        assert_eq!(t.read_row(id, View::Visible(7)), seen(old.clone(), Source::Committed(5), 5));
+
+        // A committed version plus transaction 7's dirty one. The writer and
+        // READ UNCOMMITTED see the dirty version, named as such; everyone
+        // else the committed row; a snapshot the version it is entitled to.
+        // All of them get the slot's latest commit timestamp.
+        t.update_dirty(7, id, new.clone()).expect("update");
+        assert_eq!(t.read_row(id, View::Latest), seen(new.clone(), Source::Dirty(7), 5));
+        assert_eq!(t.read_row(id, View::Visible(7)), seen(new.clone(), Source::Dirty(7), 5));
+        assert_eq!(t.read_row(id, View::Visible(8)), seen(old.clone(), Source::Committed(5), 5));
+        assert_eq!(t.read_row(id, View::Committed), seen(old.clone(), Source::Committed(5), 5));
+        assert_eq!(t.read_row(id, View::At(4)), seen(old.clone(), Source::Committed(3), 5));
+        assert_eq!(t.read_row(id, View::At(2)), None, "not yet loaded");
+        let scanned = t.rows_matching(View::Latest, &RowPred::True);
+        assert_eq!(
+            scanned,
+            vec![(id, Seen { value: new, source: Source::Dirty(7), latest_ts: 5 })]
+        );
+
         // A dirty birth has no committed timestamp and no foreign reader.
         let born = t.insert_dirty(7, row(2, "b", 11, false)).expect("insert");
-        assert_eq!(t.read_row_visible_ts(7, born), (0, Some(row(2, "b", 11, false))));
-        assert_eq!(t.read_row_visible_ts(8, born), (0, None));
-        assert_eq!(t.read_row_visible_ts(7, 99), (0, None), "missing slot");
+        let birth = seen(row(2, "b", 11, false), Source::Dirty(7), 0);
+        assert_eq!(t.read_row(born, View::Latest), birth);
+        assert_eq!(t.read_row(born, View::Visible(7)), birth);
+        for view in [View::Visible(8), View::Committed, View::At(9)] {
+            assert_eq!(t.read_row(born, view), None, "{view:?} of a dirty birth");
+        }
+        for view in [View::Latest, View::Visible(7), View::Committed, View::At(9)] {
+            assert_eq!(t.read_row(99, view), None, "{view:?} of a missing slot");
+        }
     }
 
     #[test]
@@ -817,11 +701,15 @@ mod tests {
                 all.filter(|(_, r)| row_matches(&t.schema, r, p, &empty_env)).collect()
             };
             let (want_both, want_cust) = (scan(&both), scan(&by_cust));
+            let rows_matching = |p: &RowPred| -> Vec<(RowId, Row)> {
+                let found = t.rows_matching(View::Committed, p).into_iter();
+                found.map(|(id, seen)| (id, seen.value)).collect()
+            };
             let cold = t.rows_examined();
-            assert_eq!(t.rows_matching(View::Committed, &both), want_both);
+            assert_eq!(rows_matching(&both), want_both);
             assert_eq!(t.rows_examined() - cold, 40, "first conjunct is `done`: all forty hold 0");
             let warm = t.rows_examined();
-            assert_eq!(t.rows_matching(View::Committed, &by_cust), want_cust);
+            assert_eq!(rows_matching(&by_cust), want_cust);
             assert_eq!(t.rows_examined() - warm, 10, "ten rows hold `a`");
             assert_eq!(t.indexed_columns(), vec!["cust", "done"]);
 
@@ -848,8 +736,8 @@ mod tests {
         t.delete_dirty(3, id).expect("delete");
         t.promote_row(3, id, 8);
         t.gc(10);
-        assert_eq!(t.scan_latest().len(), 0);
+        assert_eq!(scan_len(&t, View::Latest), 0);
         // fully dead slot dropped
-        assert!(t.read_row_at(id, 5).is_none());
+        assert!(row_at(&t, id, View::At(5)).is_none());
     }
 }

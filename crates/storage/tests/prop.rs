@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 use semcc_logic::row::{RowExpr, RowPred};
 use semcc_logic::CmpOp;
 use semcc_storage::eval::{empty_env, row_matches};
-use semcc_storage::{ItemCell, Row, RowId, Schema, Table, Value, View};
+use semcc_storage::{ItemCell, Row, RowId, Schema, Seen, Source, Table, Value, View};
 use std::collections::BTreeMap;
 
 #[derive(Clone, Debug)]
@@ -94,16 +94,31 @@ fn item_cell_agrees_with_model() {
                     committed.drain(..keep_from);
                 }
             }
-            // Invariants after every step:
-            let model_latest_committed = committed.last().expect("never empty").1;
+            // Invariants after every step: under every view, the one read
+            // gives the model's value, names the version that supplied it
+            // and carries the newest commit timestamp.
+            let &(latest_ts, model_latest_committed) = committed.last().expect("never empty");
             assert_eq!(cell.read_committed(), &Value::Int(model_latest_committed), "case {case}");
-            let model_latest = dirty.map(|(_, v)| v).unwrap_or(model_latest_committed);
-            assert_eq!(cell.read_latest(), &Value::Int(model_latest), "case {case}");
+            assert_eq!(cell.latest_commit_ts(), latest_ts, "case {case}");
+            let check = |view: View, v: i64, source: Source| {
+                let want = Seen { value: Value::Int(v), source, latest_ts };
+                assert_eq!(cell.read(view).map(Seen::cloned), Some(want), "case {case}: {view:?}");
+            };
+            let newest = (model_latest_committed, Source::Committed(latest_ts));
+            let dirty_of = |txn: u8| dirty.filter(|(holder, _)| *holder == txn);
+            let (v, source) = dirty.map_or(newest, |(w, v)| (v, Source::Dirty(u64::from(w))));
+            check(View::Latest, v, source);
+            check(View::Committed, newest.0, newest.1);
+            for txn in 0..3 {
+                let own = dirty_of(txn).map(|(_, v)| (v, Source::Dirty(u64::from(txn))));
+                let (v, source) = own.unwrap_or(newest);
+                check(View::Visible(u64::from(txn)), v, source);
+            }
             // Snapshot reads at every surviving version boundary agree.
             for (ts, v) in &committed {
-                assert_eq!(cell.read_at(*ts).expect("visible"), &Value::Int(*v), "case {case}");
+                check(View::At(*ts), *v, Source::Committed(*ts));
             }
-            assert_eq!(cell.version_count(), committed.len(), "case {case}");
+            assert_eq!(cell.versions().count(), committed.len(), "case {case}");
         }
     }
 }
@@ -195,6 +210,19 @@ impl MSlot {
             _ => committed(),
         }
     }
+
+    /// The version [`MSlot::read`] takes its row from.
+    fn source(&self, view: View) -> Option<Source> {
+        let committed = |v: &(u64, Option<MRow>)| Source::Committed(v.0);
+        match (view, &self.dirty) {
+            (View::Latest, Some((holder, _))) => Some(Source::Dirty(u64::from(*holder))),
+            (View::Visible(txn), Some((holder, _))) if u64::from(*holder) == txn => {
+                Some(Source::Dirty(txn))
+            }
+            (View::At(ts), _) => self.newest_at(ts).map(committed),
+            _ => self.committed.last().map(committed),
+        }
+    }
 }
 
 /// The fixed predicate set the access path is checked on.
@@ -233,14 +261,29 @@ fn views(watermark: u64, next_ts: u64) -> Vec<View> {
 /// equals the index rebuilt from the cells.
 fn check_table(table: &Table, slots: &BTreeMap<RowId, MSlot>, views: &[View], what: &str) {
     for &view in views {
+        // Each slot read on its own: the model's row, the version it came
+        // from and the slot's newest commit timestamp, or nothing at all.
+        let model: Vec<(RowId, Seen<Row>)> = slots
+            .iter()
+            .filter_map(|(id, slot)| {
+                let seen = Seen {
+                    value: to_row(&slot.read(view)?),
+                    source: slot.source(view).expect("a row has a source"),
+                    latest_ts: slot.committed.last().map_or(0, |(ts, _)| *ts),
+                };
+                Some((*id, seen))
+            })
+            .collect();
+        for id in slots.keys() {
+            let want = model.iter().find(|(m, _)| m == id).map(|(_, seen)| seen.clone());
+            assert_eq!(table.read_row(*id, view), want, "{what}: slot {id} under {view:?}");
+        }
         let scan = table.rows_matching(view, &RowPred::True);
-        let model: Vec<(RowId, Row)> =
-            slots.iter().filter_map(|(id, slot)| Some((*id, to_row(&slot.read(view)?)))).collect();
         assert_eq!(scan, model, "{what}: scan of {view:?}");
         for pred in predicates() {
-            let want: Vec<(RowId, Row)> = scan
+            let want: Vec<(RowId, Seen<Row>)> = scan
                 .iter()
-                .filter(|(_, row)| row_matches(&table.schema, row, &pred, &empty_env))
+                .filter(|(_, seen)| row_matches(&table.schema, &seen.value, &pred, &empty_env))
                 .cloned()
                 .collect();
             assert_eq!(table.rows_matching(view, &pred), want, "{what}: {pred:?} under {view:?}");
