@@ -27,22 +27,13 @@ for ex in anomaly_tour choose_isolation_levels quickstart write_skew_demo; do
     echo "   example $ex: OK"
 done
 
-echo "== certificate round trip (certify -> independent verify-cert) =="
-# `certify` exits 1 when some (txn, level) is rejected — expected for these
-# workloads; only exit 2 (usage/IO/internal error) fails the gate.
+# Certificates (plain, --refine and synth) are built, re-parsed and
+# verified for every bundled app by tests/wire_format.rs; the apps below
+# are exported for the CLI gates that follow.
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
-for w in banking orders orders-strict payroll tpcc; do
+for w in banking orders orders-strict payroll; do
     cargo run -q -p semcc-cli -- export "$w" "$tmpdir/$w.json" > /dev/null
-    rc=0
-    cargo run -q -p semcc-cli -- certify "$tmpdir/$w.json" \
-        --out "$tmpdir/$w.cert.json" > /dev/null || rc=$?
-    if [ "$rc" -ge 2 ]; then
-        echo "ci: certify $w failed (exit $rc)" >&2
-        exit 1
-    fi
-    cargo run -q -p semcc-cli -- verify-cert "$tmpdir/$w.cert.json" > /dev/null
-    echo "   $w: certificate VERIFIED"
 done
 
 echo "== schedule-space explorer smoke (static vs exhaustive, Examples 2 & 3) =="
@@ -131,12 +122,6 @@ if ! grep -q "at levels: SI,SI,SSI,SSI" "$tmpdir/lint.ssi.1.txt"; then
     exit 1
 fi
 echo "   lint --levels SSI sweep: all-SSI clean, mixed degraded, verdict-stable"
-# A refined certificate's pruning justifications replay in the
-# independent checker.
-cargo run -q -p semcc-cli -- certify "$tmpdir/orders.json" --refine \
-    --out "$tmpdir/orders.refine.cert.json" > /dev/null || true
-cargo run -q -p semcc-cli -- verify-cert "$tmpdir/orders.refine.cert.json" > /dev/null
-echo "   certify --refine: prune proofs replay in semcc-cert"
 
 echo "== parallel determinism (explore --jobs 8 byte-matches --jobs 1) =="
 # The work-sharing frontier must be invisible in the output: the full JSON

@@ -43,7 +43,6 @@
 mod kernel;
 pub mod verify;
 
-use semcc_json::{FromJson, Json, JsonError, ToJson};
 use semcc_logic::certtrace::UnsatProof;
 use semcc_logic::{Expr, Pred, Var};
 
@@ -260,263 +259,27 @@ pub struct Certificate {
     pub synth: Vec<MinimalVectorCert>,
 }
 
-impl ToJson for Step {
-    fn to_json(&self) -> Json {
-        match self {
-            Step::NoWrites => Json::str("NoWrites"),
-            Step::Disjoint => Json::str("Disjoint"),
-            Step::Lemma { atom, writer, scope } => Json::tagged(
-                "Lemma",
-                Json::obj([
-                    ("atom", Json::str(atom)),
-                    ("writer", Json::str(writer)),
-                    ("scope", Json::str(scope)),
-                ]),
-            ),
-            Step::Footprint { atom } => Json::tagged("Footprint", Json::str(atom)),
-            Step::TableRule { atom, effect } => Json::tagged(
-                "TableRule",
-                Json::obj([("atom", Json::str(atom)), ("effect", Json::str(effect))]),
-            ),
-            Step::Substitution { post, havoc_fresh, proof } => Json::tagged(
-                "Substitution",
-                Json::obj([
-                    ("post", post.to_json()),
-                    ("havoc_fresh", havoc_fresh.to_json()),
-                    ("proof", proof.to_json()),
-                ]),
-            ),
-        }
+semcc_json::codec! {
+    enum Step {
+        NoWrites,
+        Disjoint,
+        Lemma { atom, writer, scope },
+        #[bare] Footprint { atom },
+        TableRule { atom, effect },
+        Substitution { post, havoc_fresh, proof },
     }
-}
-
-impl FromJson for Step {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let (tag, p) = j.as_tagged()?;
-        match tag {
-            "NoWrites" => Ok(Step::NoWrites),
-            "Disjoint" => Ok(Step::Disjoint),
-            "Lemma" => Ok(Step::Lemma {
-                atom: p.field("atom")?,
-                writer: p.field("writer")?,
-                scope: p.field("scope")?,
-            }),
-            "Footprint" => Ok(Step::Footprint { atom: String::from_json(p)? }),
-            "TableRule" => {
-                Ok(Step::TableRule { atom: p.field("atom")?, effect: p.field("effect")? })
-            }
-            "Substitution" => Ok(Step::Substitution {
-                post: p.field("post")?,
-                havoc_fresh: p.field("havoc_fresh")?,
-                proof: p.field("proof")?,
-            }),
-            other => Err(JsonError::new(format!("unknown Step variant `{other}`"))),
-        }
+    struct ObligationCert { assertion, condition, assign, havoc, effects, steps }
+    struct TxnCert { txn, level, ok, obligations, certified, failures }
+    struct LemmaDecl { atom, txn, scope }
+    struct PruneCert { from, to, kind, table, rule, premises, obligations }
+    enum PredEvidence {
+        Countermodel { assertion, condition, assign, havoc_fresh, model },
+        #[bare] Trusted { reason },
     }
-}
-
-impl ToJson for ObligationCert {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("assertion", self.assertion.to_json()),
-            ("condition", self.condition.to_json()),
-            ("assign", self.assign.to_json()),
-            ("havoc", self.havoc.to_json()),
-            ("effects", self.effects.to_json()),
-            ("steps", self.steps.to_json()),
-        ])
+    struct PredecessorCert {
+        txn, level, victim, interferer, victim_level, partner_snapshot, what, evidence,
+        schedule, confirmed,
     }
-}
-
-impl FromJson for ObligationCert {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(ObligationCert {
-            assertion: j.field("assertion")?,
-            condition: j.field("condition")?,
-            assign: j.field("assign")?,
-            havoc: j.field("havoc")?,
-            effects: j.field("effects")?,
-            steps: j.field("steps")?,
-        })
-    }
-}
-
-impl ToJson for TxnCert {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("txn", Json::str(&self.txn)),
-            ("level", Json::str(&self.level)),
-            ("ok", self.ok.to_json()),
-            ("obligations", self.obligations.to_json()),
-            ("certified", self.certified.to_json()),
-            ("failures", self.failures.to_json()),
-        ])
-    }
-}
-
-impl FromJson for TxnCert {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(TxnCert {
-            txn: j.field("txn")?,
-            level: j.field("level")?,
-            ok: j.field("ok")?,
-            obligations: j.field("obligations")?,
-            certified: j.field("certified")?,
-            failures: j.field("failures")?,
-        })
-    }
-}
-
-impl ToJson for LemmaDecl {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("atom", Json::str(&self.atom)),
-            ("txn", Json::str(&self.txn)),
-            ("scope", Json::str(&self.scope)),
-        ])
-    }
-}
-
-impl FromJson for LemmaDecl {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(LemmaDecl { atom: j.field("atom")?, txn: j.field("txn")?, scope: j.field("scope")? })
-    }
-}
-
-impl ToJson for PruneCert {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("from", Json::str(&self.from)),
-            ("to", Json::str(&self.to)),
-            ("kind", Json::str(&self.kind)),
-            ("table", Json::str(&self.table)),
-            ("rule", Json::str(&self.rule)),
-            ("premises", self.premises.to_json()),
-            ("obligations", self.obligations.to_json()),
-        ])
-    }
-}
-
-impl FromJson for PruneCert {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(PruneCert {
-            from: j.field("from")?,
-            to: j.field("to")?,
-            kind: j.field("kind")?,
-            table: j.field("table")?,
-            rule: j.field("rule")?,
-            premises: j.field("premises")?,
-            obligations: j.field("obligations")?,
-        })
-    }
-}
-
-impl ToJson for PredEvidence {
-    fn to_json(&self) -> Json {
-        match self {
-            PredEvidence::Countermodel { assertion, condition, assign, havoc_fresh, model } => {
-                Json::tagged(
-                    "Countermodel",
-                    Json::obj([
-                        ("assertion", assertion.to_json()),
-                        ("condition", condition.to_json()),
-                        ("assign", assign.to_json()),
-                        ("havoc_fresh", havoc_fresh.to_json()),
-                        ("model", model.to_json()),
-                    ]),
-                )
-            }
-            PredEvidence::Trusted { reason } => Json::tagged("Trusted", Json::str(reason)),
-        }
-    }
-}
-
-impl FromJson for PredEvidence {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let (tag, p) = j.as_tagged()?;
-        match tag {
-            "Countermodel" => Ok(PredEvidence::Countermodel {
-                assertion: p.field("assertion")?,
-                condition: p.field("condition")?,
-                assign: p.field("assign")?,
-                havoc_fresh: p.field("havoc_fresh")?,
-                model: p.field("model")?,
-            }),
-            "Trusted" => Ok(PredEvidence::Trusted { reason: String::from_json(p)? }),
-            other => Err(JsonError::new(format!("unknown PredEvidence variant `{other}`"))),
-        }
-    }
-}
-
-impl ToJson for PredecessorCert {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("txn", Json::str(&self.txn)),
-            ("level", Json::str(&self.level)),
-            ("victim", Json::str(&self.victim)),
-            ("interferer", Json::str(&self.interferer)),
-            ("victim_level", Json::str(&self.victim_level)),
-            ("partner_snapshot", self.partner_snapshot.to_json()),
-            ("what", Json::str(&self.what)),
-            ("evidence", self.evidence.to_json()),
-            ("schedule", self.schedule.to_json()),
-            ("confirmed", self.confirmed.to_json()),
-        ])
-    }
-}
-
-impl FromJson for PredecessorCert {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(PredecessorCert {
-            txn: j.field("txn")?,
-            level: j.field("level")?,
-            victim: j.field("victim")?,
-            interferer: j.field("interferer")?,
-            victim_level: j.field("victim_level")?,
-            partner_snapshot: j.field("partner_snapshot")?,
-            what: j.field("what")?,
-            evidence: j.field("evidence")?,
-            schedule: j.field("schedule")?,
-            confirmed: j.field("confirmed")?,
-        })
-    }
-}
-
-impl ToJson for MinimalVectorCert {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("levels", self.levels.to_json()),
-            ("predecessors", self.predecessors.to_json()),
-        ])
-    }
-}
-
-impl FromJson for MinimalVectorCert {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(MinimalVectorCert { levels: j.field("levels")?, predecessors: j.field("predecessors")? })
-    }
-}
-
-impl ToJson for Certificate {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("app", Json::str(&self.app)),
-            ("lemmas", self.lemmas.to_json()),
-            ("reports", self.reports.to_json()),
-            ("prunes", self.prunes.to_json()),
-            ("synth", self.synth.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Certificate {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(Certificate {
-            app: j.field("app")?,
-            lemmas: j.field("lemmas")?,
-            reports: j.field("reports")?,
-            prunes: j.opt_field("prunes")?.unwrap_or_default(),
-            synth: j.opt_field("synth")?.unwrap_or_default(),
-        })
-    }
+    struct MinimalVectorCert { levels, predecessors }
+    struct Certificate { app, lemmas, reports, #[default] prunes, #[default] synth }
 }

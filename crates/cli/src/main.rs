@@ -33,7 +33,7 @@ use semcc_explore::{
     differential_with_jobs, explore, explore_sweep, explore_with_aborts, specs_for, Differential,
     ExploreOptions, ExploreResult,
 };
-use semcc_json::Json;
+use semcc_json::{Json, ToJson};
 use semcc_par::ordered_map;
 use semcc_workloads::{
     banking, orders, payroll, simulate, simulate_sweep, tpcc, FaultSimOptions, FaultSimReport,
@@ -320,10 +320,7 @@ fn cmd_lint(args: &[String]) -> CmdResult {
     if json_out {
         let mut json = lint_report_json(&report);
         if let Json::Obj(fields) = &mut json {
-            fields.push((
-                "deadlocks".to_string(),
-                Json::Arr(advisories.iter().map(deadlock_json).collect()),
-            ));
+            fields.push(("deadlocks".to_string(), advisories.to_json()));
         }
         if let (Some(ws), Json::Obj(fields)) = (&witnesses, &mut json) {
             fields.push(("witnesses".to_string(), witnesses_json(ws)));
@@ -424,7 +421,7 @@ fn lint_level_sweep(
                     advisories
                         .iter()
                         .map(|(a, labels)| {
-                            let mut j = deadlock_json(a);
+                            let mut j = a.to_json();
                             if let Json::Obj(f) = &mut j {
                                 f.push((
                                     "levels".to_string(),
@@ -512,18 +509,6 @@ fn print_refinement(
     }
 }
 
-fn deadlock_json(a: &semcc_refine::DeadlockAdvisory) -> Json {
-    Json::obj([
-        ("code", Json::str(a.code.clone())),
-        ("a", Json::str(a.a.clone())),
-        ("b", Json::str(a.b.clone())),
-        ("level_a", Json::str(a.level_a.to_string())),
-        ("level_b", Json::str(a.level_b.to_string())),
-        ("chain", Json::Arr(a.chain.iter().map(|l| Json::str(l.clone())).collect())),
-        ("message", Json::str(a.message.clone())),
-    ])
-}
-
 fn refine_json(
     refined: &semcc_refine::RefineReport,
     advisories: &[semcc_refine::DeadlockAdvisory],
@@ -556,7 +541,7 @@ fn refine_json(
                     .collect(),
             ),
         ),
-        ("deadlocks", Json::Arr(advisories.iter().map(deadlock_json).collect())),
+        ("deadlocks", advisories.to_json()),
     ])
 }
 
@@ -1818,13 +1803,16 @@ mod tests {
     fn malformed_app_json_is_an_error_not_a_panic() {
         let dir = std::env::temp_dir().join("semcc_cli_test");
         std::fs::create_dir_all(&dir).expect("mkdir");
-        // Truncated JSON, valid JSON of the wrong shape, and binary junk
-        // must all surface as one-line errors (exit 2), never a panic.
+        // Truncated JSON, valid JSON of the wrong shape, binary junk and
+        // nesting past the parser's bound must all surface as one-line
+        // errors (exit 2), never a panic or a stack overflow.
+        let deep = "[".repeat(100_000);
         for (name, text) in [
             ("truncated.json", r#"{"programs": [{"name": "T", "bo"#),
             ("wrong_shape.json", r#"{"programs": 42}"#),
             ("junk.json", "\u{0}\u{1}\u{2}not json at all"),
             ("empty.json", ""),
+            ("deep.json", deep.as_str()),
         ] {
             let p = dir.join(name);
             std::fs::write(&p, text).expect("write");
@@ -1835,7 +1823,48 @@ mod tests {
             assert!(cmd_certify(std::slice::from_ref(&p)).is_err(), "{name}");
             assert!(cmd_verify_cert(std::slice::from_ref(&p)).is_err(), "{name}");
             assert!(cmd_synth(std::slice::from_ref(&p)).is_err(), "{name}");
+            assert!(cmd_serve(&["--policy".to_string(), p.clone()]).is_err(), "{name}");
         }
+    }
+
+    #[test]
+    fn bundled_artifacts_nest_well_below_the_parser_bound() {
+        fn depth(j: &Json) -> usize {
+            match j {
+                Json::Arr(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+                Json::Obj(fields) => 1 + fields.iter().map(|(_, v)| depth(v)).max().unwrap_or(0),
+                _ => 0,
+            }
+        }
+        let dir = std::env::temp_dir().join("semcc_cli_test");
+        let mut deepest = (0, String::new());
+        for which in ["banking", "orders", "orders-strict", "payroll", "tpcc"] {
+            let app = tmp_app(&format!("depth_{which}.json"), which);
+            let out = |kind: &str| {
+                dir.join(format!("depth_{which}.{kind}.json")).to_str().expect("utf8").to_string()
+            };
+            let (cert, policy, synth) = (out("cert"), out("policy"), out("synth"));
+            cmd_certify(&[app.clone(), "--refine".into(), "--out".into(), cert.clone()])
+                .expect("certify");
+            let synth_args =
+                [app.clone(), "--out".into(), policy.clone(), "--cert".into(), synth.clone()];
+            cmd_synth(&synth_args).expect("synth");
+            for path in [app, cert, policy, synth] {
+                let text = std::fs::read_to_string(&path).expect("written");
+                let d = depth(&semcc_json::from_str_value(&text).expect("parses"));
+                if d > deepest.0 {
+                    deepest = (d, path);
+                }
+            }
+        }
+        println!("deepest bundled artifact: {} levels ({})", deepest.0, deepest.1);
+        assert!(
+            4 * deepest.0 <= semcc_json::MAX_DEPTH,
+            "{} nests {} deep: raise MAX_DEPTH ({}) to keep a 4x margin",
+            deepest.1,
+            deepest.0,
+            semcc_json::MAX_DEPTH
+        );
     }
 
     #[test]

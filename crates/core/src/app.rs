@@ -110,23 +110,9 @@ impl App {
     }
 }
 
-impl ToJson for LemmaScope {
-    fn to_json(&self) -> Json {
-        Json::str(match self {
-            LemmaScope::Unit => "Unit",
-            LemmaScope::Stmt => "Stmt",
-        })
-    }
-}
-
-impl FromJson for LemmaScope {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        match j.as_str() {
-            Some("Unit") => Ok(LemmaScope::Unit),
-            Some("Stmt") => Ok(LemmaScope::Stmt),
-            _ => Err(JsonError::expected("LemmaScope name", j)),
-        }
-    }
+semcc_json::codec! {
+    enum LemmaScope { Unit, Stmt }
+    struct App { programs, schemas, lemmas }
 }
 
 impl ToJson for LemmaRegistry {
@@ -138,26 +124,6 @@ impl ToJson for LemmaRegistry {
 impl FromJson for LemmaRegistry {
     fn from_json(j: &Json) -> Result<Self, JsonError> {
         Ok(LemmaRegistry { set: FromJson::from_json(j)? })
-    }
-}
-
-impl ToJson for App {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("programs", self.programs.to_json()),
-            ("schemas", self.schemas.to_json()),
-            ("lemmas", self.lemmas.to_json()),
-        ])
-    }
-}
-
-impl FromJson for App {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(App {
-            programs: j.field("programs")?,
-            schemas: j.field("schemas")?,
-            lemmas: j.field("lemmas")?,
-        })
     }
 }
 
@@ -176,6 +142,37 @@ mod tests {
         reg.register("valid_cust", "New_Order", LemmaScope::Stmt);
         assert!(reg.covers("valid_cust", "New_Order", LemmaScope::Stmt));
         assert!(reg.covers("valid_cust", "New_Order", LemmaScope::Unit), "stmt implies unit");
+    }
+
+    #[test]
+    fn wire_decoders_reject_payloads_on_unit_variants_and_negative_unsigned() {
+        use semcc_cert::Step;
+        use semcc_logic::certtrace::Refutation;
+        use semcc_logic::{CmpOp, Pred, RowPred};
+        use semcc_txn::program::ParamKind;
+        use semcc_txn::stmt::Stmt;
+        type Rejects = fn(&str) -> bool;
+        fn rejects<T: FromJson>(text: &str) -> bool {
+            semcc_json::from_str::<T>(text).is_err()
+        }
+        // The first seven decoded before the codec was generated: a unit
+        // variant took any payload, and `Pause.micros` was cast from i64.
+        let cases: [(&str, Rejects); 11] = [
+            (r#"{"True":1}"#, rejects::<Pred>),
+            (r#"{"False":null}"#, rejects::<Pred>),
+            (r#"{"True":{}}"#, rejects::<RowPred>),
+            (r#"{"NoWrites":0}"#, rejects::<Step>),
+            (r#"{"Falsum":[]}"#, rejects::<Refutation>),
+            (r#"{"Strings":"x"}"#, rejects::<Refutation>),
+            (r#"{"Pause":{"micros":-1}}"#, rejects::<Stmt>),
+            (r#"{"Eq":null}"#, rejects::<CmpOp>),
+            (r#"{"Int":null}"#, rejects::<ParamKind>),
+            (r#"{"Unit":null}"#, rejects::<LemmaScope>),
+            (r#""Lemma""#, rejects::<Step>),
+        ];
+        for (text, reject) in cases {
+            assert!(reject(text), "{text} must not decode");
+        }
     }
 
     #[test]

@@ -8,13 +8,21 @@
 //!
 //! Enum payloads follow the externally-tagged convention: a unit variant
 //! prints as a bare string `"Name"`, and a variant with data prints as a
-//! single-key object `{"Name": payload}`.
+//! single-key object `{"Name": payload}` — the payload itself for one
+//! field, an array for a tuple, an object for named fields. A struct is
+//! an object with its fields in declaration order. [`codec!`] generates
+//! both directions of this encoding from one list of a type's fields or
+//! variants; its documentation lists the forms.
+//!
+//! Documents nest at most [`MAX_DEPTH`] arrays and objects deep, so every
+//! recursion over a parsed value is bounded.
 
+mod codec;
 mod parse;
 mod print;
 mod traits;
 
-pub use parse::from_str_value;
+pub use parse::{from_str_value, MAX_DEPTH};
 pub use traits::{FromJson, ToJson};
 
 use std::collections::BTreeMap;
@@ -223,6 +231,18 @@ mod tests {
     }
 
     #[test]
+    fn nesting_is_bounded() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str_value(&nest(MAX_DEPTH)).is_ok());
+        let too_deep = from_str_value(&nest(MAX_DEPTH + 1)).expect_err("one past the bound");
+        assert!(too_deep.to_string().contains("nesting deeper than"), "{too_deep}");
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(from_str_value(&objects).is_err());
+        // Unterminated, far past the bound: an error, not a stack overflow.
+        assert!(from_str_value(&"[".repeat(100_000)).is_err());
+    }
+
+    #[test]
     fn tagged_decoding() {
         let unit = Json::str("True");
         assert_eq!(unit.as_tagged().unwrap(), ("True", &Json::Null));
@@ -230,6 +250,43 @@ mod tests {
         let (tag, payload) = data.as_tagged().unwrap();
         assert_eq!(tag, "Const");
         assert_eq!(payload.as_int(), Some(3));
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Form {
+        Unit,
+        One(u64),
+        Two(i64, String),
+        Rec { a: i64, b: bool },
+        Bare { name: String },
+    }
+    crate::codec! {
+        enum Form { Unit, One(x), Two(a, b), Rec { a, b }, #[bare] Bare { name } }
+    }
+
+    #[test]
+    fn codec_decodes_only_its_own_shapes() {
+        for (text, want) in [
+            (r#""Unit""#, Ok(Form::Unit)),
+            (r#"{"One":7}"#, Ok(Form::One(7))),
+            (r#"{"Two":[-1,"s"]}"#, Ok(Form::Two(-1, "s".into()))),
+            (r#"{"Rec":{"b":true,"a":2,"extra":0}}"#, Ok(Form::Rec { a: 2, b: true })),
+            (r#"{"Bare":"n"}"#, Ok(Form::Bare { name: "n".into() })),
+            (r#"{"Unit":null}"#, Err("Form variant `Unit` takes no payload")),
+            (r#""One""#, Err("Form variant `One` needs a payload")),
+            (r#"{"One":-7}"#, Err("integer -7 out of range")),
+            (r#"{"Two":[1]}"#, Err("expected 2-element array, got array")),
+            (r#"{"Rec":{"a":2}}"#, Err("missing field `b`")),
+            (r#"{"Bare":{"name":"n"}}"#, Err("expected string, got object")),
+            (r#""Nope""#, Err("unknown Form variant `Nope`")),
+            (r#"{"One":1,"Two":2}"#, Err("expected enum tag (string or 1-key object), got object")),
+        ] {
+            let got = from_str::<Form>(text).map_err(|e| e.to_string());
+            assert_eq!(got, want.map_err(str::to_string), "{text}");
+            if let Ok(v) = got {
+                assert_eq!(from_str::<Form>(&to_string(&v)), Ok(v), "{text} round trip");
+            }
+        }
     }
 
     #[test]

@@ -2,9 +2,15 @@
 
 use crate::{Json, JsonError};
 
+/// The deepest nesting of arrays and objects the parser accepts. The
+/// parser, the printers and the decoders recurse once per level, so a
+/// crafted document must fail here rather than overflow the stack; the
+/// bundled artifacts nest less than a quarter as deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document; trailing non-whitespace is an error.
 pub fn from_str_value(s: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: s.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -17,6 +23,8 @@ pub fn from_str_value(s: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -60,8 +68,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') | Some(b'f') => {
                 if self.eat_keyword("true") {
@@ -82,6 +90,19 @@ impl<'a> Parser<'a> {
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {

@@ -52,7 +52,7 @@ macro_rules! impl_int_json {
     )*};
 }
 
-impl_int_json!(i8, i16, i32, i64, u8, u16, u32, usize);
+impl_int_json!(i8, i16, i32, i64, u8, u16, u32, u64, usize);
 
 impl ToJson for String {
     fn to_json(&self) -> Json {

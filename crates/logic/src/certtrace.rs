@@ -86,6 +86,16 @@ pub struct UnsatProof {
     pub branches: Vec<Refutation>,
 }
 
+semcc_json::codec! {
+    enum FmStep {
+        Combine { upper, lower, var, mult_upper, mult_lower },
+        Tighten { src, divisor },
+    }
+    struct FmTrace { steps, contradiction }
+    enum Refutation { Falsum, #[bare] Bool { atom }, Strings, Linear(trace) }
+    struct UnsatProof { branches }
+}
+
 /// One literal of a fully-expanded DNF branch.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Lit {

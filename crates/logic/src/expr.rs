@@ -104,6 +104,11 @@ pub enum Expr {
     Neg(Box<Expr>),
 }
 
+semcc_json::codec! {
+    enum Var { Db(name), Local(name), Param(name), Logical(name) }
+    enum Expr { Const(v), Var(v), Add(a, b), Sub(a, b), Mul(a, b), Neg(a) }
+}
+
 impl Expr {
     /// Integer literal expression.
     pub fn int(v: i64) -> Self {

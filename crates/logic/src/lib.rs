@@ -22,7 +22,6 @@ pub mod certtrace;
 pub mod expr;
 pub mod footprint;
 pub mod hash;
-pub mod jsonio;
 pub mod linear;
 pub mod parser;
 pub mod pred;

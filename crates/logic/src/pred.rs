@@ -268,6 +268,32 @@ pub enum Pred {
     Table(TableAtom),
 }
 
+semcc_json::codec! {
+    enum CmpOp { Eq, Ne, Lt, Le, Gt, Ge }
+    enum StrTerm { Const(s), Var(v) }
+    struct TableRegion { table, #[opt] region, #[opt] columns }
+    struct OpaqueAtom { name, reads_items, reads_tables }
+    enum TableAtom {
+        AllRows { table, constraint },
+        CountEq { table, filter, value },
+        Exists { table, filter },
+        NotExists { table, filter },
+        SnapshotEq { table, filter, name },
+    }
+    enum Pred {
+        True,
+        False,
+        Cmp(op, lhs, rhs),
+        StrCmp { eq, lhs, rhs },
+        Not(p),
+        And(ps),
+        Or(ps),
+        Implies(a, b),
+        Opaque(atom),
+        Table(atom),
+    }
+}
+
 impl Pred {
     /// `lhs op rhs`
     pub fn cmp(op: CmpOp, lhs: impl Into<Expr>, rhs: impl Into<Expr>) -> Pred {
@@ -528,5 +554,55 @@ mod tests {
         assert!(s.contains("bal >= 0"));
         assert!(s.contains("?BAL"));
         assert!(s.contains("@dep"));
+    }
+
+    fn roundtrip<T: semcc_json::ToJson + semcc_json::FromJson + PartialEq + fmt::Debug>(v: &T) {
+        let text = semcc_json::to_string_pretty(v);
+        let back: T = semcc_json::from_str(&text).expect("parse back");
+        assert_eq!(&back, v);
+    }
+
+    #[test]
+    fn expr_roundtrips() {
+        let e = Expr::param("n")
+            .add(Expr::Const(3).mul(Expr::db("bal")))
+            .sub(Expr::Neg(Box::new(Expr::local("t"))));
+        roundtrip(&e);
+    }
+
+    #[test]
+    fn pred_roundtrips() {
+        use crate::row::RowExpr;
+        let p = Pred::And(vec![
+            Pred::ge(Expr::db("sav"), Expr::Const(0)),
+            Pred::Or(vec![
+                Pred::True,
+                Pred::Not(Box::new(Pred::Cmp(CmpOp::Ne, Expr::param("a"), Expr::Const(1)))),
+            ]),
+            Pred::StrCmp {
+                eq: true,
+                lhs: StrTerm::Var(Var::param("cust")),
+                rhs: StrTerm::Const("alice".into()),
+            },
+            Pred::Table(TableAtom::CountEq {
+                table: "orders".into(),
+                filter: RowPred::Cmp(
+                    CmpOp::Eq,
+                    RowExpr::Field("cust".into()),
+                    RowExpr::Outer(Expr::param("c")),
+                ),
+                value: Expr::local("n"),
+            }),
+            Pred::Opaque(OpaqueAtom {
+                name: "no_gap".into(),
+                reads_items: vec!["next".into()],
+                reads_tables: vec![TableRegion {
+                    table: "orders".into(),
+                    region: Some(RowPred::True),
+                    columns: Some(vec!["id".into()]),
+                }],
+            }),
+        ]);
+        roundtrip(&p);
     }
 }

@@ -112,6 +112,11 @@ pub enum RowPred {
     Or(Vec<RowPred>),
 }
 
+semcc_json::codec! {
+    enum RowExpr { Field(c), Int(v), Str(s), Outer(e), Add(a, b), Sub(a, b), Mul(a, b) }
+    enum RowPred { True, False, Cmp(op, lhs, rhs), Not(p), And(ps), Or(ps) }
+}
+
 impl RowPred {
     /// Comparison constructor.
     pub fn cmp(op: CmpOp, lhs: RowExpr, rhs: RowExpr) -> Self {

@@ -21,6 +21,7 @@
 use crate::prune::rename_row;
 use semcc_core::{Analyzer, App};
 use semcc_engine::IsolationLevel;
+use semcc_json::{Json, ToJson};
 use semcc_logic::row::RowPred;
 use semcc_logic::Pred;
 use semcc_txn::stmt::Stmt;
@@ -44,6 +45,21 @@ pub struct DeadlockAdvisory {
     pub chain: Vec<String>,
     /// One-line summary.
     pub message: String,
+}
+
+/// The object `lint --json` and the admission-policy artifact both carry.
+impl ToJson for DeadlockAdvisory {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("code", self.code.to_json()),
+            ("a", self.a.to_json()),
+            ("b", self.b.to_json()),
+            ("level_a", Json::str(self.level_a.name())),
+            ("level_b", Json::str(self.level_b.name())),
+            ("chain", self.chain.to_json()),
+            ("message", self.message.to_json()),
+        ])
+    }
 }
 
 /// What a lock covers.

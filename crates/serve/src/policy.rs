@@ -14,7 +14,7 @@
 
 use semcc_engine::IsolationLevel;
 use semcc_json::Json;
-use semcc_synth::policy::{verify_policy_digest, POLICY_DIGEST_FIELD};
+use semcc_synth::policy::{verify_policy_digest, PolicyAssignment, POLICY_DIGEST_FIELD};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -84,10 +84,6 @@ pub struct AdmissionPolicy {
     types: BTreeMap<String, (TypePolicy, String)>,
 }
 
-fn field<'a>(fields: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
 impl AdmissionPolicy {
     /// Build a policy from an already-parsed artifact. Verifies the
     /// self-digest first; `origin` labels errors (usually the file path).
@@ -95,43 +91,26 @@ impl AdmissionPolicy {
         verify_policy_digest(artifact)
             .map_err(|error| PolicyError::Digest { path: origin.to_string(), error })?;
         let malformed = |error: String| PolicyError::Malformed { path: origin.to_string(), error };
-        let Json::Obj(fields) = artifact else {
-            return Err(malformed("not a JSON object".into()));
-        };
-        match field(fields, "artifact") {
-            Some(Json::Str(tag)) if tag == POLICY_ARTIFACT => {}
-            other => {
-                return Err(malformed(format!(
-                    "`artifact` must be \"{POLICY_ARTIFACT}\", got {other:?}"
-                )))
-            }
+        let tag = artifact.get("artifact").and_then(Json::as_str);
+        if tag != Some(POLICY_ARTIFACT) {
+            return Err(malformed(format!(
+                "`artifact` must be \"{POLICY_ARTIFACT}\", got {tag:?}"
+            )));
         }
-        let Some(Json::Str(app)) = field(fields, "app") else {
-            return Err(malformed("missing string field `app`".into()));
-        };
-        let Some(Json::Str(digest)) = field(fields, POLICY_DIGEST_FIELD) else {
-            unreachable!("verify_policy_digest guarantees the digest field");
-        };
-        let Some(Json::Arr(assignments)) = field(fields, "assignments") else {
-            return Err(malformed("missing array field `assignments`".into()));
-        };
+        let app: String = artifact.field("app").map_err(|e| malformed(e.to_string()))?;
+        let digest = artifact
+            .get(POLICY_DIGEST_FIELD)
+            .and_then(Json::as_str)
+            .expect("verify_policy_digest guarantees the digest field");
+        let assignments: Vec<PolicyAssignment> =
+            artifact.field("assignments").map_err(|e| malformed(e.to_string()))?;
         let mut types = BTreeMap::new();
-        for a in assignments {
-            let Json::Obj(entry) = a else {
-                return Err(malformed("assignment entries must be objects".into()));
-            };
-            let Some(Json::Str(txn)) = field(entry, "txn") else {
-                return Err(malformed("assignment missing string field `txn`".into()));
-            };
-            let Some(Json::Str(level_name)) = field(entry, "level") else {
-                return Err(malformed(format!("assignment for `{txn}` missing `level`")));
-            };
-            let Some(level) = IsolationLevel::from_name(level_name) else {
+        for PolicyAssignment { txn, level: name, snapshot_ok } in assignments {
+            let Some(level) = IsolationLevel::from_name(&name) else {
                 return Err(malformed(format!(
-                    "assignment for `{txn}` names unknown level `{level_name}`"
+                    "assignment for `{txn}` names unknown level `{name}`"
                 )));
             };
-            let snapshot_ok = matches!(field(entry, "snapshot_ok"), Some(Json::Bool(true)));
             if types.insert(txn.clone(), (TypePolicy { level, snapshot_ok }, app.clone())).is_some()
             {
                 return Err(malformed(format!("type `{txn}` assigned twice")));
@@ -141,7 +120,7 @@ impl AdmissionPolicy {
             return Err(malformed("artifact assigns no transaction types".into()));
         }
         Ok(AdmissionPolicy {
-            sources: vec![PolicySource { app: app.clone(), digest: digest.clone() }],
+            sources: vec![PolicySource { app, digest: digest.to_string() }],
             types,
         })
     }
@@ -223,7 +202,21 @@ impl AdmissionPolicy {
 #[cfg(test)]
 pub(crate) mod tests_support {
     use super::*;
+    use semcc_json::ToJson;
     use semcc_synth::policy::seal_policy;
+
+    /// The `assignments` list of `entries`, `(txn, level name, snapshot_ok)`.
+    pub fn assignments(entries: &[(&str, &str, bool)]) -> Json {
+        let entries: Vec<PolicyAssignment> = entries
+            .iter()
+            .map(|(t, l, s)| PolicyAssignment {
+                txn: t.to_string(),
+                level: l.to_string(),
+                snapshot_ok: *s,
+            })
+            .collect();
+        entries.to_json()
+    }
 
     /// A minimal, correctly sealed artifact for unit tests.
     pub fn sealed_artifact(app: &str, entries: &[(&str, &str, bool)]) -> Json {
@@ -231,21 +224,7 @@ pub(crate) mod tests_support {
             ("app", Json::str(app)),
             ("artifact", Json::str(POLICY_ARTIFACT)),
             ("version", Json::Int(1)),
-            (
-                "assignments",
-                Json::Arr(
-                    entries
-                        .iter()
-                        .map(|(t, l, s)| {
-                            Json::obj([
-                                ("txn", Json::str(*t)),
-                                ("level", Json::str(*l)),
-                                ("snapshot_ok", Json::Bool(*s)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("assignments", assignments(entries)),
         ]))
     }
 
@@ -258,7 +237,7 @@ pub(crate) mod tests_support {
 
 #[cfg(test)]
 mod tests {
-    use super::tests_support::sealed_artifact as artifact;
+    use super::tests_support::{assignments, sealed_artifact as artifact};
     use super::*;
     use semcc_synth::policy::seal_policy;
 
@@ -289,11 +268,7 @@ mod tests {
             if k == "assignments" {
                 // Downgrade the assigned level after sealing: the classic
                 // attack the digest gate exists to stop.
-                *v = Json::Arr(vec![Json::obj([
-                    ("txn", Json::str("Withdraw_sav")),
-                    ("level", Json::str("READ UNCOMMITTED")),
-                    ("snapshot_ok", Json::Bool(false)),
-                ])]);
+                *v = assignments(&[("Withdraw_sav", "READ UNCOMMITTED", false)]);
             }
         }
         let err = AdmissionPolicy::from_json(&Json::Obj(fields), "test").expect_err("tampered");
@@ -309,6 +284,22 @@ mod tests {
         let sealed = seal_policy(Json::obj([("app", Json::str("x"))]));
         let err = AdmissionPolicy::from_json(&sealed, "test").expect_err("no artifact tag");
         assert!(matches!(err, PolicyError::Malformed { .. }), "got: {err}");
+
+        // An entry without `snapshot_ok` is malformed, not `false`.
+        let sealed = seal_policy(Json::obj([
+            ("app", Json::str("x")),
+            ("artifact", Json::str(POLICY_ARTIFACT)),
+            (
+                "assignments",
+                Json::Arr(vec![Json::obj([
+                    ("txn", Json::str("T")),
+                    ("level", Json::str("SERIALIZABLE")),
+                ])]),
+            ),
+        ]));
+        let err = AdmissionPolicy::from_json(&sealed, "test").expect_err("no snapshot_ok");
+        assert!(matches!(err, PolicyError::Malformed { .. }), "got: {err}");
+        assert!(err.to_string().contains("missing field `snapshot_ok`"), "got: {err}");
     }
 
     #[test]

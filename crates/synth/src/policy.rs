@@ -12,7 +12,7 @@
 use crate::{ladder_only, Synthesis, SNAP, SSI};
 use semcc_cert::{Certificate, LemmaDecl, MinimalVectorCert, PredecessorCert};
 use semcc_core::{App, Assignment, LemmaScope};
-use semcc_json::{to_string_pretty, Json};
+use semcc_json::{to_string_pretty, Json, ToJson};
 use semcc_refine::DeadlockAdvisory;
 
 /// Package the synthesis into the certificate's `synth` section: one
@@ -126,16 +126,20 @@ pub fn verify_policy_digest(policy: &Json) -> Result<(), String> {
     Ok(())
 }
 
-fn advisory_json(a: &DeadlockAdvisory) -> Json {
-    Json::obj([
-        ("code", Json::str(&a.code)),
-        ("a", Json::str(&a.a)),
-        ("b", Json::str(&a.b)),
-        ("level_a", Json::str(a.level_a.name())),
-        ("level_b", Json::str(a.level_b.name())),
-        ("chain", Json::Arr(a.chain.iter().map(Json::str).collect())),
-        ("message", Json::str(&a.message)),
-    ])
+/// One entry of the artifact's `assignments` list: the level a
+/// transaction type is admitted at, by display name.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PolicyAssignment {
+    /// Transaction type.
+    pub txn: String,
+    /// The assigned level's display name (`IsolationLevel::name`).
+    pub level: String,
+    /// Whether the type is additionally safe under SNAPSHOT.
+    pub snapshot_ok: bool,
+}
+
+semcc_json::codec! {
+    struct PolicyAssignment { txn, level, snapshot_ok }
 }
 
 /// Build the admission-policy artifact. `assignments` is the greedy
@@ -152,16 +156,14 @@ pub fn policy_json(
     let snapshot_ok = |txn: &str| {
         assignments.iter().find(|a| a.txn == txn).map(|a| a.snapshot_ok).unwrap_or(false)
     };
-    let assigned: Vec<Json> = syn
+    let assigned: Vec<PolicyAssignment> = syn
         .txns
         .iter()
         .zip(&primary.levels)
-        .map(|(t, l)| {
-            Json::obj([
-                ("txn", Json::str(t)),
-                ("level", Json::str(l.name())),
-                ("snapshot_ok", Json::Bool(snapshot_ok(t))),
-            ])
+        .map(|(t, l)| PolicyAssignment {
+            txn: t.clone(),
+            level: l.name().to_string(),
+            snapshot_ok: snapshot_ok(t),
         })
         .collect();
     let minimal: Vec<Json> = syn
@@ -226,9 +228,9 @@ pub fn policy_json(
         ("app", Json::str(name)),
         ("artifact", Json::str("semcc-admission-policy")),
         ("version", Json::Int(1)),
-        ("assignments", Json::Arr(assigned)),
+        ("assignments", assigned.to_json()),
         ("minimal_vectors", Json::Arr(minimal)),
-        ("deadlock_advisories", Json::Arr(advisories.iter().map(advisory_json).collect())),
+        ("deadlock_advisories", advisories.to_json()),
         ("certificate_digest", Json::str(cert_digest)),
         ("search", search),
     ]))

@@ -26,6 +26,10 @@ pub enum ColExpr {
     Mul(Box<ColExpr>, Box<ColExpr>),
 }
 
+semcc_json::codec! {
+    enum ColExpr { Int(v), Str(s), Field(c), Outer(e), Add(a, b), Sub(a, b), Mul(a, b) }
+}
+
 impl ColExpr {
     /// Field reference.
     pub fn field(name: impl Into<String>) -> Self {

@@ -17,7 +17,6 @@
 pub mod colexpr;
 pub mod evalpred;
 pub mod interp;
-pub mod jsonio;
 pub mod monitor;
 pub mod program;
 pub mod stmt;

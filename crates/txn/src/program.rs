@@ -38,6 +38,11 @@ pub struct Program {
     pub body: Vec<AStmt>,
 }
 
+semcc_json::codec! {
+    enum ParamKind { Int, Str }
+    struct Program { name, params, consistency, param_cond, result, snapshot_read_post, body }
+}
+
 impl Program {
     /// All annotated statements, depth-first.
     pub fn all_stmts(&self) -> Vec<&AStmt> {

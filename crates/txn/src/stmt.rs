@@ -191,6 +191,26 @@ pub struct AStmt {
     pub post: Pred,
 }
 
+semcc_json::codec! {
+    struct ItemRef { base, #[opt] index }
+    enum Stmt {
+        ReadItem { item, into },
+        WriteItem { item, value },
+        WriteItemMax { item, value },
+        LocalAssign { local, value },
+        If { guard, then_branch, else_branch },
+        While { guard, body },
+        Select { table, filter, into },
+        SelectCount { table, filter, into },
+        SelectValue { table, filter, column, into },
+        Update { table, filter, sets },
+        Insert { table, values },
+        Delete { table, filter },
+        Pause { micros },
+    }
+    struct AStmt { stmt, pre, post }
+}
+
 impl AStmt {
     /// An annotated statement.
     pub fn new(stmt: Stmt, pre: Pred, post: Pred) -> Self {
@@ -253,5 +273,36 @@ mod tests {
     fn item_ref_display() {
         assert_eq!(ItemRef::plain("sav").to_string(), "sav");
         assert_eq!(ItemRef::indexed("acct", Expr::param("i")).to_string(), "acct[@i]");
+    }
+
+    #[test]
+    fn stmt_roundtrips() {
+        use semcc_logic::{CmpOp, RowExpr};
+        let stmts = vec![
+            Stmt::ReadItem { item: ItemRef { base: "sav".into(), index: None }, into: "S".into() },
+            Stmt::WriteItem {
+                item: ItemRef { base: "bal".into(), index: Some(Expr::param("i")) },
+                value: Expr::local("S").sub(Expr::param("n")),
+            },
+            Stmt::Update {
+                table: "emp".into(),
+                filter: RowPred::Cmp(
+                    CmpOp::Eq,
+                    RowExpr::Field("name".into()),
+                    RowExpr::Outer(Expr::param("e")),
+                ),
+                sets: vec![("hrs".into(), ColExpr::field("hrs").add(ColExpr::Int(1)))],
+            },
+            Stmt::Insert {
+                table: "orders".into(),
+                values: vec![ColExpr::Int(1), ColExpr::Str("x".into())],
+            },
+            Stmt::Pause { micros: 250 },
+        ];
+        for s in stmts {
+            let text = semcc_json::to_string(&s);
+            let back: Stmt = semcc_json::from_str(&text).expect("parse");
+            assert_eq!(back, s);
+        }
     }
 }
