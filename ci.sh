@@ -124,10 +124,11 @@ fi
 echo "   lint --levels SSI sweep: all-SSI clean, mixed degraded, verdict-stable"
 
 echo "== parallel determinism (explore --jobs 8 byte-matches --jobs 1) =="
-# The work-sharing frontier must be invisible in the output: the full JSON
-# report — schedule counts, verdicts, step-by-step divergent witnesses —
-# must be byte-identical at any worker count. Exit 1 (divergence found) is
-# the expected verdict on the RU/SI cells; only exit 2 fails the gate.
+# The subtree split must be invisible in the output: the full JSON report
+# — schedule counts, replays and events, verdicts, step-by-step divergent
+# witnesses — must be byte-identical at any worker count. Exit 1
+# (divergence found) is the expected verdict on the RU/SI cells; only
+# exit 2 fails the gate.
 jobs_match() {
     rc=0
     cargo run -q -p semcc-cli -- explore "$@" --jobs 1 --json \
@@ -159,7 +160,11 @@ jobs_match "$tmpdir/banking.json" \
     --txns Withdraw_sav,Withdraw_ch --levels SI,SI
 jobs_match "$tmpdir/banking.json" \
     --txns Withdraw_sav,Withdraw_ch --levels SSI,SSI
-echo "   explore: byte-identical JSON at jobs 1 vs 8 (Examples 2 & 3 + sweep + SSI)"
+# A truncated run: the --max-schedules cut is a pre-order position, so
+# where it falls must not move with the worker count either.
+jobs_match "$tmpdir/payroll.json" \
+    --txns Hours,Print_Records,Payroll_Report --levels RU,RU,RU --max-schedules 5
+echo "   explore: byte-identical JSON at jobs 1 vs 8 (Examples 2 & 3 + sweep + SSI + truncated)"
 
 echo "== whole-mix synthesis (Figures 2-5, policy determinism, certificates) =="
 # The primary Pareto-minimal vector must project to the paper's per-type

@@ -5,7 +5,7 @@
 //! The workload is the payroll Example 2 trio — two `Hours` instances
 //! racing a `Print_Records` — explored at every isolation level through
 //! [`explore_sweep`]: the six level vectors fan out over the workers, and
-//! each cell's DPOR frontier replays on worker-local engines. The
+//! each cell's DPOR tree is walked on a worker-local engine. The
 //! determinism contract is checked, not assumed: every row's merged
 //! results must render identically to the `jobs = 1` baseline.
 //!
@@ -33,8 +33,8 @@ fn fingerprint(cells: &[(Vec<semcc_explore::TxnSpec>, ExploreResult)]) -> String
 fn main() {
     println!("parallel scaling — 3-txn payroll exploration sweep across all 6 levels\n");
     println!("workload: Hours, Hours, Print_Records (Example 2 with a second writer);");
-    println!("the six level vectors fan out over --jobs workers, every DPOR prefix");
-    println!("replays on a worker-local engine, results merge in canonical order.");
+    println!("the six level vectors fan out over --jobs workers, each DPOR tree is");
+    println!("walked on a worker-local engine, results merge in canonical order.");
     println!("`identical` compares every result field against the jobs=1 baseline.\n");
 
     let app = payroll::app();

@@ -1021,8 +1021,8 @@ fn print_explore(r: &ExploreResult, d: &Differential, refined: bool) {
         println!("  dependence: prover-refined (semcc-refine)");
     }
     println!(
-        "  events: {}   naive interleavings: {}   engine replays: {}",
-        r.total_events, r.naive_schedules, r.replays
+        "  events: {}   naive interleavings: {}   engine replays: {}   events executed: {}",
+        r.total_events, r.naive_schedules, r.replays, r.events
     );
     println!(
         "  executed: {}   blocked: {}   pruned: {} ({:.1}x)",
@@ -1103,6 +1103,7 @@ fn explore_json(r: &ExploreResult, d: &Differential, refined: bool) -> Json {
         ("blocked", Json::Int(r.blocked as i64)),
         ("infeasible", Json::Int(r.infeasible as i64)),
         ("replays", Json::Int(r.replays as i64)),
+        ("events", Json::Int(r.events as i64)),
         ("pruned", Json::Int(i64::try_from(r.pruned()).unwrap_or(i64::MAX))),
         ("serial_orders", Json::Int(r.serial_orders as i64)),
         ("divergent", Json::Int(r.divergent as i64)),

@@ -12,30 +12,42 @@
 //!
 //! ## Execution
 //!
-//! Exploration is stateless (Flanagan–Godefroid): every prefix is
-//! re-executed from scratch on an engine via [`Engine::reset`] +
-//! re-seeding, with `lock_timeout = 0` so a conflicting lock acquisition
-//! fails instantly instead of waiting for a peer that can never run. A
-//! prefix the engine refuses (lock conflict, FCW validation failure) is
-//! counted *blocked* and its subtree abandoned — the concurrency control
-//! forbade that interleaving, which is evidence, not error.
+//! The tree is walked depth-first over **live state**. A worker keeps one
+//! engine and the instances' `Stepper`s alive, executes the next event on
+//! that state, and observes a completed schedule (`observe` +
+//! `detect_anomalies`) where it stands, with no replay. The state is
+//! restored only before a node's second and later attempts (the first
+//! attempt moved it off the node), which also covers every refused event:
+//! the steppers are dropped first, so their aborts land on the old state,
+//! then the engine is [`Engine::reset`], re-seeded, and the node's prefix
+//! re-executed. Engines run with `lock_timeout = 0`, so a conflicting lock
+//! acquisition fails instantly instead of waiting for a peer that can
+//! never run. An event the engine refuses (lock conflict, FCW validation
+//! failure) is counted *blocked* and its subtree abandoned — the
+//! concurrency control forbade that interleaving, which is evidence, not
+//! error.
 //!
 //! ## Parallelism
 //!
-//! The DPOR tree is expanded as a **work-sharing frontier**: each tree
-//! node — a validated prefix plus its per-transaction positions and sleep
-//! set — is a self-contained work unit, because the children of a node
-//! (which sibling events to try, which stay asleep, which prefixes the
-//! engine refuses) are a pure function of the node and the deterministic
-//! engine, never of any other subtree. Rounds of nodes are drained by
-//! [`ExploreOptions::jobs`] workers via `semcc_par::ordered_map_with`,
-//! each replaying prefixes on its **own** `Engine` ([`Engine::reset`]
-//! reproduces ids and timestamps exactly, so worker engines are
-//! interchangeable). Worker outputs are merged back **in canonical node
-//! order** on the coordinating thread — counters, divergent examples, and
-//! truncation decisions all happen in that single deterministic merge —
-//! so the result is bit-for-bit identical at `jobs = 1` and `jobs = N`.
-//! `jobs = 1` runs through the identical frontier/merge code path.
+//! Which events a node tries and which stay asleep depends on the node's
+//! positions and sleep set alone; the engine only prunes the tree, by
+//! refusing events. So the tree is cut into subtrees before anything
+//! executes: the unexecuted tree is expanded level by level until its
+//! frontier holds at least `SUBTREES` nodes, a constant — the cut never
+//! reads [`ExploreOptions::jobs`]. Each subtree is restored once and
+//! walked depth-first by one of `jobs` workers via
+//! `semcc_par::ordered_map_with`, each on its **own** `Engine`
+//! ([`Engine::reset`] reproduces ids and timestamps exactly, so worker
+//! engines are interchangeable). All the subtrees below one refused event
+//! report that refusal; the merge counts it once.
+//!
+//! Outcomes are merged on the calling thread in **pre-order**, and the
+//! [`ExploreOptions::max_schedules`] cut is a pre-order position, so every
+//! result field — `replays` and `events` included — is identical at any
+//! job count. Untruncated counts are order-free sums, and the leaves
+//! arrive in pre-order, which is also the breadth-first leaf order,
+//! because every leaf has depth `total_events`. At `jobs = 1` the map runs
+//! on the calling thread: no thread is spawned and one engine is built.
 //!
 //! ## Pruning
 //!
@@ -99,16 +111,15 @@ pub struct ExploreOptions {
     /// erased* — the executable form of Theorem 1's rollback-write
     /// obligation.
     pub injected_abort: Option<(usize, usize)>,
-    /// Engine lock-wait budget during replays. The default `ZERO` is what
-    /// stateless exploration wants (each prefix is replayed by a single
-    /// stepper thread, so a conflicting acquisition can never be released
-    /// by a peer and must fail instantly); a nonzero value is only useful
-    /// for measuring timeout-abort behaviour.
+    /// Engine lock-wait budget. The default `ZERO` is what the walk wants
+    /// (each schedule is executed by a single thread, so a conflicting
+    /// acquisition can never be released by a peer and must fail
+    /// instantly); a nonzero value is only useful for measuring
+    /// timeout-abort behaviour.
     pub lock_timeout: Duration,
-    /// Worker threads draining the DPOR frontier (and the serial-order
+    /// Worker threads walking the DPOR subtrees (and the serial-order
     /// reference replays). Any value produces **bit-for-bit identical**
-    /// results; `jobs = 1` (the default) runs the same frontier/merge
-    /// code path on a single worker.
+    /// results; `jobs = 1` (the default) walks on the calling thread.
     pub jobs: usize,
     /// Use the prover-refined dependence relation for DPOR: run the
     /// `semcc-refine` pruning pass over the explored types' dependency
@@ -168,8 +179,12 @@ pub struct ExploreResult {
     /// Prefixes failing with a non-abort programming error (e.g. an empty
     /// `SELECT INTO`); should be 0 for well-formed inputs.
     pub infeasible: u64,
-    /// Engine replays performed (prefix validations + full re-runs).
+    /// Engine resets: one per serial order, one per subtree, and one per
+    /// restore inside the walk.
     pub replays: u64,
+    /// Begin, statement, commit and abort events the tree walk executed on
+    /// an engine, restores included and serial orders excluded.
+    pub events: u64,
     /// Completed schedules whose observation matches no serial order.
     pub divergent: u64,
     /// Up to [`MAX_DIVERGENT_EXAMPLES`] concrete divergent schedules.
@@ -236,8 +251,7 @@ pub fn explore(
     }
     let ctx = Ctx::new(app, specs, opts.clone());
     let mut acc = Acc::default();
-    run_serial_orders(&ctx, &mut acc);
-    run_frontier(&ctx, &mut acc);
+    run(&ctx, &mut acc);
     Ok(acc.into_result(ctx))
 }
 
@@ -333,19 +347,20 @@ enum ReplayError {
     Infeasible,
 }
 
-/// Classify a failed replay step. With the default `lock_timeout: ZERO`,
-/// an `EngineError` Timeout is **not** a spurious fault of the worker's
+/// Classify a refused event. With the default `lock_timeout: ZERO`, an
+/// `EngineError` Timeout is **not** a spurious fault of the worker's
 /// private engine: it is the instant refusal of a conflicting lock
-/// acquisition (the single replaying thread can never have a peer release
+/// acquisition (the single executing thread can never have a peer release
 /// a lock while it waits), and a genuine deadlock victimization is the
 /// same verdict reached through the wait-for graph instead of the clock.
 /// Both — like an FCW validation loss — mean "the concurrency control
-/// forbade this interleaving" and classify the *prefix* as Blocked.
-/// Everything non-abort is a programming error: Infeasible.
+/// forbade this interleaving" and classify the *prefix* ending in the
+/// event as Blocked. Everything non-abort is a programming error:
+/// Infeasible.
 ///
-/// A prefix whose replay fails never yields a child node or a completed
-/// schedule, so no interleaving can be counted both blocked and explored;
-/// the merge step re-checks that conservation globally.
+/// A refused event never yields a child node or a completed schedule, so
+/// no interleaving can be counted both blocked and explored; the merge
+/// step re-checks that conservation globally.
 fn classify(e: &EngineError) -> ReplayError {
     if e.is_abort() {
         ReplayError::Blocked
@@ -506,31 +521,104 @@ impl Refined {
     }
 }
 
-/// One DPOR tree node: a prefix the parent validated as executable, the
-/// per-transaction event positions it implies, and the sleep set at this
-/// node. Self-contained: expanding it needs nothing from any other
-/// subtree, which is what makes nodes shareable work units.
+/// Nodes the tree is cut into before the walk (see the module docs). A
+/// constant, so the cut — and with it every count — is the same at any
+/// job count.
+const SUBTREES: usize = 8;
+
+/// One DPOR tree node: a prefix, the per-transaction event positions it
+/// implies, and the sleep set at this node.
 struct Node {
     prefix: Vec<(usize, usize)>,
     pos: Vec<usize>,
     sleep: Vec<bool>,
 }
 
-/// What one worker produced for one frontier node, in canonical order.
-enum NodeOut {
-    /// All events scheduled: the observing replay of the full schedule.
-    Leaf(Result<(Observation, Vec<AnomalyKind>), ReplayError>),
-    /// `max_depth` reached with events remaining: subtree abandoned.
-    Depth,
-    /// Child attempts in explore-set order (one validation replay each).
-    Inner(Vec<ChildOut>),
+impl Node {
+    fn root(k: usize) -> Node {
+        Node { prefix: Vec::new(), pos: vec![0; k], sleep: vec![false; k] }
+    }
+
+    /// The node after `t`'s next event, with sleep set `sleep`.
+    fn child(&self, t: usize, sleep: Vec<bool>) -> Node {
+        let mut prefix = self.prefix.clone();
+        prefix.push((t, self.pos[t]));
+        let mut pos = self.pos.clone();
+        pos[t] += 1;
+        Node { prefix, pos, sleep }
+    }
 }
 
-enum ChildOut {
-    /// The extended prefix replayed cleanly: a new frontier node.
-    Child(Node),
-    /// The engine refused the extended prefix.
+/// A node of the tree as the dependence relation alone shapes it.
+enum Shape {
+    /// All events scheduled: a completed schedule.
+    Leaf,
+    /// `max_depth` reached with events remaining: subtree abandoned.
+    Depth,
+    /// The awake members of the explore set in order, each with the sleep
+    /// set its child starts from.
+    Inner(Vec<(usize, Vec<bool>)>),
+}
+
+/// What the walk met, in pre-order.
+enum Outcome {
+    /// A completed schedule, observed on the live state; `obs` indexes
+    /// [`Walked::observations`].
+    Leaf { steps: Vec<(usize, usize)>, obs: usize, kinds: Vec<AnomalyKind> },
+    /// The engine refused an event.
     Refused(ReplayError),
+    /// `max_depth` reached with events remaining.
+    Depth,
+}
+
+/// One subtree's walk.
+#[derive(Default)]
+struct Walked {
+    /// The subtree root's prefix up to the event the engine refused while
+    /// restoring it. Every subtree below that event reports the same
+    /// refusal; the merge counts it once.
+    refused: Option<Vec<(usize, usize)>>,
+    outcomes: Vec<Outcome>,
+    /// The completed schedules' distinct observations, first seen first:
+    /// most schedules of a subtree share a few, so leaves index into this.
+    observations: Vec<Observation>,
+    /// Completed and refused schedules among `outcomes`.
+    counted: u64,
+    resets: u64,
+    events: u64,
+}
+
+impl Walked {
+    fn push(&mut self, o: Outcome) {
+        if !matches!(o, Outcome::Depth) {
+            self.counted += 1;
+        }
+        self.outcomes.push(o);
+    }
+
+    fn leaf(&mut self, steps: &[(usize, usize)], obs: Observation, kinds: Vec<AnomalyKind>) {
+        let obs = match self.observations.iter().position(|o| *o == obs) {
+            Some(i) => i,
+            None => {
+                self.observations.push(obs);
+                self.observations.len() - 1
+            }
+        };
+        self.push(Outcome::Leaf { steps: steps.to_vec(), obs, kinds });
+    }
+}
+
+/// A unit of worker work.
+enum Task {
+    /// A serial reference order: each transaction's events in turn.
+    Serial(Vec<(usize, usize)>),
+    /// A subtree of the DPOR tree, walked from its root.
+    Subtree(Node),
+}
+
+enum Done {
+    Serial(Result<Observation, ReplayError>),
+    Subtree(Walked),
 }
 
 impl<'a> Ctx<'a> {
@@ -577,10 +665,10 @@ impl<'a> Ctx<'a> {
 
     /// A fresh worker-local engine. [`Engine::reset`] reproduces ids and
     /// timestamps exactly, so engines built here are interchangeable: any
-    /// worker replaying the same prefix observes the same outcome.
+    /// worker executing the same prefix observes the same outcome.
     fn new_engine(&self) -> Arc<Engine> {
         Arc::new(Engine::new(EngineConfig {
-            // Zero timeout by default: a replay is single-threaded, so no
+            // Zero timeout by default: execution is single-threaded, so no
             // peer can ever release a lock while we wait — a conflicting
             // acquire must fail instantly; that *is* the blocked verdict.
             lock_timeout: self.opts.lock_timeout,
@@ -715,53 +803,77 @@ impl<'a> Ctx<'a> {
         None
     }
 
-    // -- execution ---------------------------------------------------------
+    // -- the tree ----------------------------------------------------------
 
-    /// Re-execute `events` from the seeded initial state on the given
-    /// (reset) worker engine. With `observe`, also collect the observation
-    /// and the checker's anomaly verdicts.
-    fn replay(
-        &self,
-        engine: &Arc<Engine>,
-        events: &[(usize, usize)],
-        observe: bool,
-    ) -> Result<Option<(Observation, Vec<AnomalyKind>)>, ReplayError> {
-        let specs = self.specs;
-        engine.reset();
-        let refs: Vec<&Program> = specs.iter().map(|s| &s.program).collect();
-        seed_neutral(engine, self.app, &refs).map_err(|_| ReplayError::Infeasible)?;
-        self.apply_seed_overrides(engine).map_err(|_| ReplayError::Infeasible)?;
-        engine.history().clear();
-        let mut steppers: Vec<Option<Stepper<'a>>> = specs.iter().map(|_| None).collect();
-        for &(t, ev) in events {
-            let spec = &specs[t];
-            let r = match self.kind(t, ev) {
-                EvKind::Begin => {
-                    steppers[t] =
-                        Some(Stepper::begin(engine, &spec.program, spec.level, &spec.bindings));
-                    Ok(())
-                }
-                EvKind::Stmt(_) => {
-                    steppers[t].as_mut().expect("begin precedes steps").step().map(|_| ())
-                }
-                EvKind::Commit => {
-                    steppers[t].as_mut().expect("begin precedes commit").commit().map(|_| ())
-                }
-                EvKind::Abort => steppers[t].as_mut().expect("begin precedes abort").abort(),
-            };
-            if let Err(e) = r {
-                // Dropping the steppers aborts every open transaction.
-                return Err(classify(&e));
+    /// The tree at `node`: which events it tries and what sleeps below
+    /// each. Executes nothing, which is what lets the tree be cut into
+    /// subtrees before the walk.
+    fn shape(&self, node: &Node) -> Shape {
+        let k = self.specs.len();
+        let enabled: Vec<usize> = (0..k).filter(|&t| node.pos[t] < self.n_events[t]).collect();
+        if enabled.is_empty() {
+            return Shape::Leaf;
+        }
+        if self.opts.max_depth.is_some_and(|d| node.prefix.len() >= d) {
+            return Shape::Depth;
+        }
+        let explore_set = match self.persistent_singleton(&enabled, &node.pos) {
+            Some(t) => vec![t],
+            None => enabled,
+        };
+        let mut sleep_here = node.sleep.clone();
+        let mut branches = Vec::new();
+        for t in explore_set {
+            if sleep_here[t] {
+                continue;
+            }
+            let ev = node.pos[t];
+            // A sleeping sibling stays asleep only while its next event is
+            // independent of what just executed.
+            let sleep = (0..k)
+                .map(|u| u != t && sleep_here[u] && !self.dependent(u, node.pos[u], t, ev))
+                .collect();
+            branches.push((t, sleep));
+            sleep_here[t] = true;
+        }
+        Shape::Inner(branches)
+    }
+
+    /// Cut the tree into subtree roots, in pre-order: expand it level by
+    /// level until at least [`SUBTREES`] nodes are left or none expands.
+    /// A node with no awake branch stays a root, so every event the engine
+    /// may refuse has at least one root below it to report the refusal.
+    fn split(&self) -> Vec<Node> {
+        let mut roots = vec![Node::root(self.specs.len())];
+        while roots.len() < SUBTREES {
+            let mut grew = false;
+            roots = roots
+                .into_iter()
+                .flat_map(|n| match self.shape(&n) {
+                    Shape::Inner(branches) if !branches.is_empty() => {
+                        grew = true;
+                        branches.into_iter().map(|(t, sleep)| n.child(t, sleep)).collect()
+                    }
+                    _ => vec![n],
+                })
+                .collect();
+            if !grew {
+                break;
             }
         }
-        if !observe {
-            return Ok(None);
-        }
-        let mut kinds: Vec<AnomalyKind> =
-            detect_anomalies(&engine.history().events()).iter().map(|a| a.kind).collect();
-        kinds.sort();
-        kinds.dedup();
-        Ok(Some((self.observe(engine, &steppers), kinds)))
+        roots
+    }
+
+    // -- execution ---------------------------------------------------------
+
+    /// Reset `engine` to the seeded initial state with an empty history.
+    fn seed(&self, engine: &Arc<Engine>) -> Result<(), EngineError> {
+        engine.reset();
+        let refs: Vec<&Program> = self.specs.iter().map(|s| &s.program).collect();
+        seed_neutral(engine, self.app, &refs)?;
+        self.apply_seed_overrides(engine)?;
+        engine.history().clear();
+        Ok(())
     }
 
     /// Overwrite seeded items/row columns per the options, in one
@@ -834,61 +946,118 @@ impl<'a> Ctx<'a> {
             .collect();
         Observation { items, tables, txns }
     }
+}
 
-    /// Expand one frontier node on a worker engine: for a leaf, the
-    /// observing full replay; otherwise one validation replay per
-    /// non-sleeping member of the explore set, in canonical (explore-set)
-    /// order. Pure in everything except the worker's private engine.
-    fn expand(&self, engine: &Arc<Engine>, node: &Node) -> NodeOut {
-        let k = self.specs.len();
-        let enabled: Vec<usize> = (0..k).filter(|&t| node.pos[t] < self.n_events[t]).collect();
-        if enabled.is_empty() {
-            return NodeOut::Leaf(
-                self.replay(engine, &node.prefix, true)
-                    .map(|o| o.expect("observing replay returns an observation")),
-            );
+/// A worker's live state: its engine and the instances' steppers on it.
+struct Live<'c, 'a> {
+    ctx: &'c Ctx<'a>,
+    engine: &'c Arc<Engine>,
+    steppers: Vec<Option<Stepper<'a>>>,
+    resets: u64,
+    events: u64,
+}
+
+impl<'c, 'a> Live<'c, 'a> {
+    fn new(ctx: &'c Ctx<'a>, engine: &'c Arc<Engine>) -> Self {
+        let steppers = ctx.specs.iter().map(|_| None).collect();
+        Live { ctx, engine, steppers, resets: 0, events: 0 }
+    }
+
+    /// Bring the state to `prefix`: drop the steppers first, so their
+    /// aborts land on the old state, then reset, seed and re-execute. A
+    /// refusal reports its position in `prefix`; a failed seeding counts
+    /// as the first event's.
+    fn restore(&mut self, prefix: &[(usize, usize)]) -> Result<(), (usize, ReplayError)> {
+        self.steppers.iter_mut().for_each(|s| *s = None);
+        self.resets += 1;
+        self.ctx.seed(self.engine).map_err(|_| (0, ReplayError::Infeasible))?;
+        for (j, &(t, ev)) in prefix.iter().enumerate() {
+            self.exec(t, ev).map_err(|e| (j, e))?;
         }
-        if let Some(maxd) = self.opts.max_depth {
-            if node.prefix.len() >= maxd {
-                return NodeOut::Depth;
+        Ok(())
+    }
+
+    /// Execute `t`'s event `ev` on the live state.
+    fn exec(&mut self, t: usize, ev: usize) -> Result<(), ReplayError> {
+        self.events += 1;
+        let spec = &self.ctx.specs[t];
+        let stepper = &mut self.steppers[t];
+        let r = match self.ctx.kind(t, ev) {
+            EvKind::Begin => {
+                *stepper =
+                    Some(Stepper::begin(self.engine, &spec.program, spec.level, &spec.bindings));
+                Ok(())
             }
-        }
-        let explore_set = match self.persistent_singleton(&enabled, &node.pos) {
-            Some(t) => vec![t],
-            None => enabled,
+            EvKind::Stmt(_) => stepper.as_mut().expect("begin precedes steps").step().map(|_| ()),
+            EvKind::Commit => stepper.as_mut().expect("begin precedes commit").commit().map(|_| ()),
+            EvKind::Abort => stepper.as_mut().expect("begin precedes abort").abort(),
         };
-        let mut sleep_here = node.sleep.clone();
-        let mut outs = Vec::new();
-        for &t in &explore_set {
-            if sleep_here[t] {
-                continue;
+        r.map_err(|e| classify(&e))
+    }
+
+    /// Execute a serial reference order from the seeded state and observe
+    /// the outcome.
+    fn replay(mut self, order: &[(usize, usize)]) -> Result<Observation, ReplayError> {
+        self.restore(order).map_err(|(_, e)| e)?;
+        Ok(self.ctx.observe(self.engine, &self.steppers))
+    }
+
+    /// Restore `root`'s prefix once and walk the subtree below it.
+    fn subtree(mut self, root: &Node) -> Walked {
+        let mut out = Walked::default();
+        // The split expands every root that has branches, so an empty
+        // prefix is a depth-bounded root: nothing to execute or validate.
+        let restored = if root.prefix.is_empty() { Ok(()) } else { self.restore(&root.prefix) };
+        match restored {
+            Ok(()) => self.walk(root, &mut out),
+            Err((j, e)) => {
+                out.refused = Some(root.prefix[..=j].to_vec());
+                out.push(Outcome::Refused(e));
             }
-            let ev = node.pos[t];
-            let mut prefix = node.prefix.clone();
-            prefix.push((t, ev));
-            let out = match self.replay(engine, &prefix, false) {
-                Ok(_) => {
-                    let mut pos = node.pos.clone();
-                    pos[t] += 1;
-                    // A sleeping sibling stays asleep only while its next
-                    // event is independent of what just executed.
-                    let sleep: Vec<bool> = (0..k)
-                        .map(|u| u != t && sleep_here[u] && !self.dependent(u, pos[u], t, ev))
-                        .collect();
-                    ChildOut::Child(Node { prefix, pos, sleep })
-                }
-                Err(e) => ChildOut::Refused(e),
-            };
-            outs.push(out);
-            sleep_here[t] = true;
         }
-        NodeOut::Inner(outs)
+        out.resets = self.resets;
+        out.events = self.events;
+        out
+    }
+
+    /// Walk the subtree below `node` depth-first, appending outcomes in
+    /// pre-order; the live state holds `node.prefix` on entry. Stops after
+    /// `max_schedules` counted outcomes: the merge can use no more from
+    /// one subtree.
+    fn walk(&mut self, node: &Node, out: &mut Walked) {
+        let branches = match self.ctx.shape(node) {
+            Shape::Leaf => {
+                let mut kinds: Vec<AnomalyKind> = detect_anomalies(&self.engine.history().events())
+                    .iter()
+                    .map(|a| a.kind)
+                    .collect();
+                kinds.sort();
+                kinds.dedup();
+                let obs = self.ctx.observe(self.engine, &self.steppers);
+                return out.leaf(&node.prefix, obs, kinds);
+            }
+            Shape::Depth => return out.push(Outcome::Depth),
+            Shape::Inner(branches) => branches,
+        };
+        for (i, (t, sleep)) in branches.into_iter().enumerate() {
+            if i > 0 {
+                // The previous branch moved the state off this node.
+                self.restore(&node.prefix).expect("a prefix that executed once re-executes");
+            }
+            match self.exec(t, node.pos[t]) {
+                Ok(()) => self.walk(&node.child(t, sleep), out),
+                Err(e) => out.push(Outcome::Refused(e)),
+            }
+            if out.counted >= self.ctx.opts.max_schedules {
+                return;
+            }
+        }
     }
 }
 
-/// The single-threaded merge-side accumulator. Only the coordinating
-/// thread touches it, in canonical node order, which is what makes every
-/// counter, example list, and truncation decision jobs-invariant.
+/// The single-threaded merge-side accumulator. Only the calling thread
+/// touches it, in pre-order, which is what makes every counter, example
+/// list, and truncation decision jobs-invariant.
 #[derive(Default)]
 struct Acc {
     serial_obs: Vec<Observation>,
@@ -897,6 +1066,7 @@ struct Acc {
     blocked: u64,
     infeasible: u64,
     replays: u64,
+    events: u64,
     divergent: u64,
     divergent_examples: Vec<DivergentSchedule>,
     anomaly_counts: BTreeMap<AnomalyKind, u64>,
@@ -905,50 +1075,47 @@ struct Acc {
 }
 
 impl Acc {
-    /// The shared budget check, applied after every counted schedule
-    /// (completed, blocked, or infeasible) in merge order — so the
-    /// truncation point is a deterministic position in the canonical
-    /// stream, not a race.
-    fn check_budget(&mut self, max_schedules: u64) {
-        if self.explored + self.blocked + self.infeasible >= max_schedules {
-            self.truncated = true;
-            self.stop = true;
+    fn record_serial(&mut self, r: Result<Observation, ReplayError>) {
+        self.replays += 1;
+        match r {
+            Ok(obs) if !self.serial_obs.contains(&obs) => self.serial_obs.push(obs),
+            Ok(_) => {}
+            Err(_) => self.serial_errors += 1,
         }
     }
 
-    fn record_refused(&mut self, e: ReplayError, max_schedules: u64) {
-        match e {
-            ReplayError::Blocked => self.blocked += 1,
-            ReplayError::Infeasible => self.infeasible += 1,
-        }
-        self.check_budget(max_schedules);
-    }
-
-    fn record_leaf(
-        &mut self,
-        ctx: &Ctx<'_>,
-        prefix: &[(usize, usize)],
-        out: Result<(Observation, Vec<AnomalyKind>), ReplayError>,
-    ) {
-        match out {
-            Ok((obs, kinds)) => {
+    /// Count one outcome, then apply the budget after every counted
+    /// schedule (completed, blocked, or infeasible) — so the truncation
+    /// point is a position in the pre-order stream, not a race. `serial`
+    /// says which of the subtree's observations some serial order shares.
+    fn record(&mut self, ctx: &Ctx<'_>, o: Outcome, serial: &[bool]) {
+        match o {
+            Outcome::Depth => {
+                self.truncated = true;
+                return;
+            }
+            Outcome::Refused(ReplayError::Blocked) => self.blocked += 1,
+            Outcome::Refused(ReplayError::Infeasible) => self.infeasible += 1,
+            Outcome::Leaf { steps, obs, kinds } => {
                 self.explored += 1;
                 for k in &kinds {
                     *self.anomaly_counts.entry(*k).or_insert(0) += 1;
                 }
-                if !self.serial_obs.is_empty() && !self.serial_obs.contains(&obs) {
+                // Matching no serial observation is divergence, also when
+                // every serial order failed and there is none to match.
+                if !serial[obs] {
                     self.divergent += 1;
                     if self.divergent_examples.len() < MAX_DIVERGENT_EXAMPLES {
-                        let steps = prefix.iter().map(|&(t, ev)| ctx.render_event(t, ev)).collect();
+                        let steps = steps.iter().map(|&(t, ev)| ctx.render_event(t, ev)).collect();
                         self.divergent_examples.push(DivergentSchedule { steps, anomalies: kinds });
                     }
                 }
             }
-            Err(e) => {
-                return self.record_refused(e, ctx.opts.max_schedules);
-            }
         }
-        self.check_budget(ctx.opts.max_schedules);
+        if self.explored + self.blocked + self.infeasible >= ctx.opts.max_schedules {
+            self.truncated = true;
+            self.stop = true;
+        }
     }
 
     fn into_result(self, ctx: Ctx<'_>) -> ExploreResult {
@@ -978,6 +1145,7 @@ impl Acc {
             blocked: self.blocked,
             infeasible: self.infeasible,
             replays: self.replays,
+            events: self.events,
             divergent: self.divergent,
             divergent_examples: self.divergent_examples,
             anomaly_counts: self.anomaly_counts,
@@ -988,82 +1156,54 @@ impl Acc {
     }
 }
 
-/// Execute all `k!` serial orders (in parallel, merged in permutation
-/// order) and record their observations — the semantic-equivalence
-/// reference set.
-fn run_serial_orders(ctx: &Ctx<'_>, acc: &mut Acc) {
-    let orders: Vec<Vec<(usize, usize)>> = permutations(ctx.specs.len())
-        .into_iter()
-        .map(|perm| {
-            let mut events = Vec::new();
-            for &t in &perm {
-                for ev in 0..ctx.n_events[t] {
-                    events.push((t, ev));
-                }
-            }
-            events
-        })
-        .collect();
-    let results = ordered_map_with(
+/// Execute the `k!` serial orders — the semantic-equivalence reference
+/// set — and walk the subtrees, on `opts.jobs` workers. Merge on this
+/// thread: the serial observations first, then the walk's outcomes in
+/// pre-order.
+fn run(ctx: &Ctx<'_>, acc: &mut Acc) {
+    let serial = permutations(ctx.specs.len()).into_iter().map(|perm| {
+        Task::Serial(
+            perm.iter().flat_map(|&t| (0..ctx.n_events[t]).map(move |ev| (t, ev))).collect(),
+        )
+    });
+    let tasks: Vec<Task> = serial.chain(ctx.split().into_iter().map(Task::Subtree)).collect();
+    let done = ordered_map_with(
         ctx.opts.jobs,
-        &orders,
+        &tasks,
         || ctx.new_engine(),
-        |engine, _, events| ctx.replay(engine, events, true),
+        |engine, _, task| {
+            let live = Live::new(ctx, engine);
+            match task {
+                Task::Serial(order) => Done::Serial(live.replay(order)),
+                Task::Subtree(root) => Done::Subtree(live.subtree(root)),
+            }
+        },
     );
-    for r in results {
-        acc.replays += 1;
-        match r {
-            Ok(Some((obs, _))) => {
-                if !acc.serial_obs.contains(&obs) {
-                    acc.serial_obs.push(obs);
-                }
+    let mut last_refused = None;
+    for d in done {
+        let walked = match d {
+            Done::Serial(r) => {
+                acc.record_serial(r);
+                continue;
             }
-            _ => acc.serial_errors += 1,
+            Done::Subtree(walked) => walked,
+        };
+        acc.replays += walked.resets;
+        acc.events += walked.events;
+        if walked.refused.is_some() {
+            if walked.refused == last_refused {
+                continue;
+            }
+            last_refused = walked.refused;
         }
-    }
-}
-
-/// The work-sharing frontier: breadth rounds of self-contained DPOR
-/// nodes, expanded by `opts.jobs` workers on private engines, merged in
-/// canonical node order on this thread.
-fn run_frontier(ctx: &Ctx<'_>, acc: &mut Acc) {
-    let k = ctx.specs.len();
-    let mut frontier = vec![Node { prefix: Vec::new(), pos: vec![0; k], sleep: vec![false; k] }];
-    while !frontier.is_empty() && !acc.stop {
-        let outs = ordered_map_with(
-            ctx.opts.jobs,
-            &frontier,
-            || ctx.new_engine(),
-            |engine, _, node| ctx.expand(engine, node),
-        );
-        let mut next = Vec::new();
-        'merge: for (node, out) in frontier.iter().zip(outs) {
-            match out {
-                NodeOut::Leaf(res) => {
-                    acc.replays += 1;
-                    acc.record_leaf(ctx, &node.prefix, res);
-                }
-                NodeOut::Depth => acc.truncated = true,
-                NodeOut::Inner(children) => {
-                    for c in children {
-                        acc.replays += 1;
-                        match c {
-                            ChildOut::Child(n) => next.push(n),
-                            ChildOut::Refused(e) => {
-                                acc.record_refused(e, ctx.opts.max_schedules);
-                            }
-                        }
-                        if acc.stop {
-                            break 'merge;
-                        }
-                    }
-                }
-            }
+        let serial: Vec<bool> =
+            walked.observations.iter().map(|o| acc.serial_obs.contains(o)).collect();
+        for o in walked.outcomes {
             if acc.stop {
-                break 'merge;
+                break;
             }
+            acc.record(ctx, o, &serial);
         }
-        frontier = if acc.stop { Vec::new() } else { next };
     }
 }
 
@@ -1446,6 +1586,42 @@ mod tests {
             assert_eq!(a.levels, vectors[i], "results stay in vector order");
             assert_eq!(format!("{a:?}"), format!("{b:?}"), "vector {i} diverged");
         }
+    }
+
+    /// Regression: when every serial order fails there is no serial
+    /// observation to match, so every completed schedule is divergent.
+    /// Each program inserts its own key and then `SELECT INTO`s the
+    /// other's: alone it finds nothing, but at RU the two read each
+    /// other's dirty inserts.
+    #[test]
+    fn schedules_are_divergent_when_every_serial_order_fails() {
+        use semcc_logic::row::RowPred;
+        use semcc_txn::ColExpr;
+        let mirror = |name: &str, own: i64, other: i64| {
+            ProgramBuilder::new(name)
+                .bare(Stmt::Insert {
+                    table: "t".into(),
+                    values: vec![ColExpr::Int(own), ColExpr::Int(0)],
+                })
+                .bare(Stmt::SelectValue {
+                    table: "t".into(),
+                    filter: RowPred::field_eq_int("k", other),
+                    column: "v".into(),
+                    into: "X".into(),
+                })
+                .build()
+        };
+        let app = App::new()
+            .with_schema("t", &["k", "v"])
+            .with_program(mirror("A", 1, 2))
+            .with_program(mirror("B", 2, 1));
+        let ru = IsolationLevel::ReadUncommitted;
+        let r = explore(&app, &two_specs(&app, "A", "B", ru, ru), &ExploreOptions::default())
+            .expect("explore");
+        assert_eq!((r.serial_orders, r.serial_errors), (0, 2), "{r:?}");
+        assert_eq!(r.explored, 8, "{r:?}");
+        assert_eq!(r.divergent, 8, "no serial observation matches any of them: {r:?}");
+        assert!(!r.clean());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Deterministic scoped worker pool.
 //!
-//! Every parallel surface in the workspace (the DPOR frontier in
+//! Every parallel surface in the workspace (the DPOR subtree walks in
 //! `semcc-explore`, the checker's batch detectors, `faultsim`'s seed
 //! sweep, the level-vector sweeps in the CLI and benches) funnels through
 //! the one primitive here: an **order-preserving parallel map**. Workers
@@ -16,12 +16,15 @@
 //!   closure must not communicate through anything else;
 //! * **per-item purity** — `f(i, item)` must depend only on `(i, item)`
 //!   and the worker-local state's *reset* behavior, not on which worker
-//!   ran it or in what order (the explorer resets its engine per replay
-//!   precisely so ids/timestamps replay identically on any worker).
+//!   ran it or in what order (the explorer resets its engine before each
+//!   subtree precisely so ids/timestamps replay identically on any
+//!   worker).
 //!
-//! `jobs = 1` is not special-cased to a sequential loop: it spawns one
-//! worker through the identical scope/index/merge path, so the serial
-//! baseline exercises the same code the parallel runs do.
+//! One worker — `jobs = 1`, or a single item — runs on the calling
+//! thread: `init` once, then `f` over the items in order, with no thread
+//! spawned. A panic there unwinds straight to the caller with its
+//! payload, as a worker's panic is resumed on the caller after the join.
+//! Purity makes the two paths indistinguishable in their results.
 
 #![warn(missing_docs)]
 
@@ -59,8 +62,9 @@ where
 /// vector is independent of scheduling, worker count, and claim order.
 ///
 /// The worker count is clamped to `max(1, min(jobs, items.len()))`; an
-/// empty input spawns no threads. A panic in `init` or `f` is resumed on
-/// the calling thread after the scope joins.
+/// empty input spawns no threads, and a single worker runs on the calling
+/// thread. A panic in `init` or `f` reaches the calling thread (for
+/// spawned workers, resumed after the scope joins).
 pub fn ordered_map_with<S, T, R, FI, F>(jobs: usize, items: &[T], init: FI, f: F) -> Vec<R>
 where
     T: Sync,
@@ -72,6 +76,10 @@ where
         return Vec::new();
     }
     let workers = clamp_jobs(jobs).min(items.len());
+    if workers == 1 {
+        let mut state = init();
+        return items.iter().enumerate().map(|(i, t)| f(&mut state, i, t)).collect();
+    }
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     std::thread::scope(|scope| {
@@ -166,5 +174,40 @@ mod tests {
             }
             *x
         });
+    }
+
+    #[test]
+    fn one_worker_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let many: Vec<u32> = (0..16).collect();
+        for (jobs, items) in [(1, &many[..]), (8, &many[..1])] {
+            let inits = AtomicUsize::new(0);
+            let got = ordered_map_with(
+                jobs,
+                items,
+                || inits.fetch_add(1, Ordering::Relaxed),
+                |_, i, x| {
+                    assert_eq!(std::thread::current().id(), caller, "jobs={jobs}");
+                    (i, *x)
+                },
+            );
+            assert_eq!(got, items.iter().enumerate().map(|(i, x)| (i, *x)).collect::<Vec<_>>());
+            assert_eq!(inits.load(Ordering::Relaxed), 1, "jobs={jobs}: init runs once");
+        }
+    }
+
+    #[test]
+    fn one_worker_panics_reach_the_caller_with_their_payload() {
+        let items = [1u8, 2, 3];
+        let payload = std::panic::catch_unwind(|| {
+            ordered_map(1, &items, |_, x| {
+                if *x == 2 {
+                    panic!("boom at {x}");
+                }
+                *x
+            })
+        })
+        .expect_err("the panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<String>().map(String::as_str), Some("boom at 2"));
     }
 }
