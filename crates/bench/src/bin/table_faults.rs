@@ -56,10 +56,7 @@ fn print_app(app: &App, title: &str) {
         let recovery = if r.recovery_latencies_us.is_empty() {
             "-".to_string()
         } else {
-            let mut lats = r.recovery_latencies_us.clone();
-            lats.sort_unstable();
-            let pct = |p: f64| lats[((lats.len() - 1) as f64 * p) as usize];
-            format!("{}µs / {}µs", pct(0.50), pct(0.99))
+            format!("{}µs / {}µs", r.recovery_percentile_us(0.50), r.recovery_percentile_us(0.99))
         };
         println!(
             "{}",

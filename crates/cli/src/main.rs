@@ -18,6 +18,10 @@
 //! semcc verify-cert c.json             # independent certificate check
 //! ```
 //!
+//! Every subcommand's grammar — its positional arguments and its flags —
+//! is one entry of [`COMMANDS`]. One parser reads a command line against
+//! that entry, and `semcc help` and every usage error print from it.
+//!
 //! Exit codes: `0` — everything provable / lints clean; `1` — diagnostics
 //! emitted (a rejected level, a lint finding, an annotation error); `2` —
 //! usage or I/O error.
@@ -33,14 +37,18 @@ use semcc_explore::{
     differential_with_jobs, explore, explore_sweep, explore_with_aborts, specs_for, Differential,
     ExploreOptions, ExploreResult,
 };
-use semcc_json::{Json, ToJson};
+use semcc_json::{FromJson, Json, ToJson};
 use semcc_par::ordered_map;
 use semcc_workloads::{
     banking, orders, payroll, simulate, simulate_sweep, tpcc, FaultSimOptions, FaultSimReport,
 };
 use std::collections::BTreeMap;
+use std::fmt::Display;
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
+use Takes::{Optional, Repeated, Required, Switch, Value};
 
 /// What a successfully-run command concluded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,28 +61,328 @@ enum Findings {
 
 type CmdResult = Result<Findings, String>;
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("export") => cmd_export(&args[1..]),
-        Some("analyze") => cmd_analyze(&args[1..]),
-        Some("check") => cmd_check(&args[1..]),
-        Some("lint") => cmd_lint(&args[1..]),
-        Some("explore") => cmd_explore(&args[1..]),
-        Some("faultsim") => cmd_faultsim(&args[1..]),
-        Some("verify") => cmd_verify(&args[1..]),
-        Some("obligations") => cmd_obligations(&args[1..]),
-        Some("certify") => cmd_certify(&args[1..]),
-        Some("verify-cert") => cmd_verify_cert(&args[1..]),
-        Some("synth") => cmd_synth(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("help") | None => {
-            print_usage();
-            Ok(Findings::Clean)
+/// `Clean` when nothing was found, else `Diagnostics`.
+fn clean_if(clean: bool) -> CmdResult {
+    Ok(if clean { Findings::Clean } else { Findings::Diagnostics })
+}
+
+/// What a flag takes; the string is the placeholder usage shows for the
+/// value.
+#[derive(Clone, Copy)]
+enum Takes {
+    /// Nothing: the flag is a switch.
+    Switch,
+    /// The next token; given twice, the later one counts.
+    Value(&'static str),
+    /// The next token, once per occurrence; every one counts.
+    Repeated(&'static str),
+    /// As [`Takes::Repeated`], and the flag must be given.
+    Required(&'static str),
+    /// The next token, unless it is a flag or a positional argument is
+    /// still missing; otherwise nothing.
+    Optional(&'static str),
+}
+
+type Flag = (&'static str, Takes);
+
+/// One subcommand: its grammar and the function that runs it.
+struct Cmd {
+    name: &'static str,
+    /// Placeholders of the positional arguments, every one required.
+    args: &'static [&'static str],
+    flags: &'static [Flag],
+    run: fn(&Args) -> CmdResult,
+}
+
+const APP: &[&str] = &["<app.json>"];
+const JOBS: Flag = ("--jobs", Value("N"));
+const JSON: Flag = ("--json", Switch);
+
+/// Every subcommand, in the order `semcc help` lists them.
+const COMMANDS: &[Cmd] = &[
+    Cmd {
+        name: "export",
+        args: &["<banking|orders|orders-strict|payroll|tpcc>", "<out.json>"],
+        flags: &[],
+        run: cmd_export,
+    },
+    Cmd { name: "analyze", args: APP, flags: &[("--ansi", Switch)], run: cmd_analyze },
+    Cmd {
+        name: "check",
+        args: &["<app.json>", "<transaction>", "<LEVEL>"],
+        flags: &[],
+        run: cmd_check,
+    },
+    Cmd {
+        name: "lint",
+        args: APP,
+        flags: &[
+            ("--levels", Value("L1,L2,...[;...]")),
+            ("--refine", Switch),
+            ("--witness", Switch),
+            JOBS,
+            JSON,
+        ],
+        run: cmd_lint,
+    },
+    Cmd {
+        name: "explore",
+        args: APP,
+        flags: &[
+            ("--txns", Value("T1,T2[,T3]")),
+            ("--levels", Value("L1,L2[,L3][;...]")),
+            ("--seed", Repeated("item=V|table.col=V")),
+            ("--max-depth", Value("N")),
+            ("--max-schedules", Value("N")),
+            ("--faults", Optional("VICTIM")),
+            ("--refine", Switch),
+            ("--lock-timeout-ms", Value("N")),
+            JOBS,
+            JSON,
+        ],
+        run: cmd_explore,
+    },
+    Cmd {
+        name: "faultsim",
+        args: APP,
+        flags: &[
+            ("--seed", Value("N")),
+            ("--seeds", Value("N")),
+            JOBS,
+            ("--txns", Value("N")),
+            ("--levels", Value("L1[,L2,...]")),
+            ("--mix", Value("CLASS=P,...")),
+            ("--lock-timeout-ms", Value("N")),
+            ("--max-attempts", Value("N")),
+            ("--durable", Switch),
+            ("--wal-flush-every", Value("N")),
+            JSON,
+        ],
+        run: cmd_faultsim,
+    },
+    Cmd { name: "verify", args: APP, flags: &[], run: cmd_verify },
+    Cmd { name: "obligations", args: APP, flags: &[], run: cmd_obligations },
+    Cmd {
+        name: "certify",
+        args: APP,
+        flags: &[("--refine", Switch), ("--out", Value("cert.json"))],
+        run: cmd_certify,
+    },
+    Cmd { name: "verify-cert", args: &["<cert.json>"], flags: &[], run: cmd_verify_cert },
+    Cmd {
+        name: "synth",
+        args: APP,
+        flags: &[
+            ("--out", Value("policy.json")),
+            ("--cert", Value("cert.json")),
+            ("--no-witness", Switch),
+            JOBS,
+            JSON,
+        ],
+        run: cmd_synth,
+    },
+    Cmd {
+        name: "serve",
+        args: &[],
+        flags: &[
+            ("--policy", Required("policy.json")),
+            ("--bench", Switch),
+            ("--mix", Value("banking|orders|payroll|mixed")),
+            ("--workers", Value("N")),
+            ("--txns", Value("N")),
+            ("--seed", Value("N")),
+            ("--scale", Value("N")),
+            ("--lock-timeout-ms", Value("N")),
+            ("--max-attempts", Value("N")),
+            ("--single-lock", Switch),
+            ("--inject-panics", Switch),
+            JSON,
+        ],
+        run: cmd_serve,
+    },
+];
+
+const HELP_NOTES: &str = "\
+LEVELs: \"READ UNCOMMITTED\", \"READ COMMITTED\", \"READ COMMITTED+FCW\",
+        \"REPEATABLE READ\", \"SNAPSHOT\", \"SSI\", \"SERIALIZABLE\"
+        (lint --levels also accepts RU, RC, RCFCW, RR, SI, SSI, SER,
+         one per transaction type in program order; `;` separates
+         level vectors in a sweep, deduplicating diagnostics)
+
+--refine runs the prover-backed SDG edge-refinement pass (semcc-refine):
+  lint/explore use the pruned dependence relation plus the static
+  deadlock predictor; certify attaches replayable pruning proofs.
+
+exit codes: 0 clean, 1 diagnostics emitted, 2 usage/IO error
+";
+
+/// How usage shows a flag.
+fn flag_usage((name, takes): &Flag) -> String {
+    match takes {
+        Switch => format!("[{name}]"),
+        Value(v) => format!("[{name} {v}]"),
+        Repeated(v) => format!("[{name} {v}]..."),
+        Required(v) => format!("{name} {v} [{name} {v}]..."),
+        Optional(v) => format!("[{name} [{v}]]"),
+    }
+}
+
+impl Cmd {
+    /// Read the tokens after the subcommand's name. Flags and positional
+    /// arguments come in any order; a token starting with `--` is a flag,
+    /// except where a flag takes it as its value.
+    fn parse(&'static self, argv: &[String]) -> Result<Args, String> {
+        let mut args = Args { cmd: self, positional: Vec::new(), flags: Vec::new() };
+        let mut tokens = argv.iter().peekable();
+        while let Some(token) = tokens.next() {
+            if !token.starts_with("--") {
+                args.positional.push(token.clone());
+                continue;
+            }
+            let Some(&(name, takes)) = self.flags.iter().find(|(name, _)| name == token) else {
+                return Err(self.usage_error(format!("unexpected argument `{token}`")));
+            };
+            let value = match takes {
+                Switch => None,
+                Optional(_) => {
+                    let complete = args.positional.len() == self.args.len();
+                    tokens.next_if(|t| complete && !t.starts_with("--")).cloned()
+                }
+                Value(v) | Repeated(v) | Required(v) => Some(
+                    tokens
+                        .next()
+                        .cloned()
+                        .ok_or_else(|| self.usage_error(format!("{name} needs a value ({v})")))?,
+                ),
+            };
+            args.flags.push((name, value));
         }
-        Some(other) => Err(format!("unknown command `{other}` (try `semcc help`)")),
-    };
-    match result {
+        if args.positional.len() != self.args.len() {
+            return Err(self.usage_error(format!(
+                "`{}` takes {} positional argument(s), got {}",
+                self.name,
+                self.args.len(),
+                args.positional.len()
+            )));
+        }
+        match self.flags.iter().find(|(name, t)| matches!(t, Required(_)) && !args.has(name)) {
+            Some((name, _)) => Err(self.usage_error(format!("{name} is required"))),
+            None => Ok(args),
+        }
+    }
+
+    fn usage_error(&self, msg: impl Display) -> String {
+        format!("{msg}\n{}", self.synopsis("usage: "))
+    }
+
+    /// `<lead>semcc <name> <args> <flags>`, wrapped at 80 columns with
+    /// continuation lines indented under the first argument.
+    fn synopsis(&self, lead: &str) -> String {
+        let mut out = format!("{lead}semcc {}", self.name);
+        let indent = " ".repeat(out.len());
+        let mut width = out.len();
+        for word in self.args.iter().map(|a| a.to_string()).chain(self.flags.iter().map(flag_usage))
+        {
+            if width + 1 + word.len() > 80 {
+                out.push('\n');
+                out.push_str(&indent);
+                width = indent.len();
+            }
+            out.push(' ');
+            out.push_str(&word);
+            width += 1 + word.len();
+        }
+        out
+    }
+}
+
+/// The text of `semcc help`: every command's synopsis, then notes.
+fn help() -> String {
+    let synopses: Vec<String> = COMMANDS.iter().map(|c| c.synopsis("  ")).collect();
+    format!(
+        "semcc — semantic conditions for correctness at different isolation levels\n\n\
+         USAGE:\n{}\n\n{HELP_NOTES}",
+        synopses.join("\n")
+    )
+}
+
+/// A command line read against one command's grammar.
+struct Args {
+    cmd: &'static Cmd,
+    positional: Vec<String>,
+    /// Every flag given, in order, with the value it took.
+    flags: Vec<(&'static str, Option<String>)>,
+}
+
+impl Args {
+    /// The `i`-th positional argument (the parser checked the count).
+    fn pos(&self, i: usize) -> &str {
+        &self.positional[i]
+    }
+
+    /// What each occurrence of `flag` took, in order.
+    fn given(&self, flag: &'static str) -> impl Iterator<Item = Option<&str>> {
+        debug_assert!(
+            self.cmd.flags.iter().any(|(name, _)| *name == flag),
+            "`{flag}` is not a flag of `{}`",
+            self.cmd.name
+        );
+        self.flags.iter().filter(move |(name, _)| *name == flag).map(|(_, v)| v.as_deref())
+    }
+
+    fn has(&self, flag: &'static str) -> bool {
+        self.given(flag).next().is_some()
+    }
+
+    /// Every value `flag` took, in order.
+    fn values(&self, flag: &'static str) -> impl Iterator<Item = &str> {
+        self.given(flag).flatten()
+    }
+
+    /// The value `flag` took; the later one if it was given twice.
+    fn value(&self, flag: &'static str) -> Option<&str> {
+        self.values(flag).last()
+    }
+
+    /// An optional-value flag: `None` when absent, else the value it took,
+    /// if any.
+    fn optional(&self, flag: &'static str) -> Option<Option<&str>> {
+        self.given(flag).last()
+    }
+
+    /// Every value `flag` took, each through `parse`.
+    fn all<'a, T, E: Display>(
+        &'a self,
+        flag: &'static str,
+        parse: impl Fn(&'a str) -> Result<T, E>,
+    ) -> Result<Vec<T>, String> {
+        self.values(flag)
+            .map(|v| parse(v).map_err(|e| self.cmd.usage_error(format!("bad {flag} `{v}`: {e}"))))
+            .collect()
+    }
+
+    /// The value `flag` took through `parse` (the later one if given
+    /// twice; each must parse).
+    fn get<'a, T, E: Display>(
+        &'a self,
+        flag: &'static str,
+        parse: impl Fn(&'a str) -> Result<T, E>,
+    ) -> Result<Option<T>, String> {
+        Ok(self.all(flag, parse)?.pop())
+    }
+
+    /// [`Args::get`] through [`FromStr`].
+    fn num<T: FromStr>(&self, flag: &'static str) -> Result<Option<T>, String>
+    where
+        T::Err: Display,
+    {
+        self.get(flag, str::parse)
+    }
+}
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match run(&argv) {
         Ok(Findings::Clean) => ExitCode::SUCCESS,
         Ok(Findings::Diagnostics) => ExitCode::from(1),
         Err(msg) => {
@@ -84,57 +392,33 @@ fn main() -> ExitCode {
     }
 }
 
-fn print_usage() {
-    println!("semcc — semantic conditions for correctness at different isolation levels");
-    println!();
-    println!("USAGE:");
-    println!("  semcc export <banking|orders|orders-strict|payroll|tpcc> <out.json>");
-    println!("  semcc analyze <app.json> [--ansi]");
-    println!("  semcc check <app.json> <transaction> <LEVEL>");
-    println!("  semcc lint <app.json> [--levels V1[;V2;...]] [--refine] [--witness]");
-    println!("             [--jobs N] [--json]");
-    println!("  semcc explore <app.json> [--txns T1,T2[,T3]] [--levels L1,L2[,L3][;...]]");
-    println!("                [--seed item=V | table.col=V]... [--max-depth N]");
-    println!("                [--max-schedules N] [--faults [VICTIM]] [--refine]");
-    println!("                [--lock-timeout-ms N] [--jobs N] [--json]");
-    println!("  semcc faultsim <app.json> [--seed N] [--seeds N] [--jobs N] [--txns N]");
-    println!("                 [--levels L1[,L2,...]] [--mix CLASS=P,...]");
-    println!("                 [--lock-timeout-ms N] [--max-attempts N]");
-    println!("                 [--durable] [--wal-flush-every N] [--json]");
-    println!("  semcc verify <app.json>");
-    println!("  semcc obligations <app.json>");
-    println!("  semcc certify <app.json> [--refine] [--out cert.json]");
-    println!("  semcc verify-cert <cert.json>");
-    println!("  semcc synth <app.json> [--out policy.json] [--cert cert.json]");
-    println!("              [--no-witness] [--jobs N] [--json]");
-    println!("  semcc serve --policy policy.json [--policy more.json]... [--bench]");
-    println!("              [--mix banking|orders|payroll|mixed] [--workers N] [--txns N]");
-    println!("              [--seed N] [--scale N] [--lock-timeout-ms N] [--max-attempts N]");
-    println!("              [--single-lock] [--inject-panics] [--json]");
-    println!();
-    println!("LEVELs: \"READ UNCOMMITTED\", \"READ COMMITTED\", \"READ COMMITTED+FCW\",");
-    println!("        \"REPEATABLE READ\", \"SNAPSHOT\", \"SSI\", \"SERIALIZABLE\"");
-    println!("        (lint --levels also accepts RU, RC, RCFCW, RR, SI, SSI, SER,");
-    println!("         one per transaction type in program order; `;` separates");
-    println!("         level vectors in a sweep, deduplicating diagnostics)");
-    println!();
-    println!("--refine runs the prover-backed SDG edge-refinement pass (semcc-refine):");
-    println!("  lint/explore use the pruned dependence relation plus the static");
-    println!("  deadlock predictor; certify attaches replayable pruning proofs.");
-    println!();
-    println!("exit codes: 0 clean, 1 diagnostics emitted, 2 usage/IO error");
+/// Run one command line: a subcommand's name, then its arguments.
+fn run(argv: &[String]) -> CmdResult {
+    let Some((name, rest)) = argv.split_first().filter(|(name, _)| name.as_str() != "help") else {
+        print!("{}", help());
+        return Ok(Findings::Clean);
+    };
+    let cmd = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| format!("unknown command `{name}` (try `semcc help`)"))?;
+    (cmd.run)(&cmd.parse(rest)?)
 }
 
-fn load_app(path: &str) -> Result<App, String> {
+/// Read and decode a JSON file: an app or a certificate.
+fn load<T: FromJson>(path: &str) -> Result<T, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     semcc_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))
 }
 
-fn cmd_export(args: &[String]) -> CmdResult {
-    let [which, out] = args else {
-        return Err("usage: semcc export <workload> <out.json>".into());
-    };
-    let app = match which.as_str() {
+/// The name certificates and policies give an app: its file's stem.
+fn app_name(path: &str) -> String {
+    std::path::Path::new(path).file_stem().and_then(|s| s.to_str()).unwrap_or("app").to_string()
+}
+
+fn cmd_export(args: &Args) -> CmdResult {
+    let (which, out) = (args.pos(0), args.pos(1));
+    let app = match which {
         "banking" => banking::app(),
         "orders" => orders::app(false),
         "orders-strict" => orders::app(true),
@@ -148,10 +432,9 @@ fn cmd_export(args: &[String]) -> CmdResult {
     Ok(Findings::Clean)
 }
 
-fn cmd_analyze(args: &[String]) -> CmdResult {
-    let path = args.first().ok_or("usage: semcc analyze <app.json> [--ansi]")?;
-    let app = load_app(path)?;
-    let ladder = if args.iter().any(|a| a == "--ansi") { ansi_ladder() } else { default_ladder() };
+fn cmd_analyze(args: &Args) -> CmdResult {
+    let app: App = load(args.pos(0))?;
+    let ladder = if args.has("--ansi") { ansi_ladder() } else { default_ladder() };
     println!("{:<24}  {:<20}  {:<12}", "transaction", "lowest level", "snapshot ok");
     println!("{}", "-".repeat(60));
     let mut findings = Findings::Clean;
@@ -178,11 +461,9 @@ fn cmd_analyze(args: &[String]) -> CmdResult {
     Ok(findings)
 }
 
-fn cmd_check(args: &[String]) -> CmdResult {
-    let [path, txn, level_name] = args else {
-        return Err("usage: semcc check <app.json> <transaction> <LEVEL>".into());
-    };
-    let app = load_app(path)?;
+fn cmd_check(args: &Args) -> CmdResult {
+    let (txn, level_name) = (args.pos(1), args.pos(2));
+    let app: App = load(args.pos(0))?;
     let level: IsolationLevel = level_name.parse()?;
     if app.program(txn).is_none() {
         return Err(format!(
@@ -200,11 +481,7 @@ fn cmd_check(args: &[String]) -> CmdResult {
     for f in &r.failures {
         println!("  {f}");
     }
-    if r.ok {
-        Ok(Findings::Clean)
-    } else {
-        Ok(Findings::Diagnostics)
-    }
+    clean_if(r.ok)
 }
 
 /// Parse one `--levels` vector (`L1,L2,...`, one level per program) into
@@ -227,54 +504,17 @@ fn parse_level_vector(
     for (p, t) in app.programs.iter().zip(tokens) {
         let l: IsolationLevel = t.parse()?;
         m.insert(p.name.clone(), l);
-        label.push(level_code(l));
+        label.push(l.code());
     }
     Ok((m, label.join(",")))
 }
 
-/// The short code of a level (`RU`, `RC`, `RCFCW`, `RR`, `SI`, `SSI`,
-/// `SER`).
-fn level_code(l: IsolationLevel) -> &'static str {
-    match l {
-        IsolationLevel::ReadUncommitted => "RU",
-        IsolationLevel::ReadCommitted => "RC",
-        IsolationLevel::ReadCommittedFcw => "RCFCW",
-        IsolationLevel::RepeatableRead => "RR",
-        IsolationLevel::Snapshot => "SI",
-        IsolationLevel::Ssi => "SSI",
-        IsolationLevel::Serializable => "SER",
-    }
-}
-
-fn cmd_lint(args: &[String]) -> CmdResult {
-    let mut path: Option<&String> = None;
-    let mut levels_arg: Option<&String> = None;
-    let mut json_out = false;
-    let mut witness = false;
-    let mut refine = false;
-    let mut jobs = 1usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--levels" => {
-                levels_arg = Some(it.next().ok_or("--levels needs a comma-separated list")?);
-            }
-            "--json" => json_out = true,
-            "--witness" => witness = true,
-            "--refine" => refine = true,
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a number")?;
-                jobs = v.parse().map_err(|_| format!("bad --jobs `{v}`"))?;
-            }
-            _ if path.is_none() => path = Some(a),
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
-    }
-    let path = path.ok_or(
-        "usage: semcc lint <app.json> [--levels L1,L2,...[;...]] [--witness] [--refine] \
-         [--jobs N] [--json]",
-    )?;
-    let app = load_app(path)?;
+fn cmd_lint(args: &Args) -> CmdResult {
+    let levels_arg = args.value("--levels");
+    let (json_out, witness, refine) =
+        (args.has("--json"), args.has("--witness"), args.has("--refine"));
+    let jobs = args.num("--jobs")?.unwrap_or(1);
+    let app: App = load(args.pos(0))?;
     // `--levels A;B;...` is a sweep: each `;` group is one full vector,
     // linted independently, with repeated diagnostics deduplicated.
     if let Some(list) = levels_arg {
@@ -338,11 +578,7 @@ fn cmd_lint(args: &[String]) -> CmdResult {
             print_refinement(refined, &advisories);
         }
     }
-    if report.clean() {
-        Ok(Findings::Clean)
-    } else {
-        Ok(Findings::Diagnostics)
-    }
+    clean_if(report.clean())
 }
 
 /// `lint --levels A;B;...`: lint each vector, report each distinct
@@ -395,46 +631,28 @@ fn lint_level_sweep(
                         ("code", Json::str(d.code.clone())),
                         ("kind", Json::str(d.kind.to_string())),
                         ("txn", Json::str(d.txn.clone())),
-                        ("partner", d.partner.clone().map_or(Json::Null, Json::str)),
-                        (
-                            "statements",
-                            Json::Arr(d.statements.iter().map(|s| Json::str(s.clone())).collect()),
-                        ),
+                        ("partner", d.partner.to_json()),
+                        ("statements", d.statements.to_json()),
                         ("message", Json::str(d.message.clone())),
-                        (
-                            "levels",
-                            Json::Arr(labels.iter().map(|l| Json::str(l.clone())).collect()),
-                        ),
+                        ("levels", labels.to_json()),
                     ])
                 })
                 .collect(),
         );
         let mut fields = vec![
-            ("sweep", Json::Arr(vectors.iter().map(|(_, l)| Json::str(l.clone())).collect())),
+            ("sweep", Json::Arr(vectors.iter().map(|(_, l)| l.to_json()).collect())),
             ("diagnostics", diags),
             ("clean", Json::Bool(!any)),
         ];
         if refine {
-            fields.push((
-                "deadlocks",
-                Json::Arr(
-                    advisories
-                        .iter()
-                        .map(|(a, labels)| {
-                            let mut j = a.to_json();
-                            if let Json::Obj(f) = &mut j {
-                                f.push((
-                                    "levels".to_string(),
-                                    Json::Arr(
-                                        labels.iter().map(|l| Json::str(l.clone())).collect(),
-                                    ),
-                                ));
-                            }
-                            j
-                        })
-                        .collect(),
-                ),
-            ));
+            let deadlocks = advisories.iter().map(|(a, labels)| {
+                let mut j = a.to_json();
+                if let Json::Obj(f) = &mut j {
+                    f.push(("levels".to_string(), labels.to_json()));
+                }
+                j
+            });
+            fields.push(("deadlocks", Json::Arr(deadlocks.collect())));
         }
         println!("{}", Json::obj(fields).to_pretty());
     } else {
@@ -458,21 +676,14 @@ fn lint_level_sweep(
             if i == 0 {
                 println!();
             }
-            println!("{} {}", a.code, a.message);
-            for line in &a.chain {
-                println!("    {line}");
-            }
+            println!("{}", a.render());
             println!("    at levels: {}", labels.join("; "));
         }
         if !advisories.is_empty() {
             println!("(deadlock advisories are informational and do not affect the verdict)");
         }
     }
-    if any {
-        Ok(Findings::Diagnostics)
-    } else {
-        Ok(Findings::Clean)
-    }
+    clean_if(!any)
 }
 
 fn print_refinement(
@@ -499,10 +710,7 @@ fn print_refinement(
         );
     }
     for a in advisories {
-        println!("{} {}", a.code, a.message);
-        for line in &a.chain {
-            println!("    {line}");
-        }
+        println!("{}", a.render());
     }
     if !advisories.is_empty() {
         println!("(deadlock advisories are informational and do not affect the verdict)");
@@ -529,12 +737,7 @@ fn refine_json(
                             ("kind", Json::str(p.kind.clone())),
                             ("table", Json::str(p.table.clone())),
                             ("rule", Json::str(p.rule.clone())),
-                            (
-                                "premises",
-                                Json::Arr(
-                                    p.premises.iter().map(|s| Json::str(s.clone())).collect(),
-                                ),
-                            ),
+                            ("premises", p.premises.to_json()),
                             ("obligations", Json::Int(p.obligations.len() as i64)),
                         ])
                     })
@@ -545,74 +748,35 @@ fn refine_json(
     ])
 }
 
-fn cmd_explore(args: &[String]) -> CmdResult {
-    let mut path: Option<&String> = None;
-    let mut txns_arg: Option<&String> = None;
-    let mut levels_arg: Option<&String> = None;
-    let mut json_out = false;
-    let mut faults_victim: Option<String> = None;
-    let mut opts = ExploreOptions::default();
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--faults" => {
-                // Optional victim (transaction name or instance index);
-                // default: the first instance.
-                faults_victim = Some(match it.peek() {
-                    Some(v) if !v.starts_with("--") => it.next().expect("peeked").clone(),
-                    _ => "0".to_string(),
-                });
-            }
-            "--lock-timeout-ms" => {
-                let v = it.next().ok_or("--lock-timeout-ms needs a number")?;
-                opts.lock_timeout = Duration::from_millis(
-                    v.parse().map_err(|_| format!("bad --lock-timeout-ms `{v}`"))?,
-                );
-            }
-            "--txns" => txns_arg = Some(it.next().ok_or("--txns needs a comma-separated list")?),
-            "--levels" => {
-                levels_arg = Some(it.next().ok_or("--levels needs a comma-separated list")?);
-            }
-            "--max-depth" => {
-                let v = it.next().ok_or("--max-depth needs a number")?;
-                opts.max_depth = Some(v.parse().map_err(|_| format!("bad --max-depth `{v}`"))?);
-            }
-            "--max-schedules" => {
-                let v = it.next().ok_or("--max-schedules needs a number")?;
-                opts.max_schedules = v.parse().map_err(|_| format!("bad --max-schedules `{v}`"))?;
-            }
-            "--seed" => {
-                let spec = it.next().ok_or("--seed needs item=VALUE or table.col=VALUE")?;
-                let (target, value) = spec
-                    .split_once('=')
-                    .ok_or_else(|| format!("bad --seed `{spec}` (need `=`)"))?;
-                let value: i64 =
-                    value.parse().map_err(|_| format!("bad --seed value `{value}`"))?;
-                match target.split_once('.') {
-                    Some((table, col)) => {
-                        opts.seed_cols.push((table.to_string(), col.to_string(), value));
-                    }
-                    None => opts.seed_items.push((target.to_string(), value)),
-                }
-            }
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a number")?;
-                opts.jobs = v.parse().map_err(|_| format!("bad --jobs `{v}`"))?;
-            }
-            "--refine" => opts.refine = true,
-            "--json" => json_out = true,
-            _ if path.is_none() => path = Some(a),
-            other => return Err(format!("unexpected argument `{other}`")),
+/// `item=V` or `table.col=V`, as explore's `--seed` takes it.
+fn seed_spec(spec: &str) -> Result<(&str, i64), String> {
+    let (target, value) = spec.split_once('=').ok_or("need `=`")?;
+    Ok((target, value.parse().map_err(|_| format!("bad value `{value}`"))?))
+}
+
+fn cmd_explore(args: &Args) -> CmdResult {
+    let d = ExploreOptions::default();
+    let mut opts = ExploreOptions {
+        max_depth: args.num("--max-depth")?.or(d.max_depth),
+        max_schedules: args.num("--max-schedules")?.unwrap_or(d.max_schedules),
+        lock_timeout: args.num("--lock-timeout-ms")?.map_or(d.lock_timeout, Duration::from_millis),
+        jobs: args.num("--jobs")?.unwrap_or(d.jobs),
+        refine: args.has("--refine"),
+        ..d
+    };
+    for (target, value) in args.all("--seed", seed_spec)? {
+        match target.split_once('.') {
+            Some((table, col)) => opts.seed_cols.push((table.to_string(), col.to_string(), value)),
+            None => opts.seed_items.push((target.to_string(), value)),
         }
     }
-    let path = path.ok_or(
-        "usage: semcc explore <app.json> [--txns T1,T2[,T3]] [--levels L1,L2[,L3][;...]] \
-         [--seed item=V|table.col=V]... [--max-depth N] [--max-schedules N] [--refine] \
-         [--jobs N] [--json]",
-    )?;
-    let app = load_app(path)?;
+    let json_out = args.has("--json");
+    // The victim is a transaction name or instance index; by default the
+    // first instance.
+    let faults_victim = args.optional("--faults").map(|v| v.unwrap_or("0"));
+    let app: App = load(args.pos(0))?;
 
-    let names: Vec<String> = match txns_arg {
+    let names: Vec<String> = match args.value("--txns") {
         Some(list) => list.split(',').map(|s| s.trim().to_string()).collect(),
         None => {
             if !(2..=3).contains(&app.programs.len()) {
@@ -627,7 +791,7 @@ fn cmd_explore(args: &[String]) -> CmdResult {
     };
     // `--levels` takes one vector per `;`-separated group: a single vector
     // is a plain exploration, several are a sweep fanned out over --jobs.
-    let level_vectors: Vec<Vec<IsolationLevel>> = match levels_arg {
+    let level_vectors: Vec<Vec<IsolationLevel>> = match args.value("--levels") {
         Some(list) => list
             .split(';')
             .map(|group| {
@@ -677,7 +841,7 @@ fn cmd_explore(args: &[String]) -> CmdResult {
             Ok(i) => i,
             Err(_) => names
                 .iter()
-                .position(|n| n == &victim_arg)
+                .position(|n| n == victim_arg)
                 .ok_or_else(|| format!("--faults: no transaction instance `{victim_arg}`"))?,
         };
         let cases = explore_with_aborts(&app, &specs, &opts, victim)?;
@@ -725,7 +889,7 @@ fn cmd_explore(args: &[String]) -> CmdResult {
                 );
             }
         }
-        return if divergent_total > 0 { Ok(Findings::Diagnostics) } else { Ok(Findings::Clean) };
+        return clean_if(divergent_total == 0);
     }
 
     let result = explore(&app, &specs, &opts)?;
@@ -740,11 +904,7 @@ fn cmd_explore(args: &[String]) -> CmdResult {
     } else {
         print_explore(&result, &diff, opts.refine);
     }
-    if result.divergent > 0 || !diff.sound() {
-        Ok(Findings::Diagnostics)
-    } else {
-        Ok(Findings::Clean)
-    }
+    clean_if(result.divergent == 0 && diff.sound())
 }
 
 /// `explore --levels A;B;...`: the outer level-vector sweep, explored and
@@ -786,85 +946,40 @@ fn explore_level_sweep(
     Ok(findings)
 }
 
-fn cmd_faultsim(args: &[String]) -> CmdResult {
-    let mut path: Option<&String> = None;
-    let mut json_out = false;
-    let mut opts = FaultSimOptions::default();
-    let mut seeds = 1u64;
-    let mut jobs = 1usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seeds" => {
-                let v = it.next().ok_or("--seeds needs a count")?;
-                seeds = v.parse().map_err(|_| format!("bad --seeds `{v}`"))?;
-                if seeds == 0 {
-                    return Err("--seeds needs at least 1".into());
-                }
-            }
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a number")?;
-                jobs = v.parse().map_err(|_| format!("bad --jobs `{v}`"))?;
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a number")?;
-                opts.seed = v.parse().map_err(|_| format!("bad --seed `{v}`"))?;
-            }
-            "--txns" => {
-                let v = it.next().ok_or("--txns needs a number")?;
-                opts.txns = v.parse().map_err(|_| format!("bad --txns `{v}`"))?;
-            }
-            "--levels" => {
-                let list = it.next().ok_or("--levels needs a comma-separated list")?;
-                opts.levels =
-                    list.split(',').map(|t| t.trim().parse()).collect::<Result<_, String>>()?;
-            }
-            "--mix" => {
-                let list = it.next().ok_or(
-                    "--mix needs CLASS=P,... (classes: lock-timeout, deadlock, fcw, \
-                     abort-stmt, crash-before, crash-after, crash-mid-txn, torn-tail)",
-                )?;
-                let mut mix = FaultMix::default();
-                for tok in list.split(',') {
-                    let (name, p) = tok
-                        .split_once('=')
-                        .ok_or_else(|| format!("bad --mix entry `{tok}` (need `=`)"))?;
-                    let p: f64 = p.parse().map_err(|_| format!("bad --mix rate `{tok}`"))?;
-                    mix.set(name.trim(), p)?;
-                }
-                opts.mix = mix;
-            }
-            "--lock-timeout-ms" => {
-                let v = it.next().ok_or("--lock-timeout-ms needs a number")?;
-                opts.lock_timeout = Duration::from_millis(
-                    v.parse().map_err(|_| format!("bad --lock-timeout-ms `{v}`"))?,
-                );
-            }
-            "--max-attempts" => {
-                let v = it.next().ok_or("--max-attempts needs a number")?;
-                opts.policy.max_attempts =
-                    v.parse().map_err(|_| format!("bad --max-attempts `{v}`"))?;
-            }
-            "--durable" => opts.durable = true,
-            "--wal-flush-every" => {
-                let v = it.next().ok_or("--wal-flush-every needs a record count")?;
-                opts.wal_flush_every =
-                    v.parse().map_err(|_| format!("bad --wal-flush-every `{v}`"))?;
-                if opts.wal_flush_every == 0 {
-                    return Err("--wal-flush-every needs at least 1".into());
-                }
-            }
-            "--json" => json_out = true,
-            _ if path.is_none() => path = Some(a),
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
+/// `CLASS=P,...`, as faultsim's `--mix` takes it.
+fn fault_mix(list: &str) -> Result<FaultMix, String> {
+    let mut mix = FaultMix::default();
+    for tok in list.split(',') {
+        let (name, p) = tok.split_once('=').ok_or_else(|| format!("entry `{tok}` needs `=`"))?;
+        let p: f64 = p.parse().map_err(|_| format!("bad rate in `{tok}`"))?;
+        mix.set(name.trim(), p)?;
     }
-    let path = path.ok_or(
-        "usage: semcc faultsim <app.json> [--seed N] [--seeds N] [--jobs N] [--txns N] \
-         [--levels L1[,L2,...]] [--mix CLASS=P,...] [--lock-timeout-ms N] [--max-attempts N] \
-         [--durable] [--wal-flush-every N] [--json]",
-    )?;
-    let app = load_app(path)?;
+    Ok(mix)
+}
+
+fn cmd_faultsim(args: &Args) -> CmdResult {
+    let d = FaultSimOptions::default();
+    let levels = |list: &str| list.split(',').map(|t| t.trim().parse()).collect();
+    let opts = FaultSimOptions {
+        seed: args.num("--seed")?.unwrap_or(d.seed),
+        txns: args.num("--txns")?.unwrap_or(d.txns),
+        levels: args.get("--levels", levels)?.unwrap_or(d.levels),
+        mix: args.get("--mix", fault_mix)?.unwrap_or(d.mix),
+        lock_timeout: args.num("--lock-timeout-ms")?.map_or(d.lock_timeout, Duration::from_millis),
+        policy: semcc_workloads::RetryPolicy {
+            max_attempts: args.num("--max-attempts")?.unwrap_or(d.policy.max_attempts),
+            ..d.policy
+        },
+        durable: args.has("--durable"),
+        wal_flush_every: args
+            .num("--wal-flush-every")?
+            .map_or(d.wal_flush_every, NonZeroUsize::get),
+        ..d
+    };
+    let seeds = args.num("--seeds")?.map_or(1, NonZeroU64::get);
+    let jobs = args.num("--jobs")?.unwrap_or(1);
+    let json_out = args.has("--json");
+    let app: App = load(args.pos(0))?;
 
     if seeds > 1 {
         // Plan sweep: the base seed and its successors, one single-threaded
@@ -886,7 +1001,7 @@ fn cmd_faultsim(args: &[String]) -> CmdResult {
             println!();
             println!("seed sweep: {} run(s), {} violation(s) total", reports.len(), violations);
         }
-        return if violations == 0 { Ok(Findings::Clean) } else { Ok(Findings::Diagnostics) };
+        return clean_if(violations == 0);
     }
 
     let report = simulate(&app, &opts)?;
@@ -895,11 +1010,7 @@ fn cmd_faultsim(args: &[String]) -> CmdResult {
     } else {
         print_faultsim(&report);
     }
-    if report.clean() {
-        Ok(Findings::Clean)
-    } else {
-        Ok(Findings::Diagnostics)
-    }
+    clean_if(report.clean())
 }
 
 fn print_faultsim(r: &FaultSimReport) {
@@ -925,14 +1036,11 @@ fn print_faultsim(r: &FaultSimReport) {
         println!("  loser records undone  {}", r.recovery_undone);
     }
     if !r.recovery_latencies_us.is_empty() {
-        let mut lats = r.recovery_latencies_us.clone();
-        lats.sort_unstable();
-        let pct = |p: f64| lats[((lats.len() - 1) as f64 * p) as usize];
         println!(
             "  recovery latency      p50 {}µs  p99 {}µs  ({} retried commits)",
-            pct(0.50),
-            pct(0.99),
-            lats.len()
+            r.recovery_percentile_us(0.50),
+            r.recovery_percentile_us(0.99),
+            r.recovery_latencies_us.len()
         );
     }
     if r.clean() {
@@ -957,23 +1065,10 @@ fn faultsim_json(r: &FaultSimReport) -> Json {
         ("gave_up", Json::Int(r.gave_up as i64)),
         (
             "aborts_by_class",
-            Json::obj(
-                r.aborts_by_class
-                    .iter()
-                    .map(|(c, n)| (c.name().to_string(), Json::Int(*n as i64)))
-                    .collect::<Vec<_>>(),
-            ),
+            Json::obj(r.aborts_by_class.iter().map(|(c, n)| (c.name(), n.to_json()))),
         ),
         ("injected", Json::Int(r.injected as i64)),
-        (
-            "injected_by_kind",
-            Json::obj(
-                r.injected_by_kind
-                    .iter()
-                    .map(|(k, n)| (k.to_string(), Json::Int(*n as i64)))
-                    .collect::<Vec<_>>(),
-            ),
-        ),
+        ("injected_by_kind", Json::obj(r.injected_by_kind.iter().map(|(k, n)| (*k, n.to_json())))),
         (
             "events",
             Json::Arr(
@@ -992,18 +1087,10 @@ fn faultsim_json(r: &FaultSimReport) -> Json {
         ),
         ("audit_checks", Json::Int(r.audit_checks as i64)),
         ("recoveries_audited", Json::Int(r.recoveries_audited as i64)),
-        (
-            "crashes_by_class",
-            Json::obj(
-                r.crashes_by_class
-                    .iter()
-                    .map(|(k, n)| (k.to_string(), Json::Int(*n as i64)))
-                    .collect::<Vec<_>>(),
-            ),
-        ),
+        ("crashes_by_class", Json::obj(r.crashes_by_class.iter().map(|(k, n)| (*k, n.to_json())))),
         ("recovery_redo", Json::Int(r.recovery_redo as i64)),
         ("recovery_undone", Json::Int(r.recovery_undone as i64)),
-        ("violations", Json::Arr(r.violations.iter().map(|v| Json::str(v.clone())).collect())),
+        ("violations", r.violations.to_json()),
         ("clean", Json::Bool(r.clean())),
     ])
 }
@@ -1110,12 +1197,7 @@ fn explore_json(r: &ExploreResult, d: &Differential, refined: bool) -> Json {
         ("truncated", Json::Bool(r.truncated)),
         (
             "anomalies",
-            Json::obj(
-                r.anomaly_counts
-                    .iter()
-                    .map(|(k, n)| (k.to_string(), Json::Int(*n as i64)))
-                    .collect::<Vec<_>>(),
-            ),
+            Json::obj(r.anomaly_counts.iter().map(|(k, n)| (k.to_string(), n.to_json()))),
         ),
         (
             "divergent_examples",
@@ -1124,10 +1206,7 @@ fn explore_json(r: &ExploreResult, d: &Differential, refined: bool) -> Json {
                     .iter()
                     .map(|ex| {
                         Json::obj([
-                            (
-                                "steps",
-                                Json::Arr(ex.steps.iter().map(|s| Json::str(s.clone())).collect()),
-                            ),
+                            ("steps", ex.steps.to_json()),
                             (
                                 "anomalies",
                                 Json::Arr(
@@ -1184,10 +1263,7 @@ fn witnesses_json(witnesses: &[Witness]) -> Json {
                     ("victim_level", Json::str(w.victim_level.to_string())),
                     ("interferer", Json::str(w.interferer.clone())),
                     ("interferer_level", Json::str(w.interferer_level.to_string())),
-                    (
-                        "schedule",
-                        Json::Arr(w.schedule.iter().map(|s| Json::str(s.clone())).collect()),
-                    ),
+                    ("schedule", w.schedule.to_json()),
                     ("outcome", Json::str(outcome)),
                     ("reason", reason),
                 ])
@@ -1282,18 +1358,8 @@ fn lint_report_json(report: &LintReport) -> Json {
                 Json::obj([
                     ("a", Json::str(d.a.clone())),
                     ("b", Json::str(d.b.clone())),
-                    (
-                        "a_reads_b_writes",
-                        Json::Arr(
-                            d.a_reads_b_writes.iter().map(|s| Json::str(s.clone())).collect(),
-                        ),
-                    ),
-                    (
-                        "b_reads_a_writes",
-                        Json::Arr(
-                            d.b_reads_a_writes.iter().map(|s| Json::str(s.clone())).collect(),
-                        ),
-                    ),
+                    ("a_reads_b_writes", d.a_reads_b_writes.to_json()),
+                    ("b_reads_a_writes", d.b_reads_a_writes.to_json()),
                 ])
             })
             .collect(),
@@ -1308,23 +1374,12 @@ fn lint_report_json(report: &LintReport) -> Json {
                     ("kind", Json::str(d.kind.to_string())),
                     ("level", Json::str(d.level.to_string())),
                     ("txn", Json::str(d.txn.clone())),
-                    ("partner", d.partner.clone().map_or(Json::Null, Json::str)),
-                    (
-                        "statements",
-                        Json::Arr(d.statements.iter().map(|s| Json::str(s.clone())).collect()),
-                    ),
-                    (
-                        "provenance",
-                        Json::Arr(d.provenance.iter().map(|s| Json::str(s.clone())).collect()),
-                    ),
+                    ("partner", d.partner.to_json()),
+                    ("statements", d.statements.to_json()),
+                    ("provenance", d.provenance.to_json()),
                     (
                         "counterexample",
-                        Json::obj(
-                            d.counterexample
-                                .iter()
-                                .map(|(v, x)| (v.clone(), Json::Int(*x)))
-                                .collect::<Vec<_>>(),
-                        ),
+                        Json::obj(d.counterexample.iter().map(|(v, x)| (v.as_str(), x.to_json()))),
                     ),
                     ("message", Json::str(d.message.clone())),
                 ])
@@ -1344,16 +1399,10 @@ fn lint_report_json(report: &LintReport) -> Json {
                     ("to", Json::str(e.to.clone())),
                     ("kind", Json::str(e.kind.to_string())),
                     ("rule", Json::str(e.rule.clone())),
-                    ("items", Json::Arr(e.items.iter().map(|s| Json::str(s.clone())).collect())),
-                    ("tables", Json::Arr(e.tables.iter().map(|s| Json::str(s.clone())).collect())),
-                    (
-                        "from_stmts",
-                        Json::Arr(e.from_stmts.iter().map(|&i| Json::Int(i as i64)).collect()),
-                    ),
-                    (
-                        "to_stmts",
-                        Json::Arr(e.to_stmts.iter().map(|&i| Json::Int(i as i64)).collect()),
-                    ),
+                    ("items", e.items.to_json()),
+                    ("tables", e.tables.to_json()),
+                    ("from_stmts", e.from_stmts.to_json()),
+                    ("to_stmts", e.to_stmts.to_json()),
                 ])
             })
             .collect(),
@@ -1369,9 +1418,8 @@ fn lint_report_json(report: &LintReport) -> Json {
     ])
 }
 
-fn cmd_verify(args: &[String]) -> CmdResult {
-    let path = args.first().ok_or("usage: semcc verify <app.json>")?;
-    let app = load_app(path)?;
+fn cmd_verify(args: &Args) -> CmdResult {
+    let app: App = load(args.pos(0))?;
     let issues = check_app_annotations(&app);
     let mut errors = 0;
     for i in &issues {
@@ -1391,15 +1439,12 @@ fn cmd_verify(args: &[String]) -> CmdResult {
     );
     if errors == 0 {
         println!("annotation outlines are valid sequential proofs (within the fragment)");
-        Ok(Findings::Clean)
-    } else {
-        Ok(Findings::Diagnostics)
     }
+    clean_if(errors == 0)
 }
 
-fn cmd_obligations(args: &[String]) -> CmdResult {
-    let path = args.first().ok_or("usage: semcc obligations <app.json>")?;
-    let app = load_app(path)?;
+fn cmd_obligations(args: &Args) -> CmdResult {
+    let app: App = load(args.pos(0))?;
     let t = cost_table(&app);
     println!(
         "K = {} transaction types, ΣN = {} statements, naive (ΣN)^2 = {}",
@@ -1422,29 +1467,12 @@ fn cmd_obligations(args: &[String]) -> CmdResult {
     Ok(Findings::Clean)
 }
 
-fn cmd_certify(args: &[String]) -> CmdResult {
-    let mut path: Option<&String> = None;
-    let mut out: Option<&String> = None;
-    let mut refine = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => out = Some(it.next().ok_or("--out needs a file path")?),
-            "--refine" => refine = true,
-            _ if path.is_none() => path = Some(a),
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
-    }
-    let path = path.ok_or("usage: semcc certify <app.json> [--refine] [--out cert.json]")?;
-    let app = load_app(path)?;
-    let name = std::path::Path::new(path)
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("app")
-        .to_string();
-    let mut cert = certify_app(&app, &name, semcc_txn::symexec::SymOptions::default())
+fn cmd_certify(args: &Args) -> CmdResult {
+    let path = args.pos(0);
+    let app: App = load(path)?;
+    let mut cert = certify_app(&app, &app_name(path), semcc_txn::symexec::SymOptions::default())
         .map_err(|e| format!("certification failed: {e}"))?;
-    if refine {
+    if args.has("--refine") {
         let graph = semcc_core::DepGraph::build(&app);
         let rep = semcc_refine::refine(&app, &graph);
         println!(
@@ -1478,7 +1506,7 @@ fn cmd_certify(args: &[String]) -> CmdResult {
         total,
         cert.reports.len()
     );
-    if let Some(out) = out {
+    if let Some(out) = args.value("--out") {
         std::fs::write(out, semcc_json::to_string_pretty(&cert))
             .map_err(|e| format!("writing {out}: {e}"))?;
         println!("wrote certificate to {out}");
@@ -1486,11 +1514,8 @@ fn cmd_certify(args: &[String]) -> CmdResult {
     Ok(findings)
 }
 
-fn cmd_verify_cert(args: &[String]) -> CmdResult {
-    let path = args.first().ok_or("usage: semcc verify-cert <cert.json>")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let cert: semcc_cert::Certificate =
-        semcc_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
+fn cmd_verify_cert(args: &Args) -> CmdResult {
+    let cert: semcc_cert::Certificate = load(args.pos(0))?;
     let report = semcc_cert::verify(&cert);
     println!(
         "{}: {} obligation(s), {} substitution proof(s) replayed, {} trusted premise(s), \
@@ -1521,39 +1546,15 @@ fn cmd_verify_cert(args: &[String]) -> CmdResult {
 /// lattice of per-type level vectors, prints the primary (ladder-only)
 /// Pareto-minimal assignment, and optionally writes the deterministic
 /// admission-policy artifact and the synthesis certificate.
-fn cmd_synth(args: &[String]) -> CmdResult {
-    let mut path: Option<&String> = None;
-    let mut out: Option<&String> = None;
-    let mut cert_out: Option<&String> = None;
-    let mut json_out = false;
-    let mut witnesses = true;
-    let mut jobs = 1usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => out = Some(it.next().ok_or("--out needs a file path")?),
-            "--cert" => cert_out = Some(it.next().ok_or("--cert needs a file path")?),
-            "--json" => json_out = true,
-            "--no-witness" => witnesses = false,
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a number")?;
-                jobs = v.parse().map_err(|_| format!("bad --jobs `{v}`"))?;
-            }
-            _ if path.is_none() => path = Some(a),
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
-    }
-    let path = path.ok_or(
-        "usage: semcc synth <app.json> [--out policy.json] [--cert cert.json] [--no-witness] \
-         [--jobs N] [--json]",
-    )?;
-    let app = load_app(path)?;
-    let name = std::path::Path::new(path)
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("app")
-        .to_string();
-    let opts = semcc_synth::SynthOptions { jobs, witnesses, ..Default::default() };
+fn cmd_synth(args: &Args) -> CmdResult {
+    let opts = semcc_synth::SynthOptions {
+        jobs: args.num("--jobs")?.unwrap_or(1),
+        witnesses: !args.has("--no-witness"),
+        ..Default::default()
+    };
+    let path = args.pos(0);
+    let app: App = load(path)?;
+    let name = app_name(path);
     let syn = semcc_synth::synthesize(&app, &opts)?;
     let greedy = assign_levels(&app, &default_ladder());
     let cert = semcc_synth::policy::synth_certificate(&app, &name, &syn);
@@ -1563,14 +1564,14 @@ fn cmd_synth(args: &[String]) -> CmdResult {
         syn.txns.iter().cloned().zip(primary.levels.iter().cloned()).collect();
     let advisories = semcc_refine::predict_deadlocks(&app, &level_map);
     let policy = semcc_synth::policy_json(&name, &syn, &greedy, &advisories, &digest);
-    if let Some(cert_out) = cert_out {
+    if let Some(cert_out) = args.value("--cert") {
         std::fs::write(cert_out, semcc_json::to_string_pretty(&cert))
             .map_err(|e| format!("writing {cert_out}: {e}"))?;
     }
-    if let Some(out) = out {
+    if let Some(out) = args.value("--out") {
         std::fs::write(out, policy.to_pretty()).map_err(|e| format!("writing {out}: {e}"))?;
     }
-    if json_out {
+    if args.has("--json") {
         println!("{}", policy.to_pretty());
         return Ok(Findings::Clean);
     }
@@ -1610,57 +1611,30 @@ fn cmd_synth(args: &[String]) -> CmdResult {
     Ok(Findings::Clean)
 }
 
-fn cmd_serve(args: &[String]) -> CmdResult {
+fn cmd_serve(args: &Args) -> CmdResult {
     use semcc_serve::{bench, AdmissionPolicy, Mix};
-    let usage = "usage: semcc serve --policy policy.json [--policy more.json]... [--bench] \
-                 [--mix banking|orders|payroll|mixed] [--workers N] [--txns N] [--seed N] \
-                 [--scale N] [--lock-timeout-ms N] [--max-attempts N] [--single-lock] \
-                 [--inject-panics] [--json]";
-    let mut policies: Vec<String> = Vec::new();
-    let mut run_bench = false;
-    let mut json_out = false;
-    let mut cfg = bench::BenchConfig::default();
-    let mut mix_flag: Option<Mix> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut num = |flag: &str| -> Result<u64, String> {
-            let v = it.next().ok_or(format!("{flag} needs a number"))?;
-            v.parse().map_err(|_| format!("bad {flag} `{v}`"))
-        };
-        match a.as_str() {
-            "--policy" => {
-                policies.push(it.next().ok_or("--policy needs a file path")?.clone());
-            }
-            "--bench" => run_bench = true,
-            "--json" => json_out = true,
-            "--single-lock" => cfg.single_lock = true,
-            "--inject-panics" => cfg.inject_panics = true,
-            "--mix" => {
-                let v = it.next().ok_or("--mix needs a value")?;
-                mix_flag = Some(
-                    Mix::parse(v)
-                        .ok_or(format!("bad --mix `{v}` (banking|orders|payroll|mixed)"))?,
-                );
-            }
-            "--workers" => cfg.workers = num("--workers")?.max(1) as usize,
-            "--txns" => cfg.txns_per_worker = num("--txns")? as usize,
-            "--seed" => cfg.seed = num("--seed")?,
-            "--scale" => cfg.scale = num("--scale")?.max(2) as usize,
-            "--lock-timeout-ms" => {
-                cfg.lock_timeout = Duration::from_millis(num("--lock-timeout-ms")?.max(1))
-            }
-            "--max-attempts" => cfg.max_attempts = num("--max-attempts")?.max(1) as usize,
-            other => return Err(format!("unexpected argument `{other}`\n{usage}")),
-        }
-    }
-    if policies.is_empty() {
-        return Err(usage.to_string());
-    }
+    let d = bench::BenchConfig::default();
+    let mut cfg = bench::BenchConfig {
+        workers: args.num::<u64>("--workers")?.map_or(d.workers, |n| n.max(1) as usize),
+        txns_per_worker: args.num("--txns")?.unwrap_or(d.txns_per_worker),
+        seed: args.num("--seed")?.unwrap_or(d.seed),
+        scale: args.num::<u64>("--scale")?.map_or(d.scale, |n| n.max(2) as usize),
+        lock_timeout: args
+            .num::<u64>("--lock-timeout-ms")?
+            .map_or(d.lock_timeout, |ms| Duration::from_millis(ms.max(1))),
+        max_attempts: args
+            .num::<u64>("--max-attempts")?
+            .map_or(d.max_attempts, |n| n.max(1) as usize),
+        single_lock: args.has("--single-lock"),
+        inject_panics: args.has("--inject-panics"),
+        ..d
+    };
+    let mix_flag =
+        args.get("--mix", |v| Mix::parse(v).ok_or("not banking|orders|payroll|mixed"))?;
     // Digest verification happens at load; a tampered artifact is a hard
     // error (exit 2) — the server must not start without a proof-backed
     // level assignment.
-    let policy = AdmissionPolicy::load_all(policies.iter().map(String::as_str))
-        .map_err(|e| e.to_string())?;
+    let policy = AdmissionPolicy::load_all(args.values("--policy")).map_err(|e| e.to_string())?;
     let mix = match mix_flag.or_else(|| Mix::infer(&policy)) {
         Some(m) => m,
         None => {
@@ -1671,7 +1645,7 @@ fn cmd_serve(args: &[String]) -> CmdResult {
         }
     };
     cfg.mix = mix;
-    if !run_bench {
+    if !args.has("--bench") {
         // Validation mode: print the admission table and exit.
         println!(
             "admission policy verified ({} artifact(s), {} type(s)):",
@@ -1693,29 +1667,48 @@ fn cmd_serve(args: &[String]) -> CmdResult {
         return Ok(Findings::Clean);
     }
     let report = bench::run(policy, &cfg).map_err(|e| e.to_string())?;
-    if json_out {
+    if args.has("--json") {
         println!("{}", bench::json_report(&cfg, &report).to_pretty());
     } else {
         print!("{}", bench::human_report(&cfg, &report));
     }
-    if report.violations.is_empty() && report.quiescent {
-        Ok(Findings::Clean)
-    } else {
-        Ok(Findings::Diagnostics)
-    }
+    clean_if(report.violations.is_empty() && report.quiescent)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Run a command line through the same dispatch as the binary.
+    fn semcc(argv: &[&str]) -> CmdResult {
+        run(&argv.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
     fn tmp_app(name: &str, which: &str) -> String {
         let dir = std::env::temp_dir().join("semcc_cli_test");
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join(name);
         let path_s = path.to_str().expect("utf8").to_string();
-        cmd_export(&[which.to_string(), path_s.clone()]).expect("export");
+        semcc(&["export", which, &path_s]).expect("export");
         path_s
+    }
+
+    #[test]
+    fn every_flag_is_in_help_and_in_its_usage_error() {
+        let help = help();
+        for cmd in COMMANDS {
+            assert!(help.contains(&format!("semcc {} ", cmd.name)), "{}", cmd.name);
+            let usage = semcc(&[cmd.name, "--bogus"]).expect_err("an unknown flag");
+            assert!(usage.starts_with("unexpected argument `--bogus`\nusage: "), "{usage}");
+            for flag in cmd.flags {
+                let shown = flag_usage(flag);
+                assert!(help.contains(&shown), "help lacks {shown} of {}", cmd.name);
+                assert!(usage.contains(&shown), "usage of {} lacks {shown}:\n{usage}", cmd.name);
+            }
+            for arg in cmd.args {
+                assert!(usage.contains(arg), "usage of {} lacks {arg}:\n{usage}", cmd.name);
+            }
+        }
     }
 
     #[test]
@@ -1742,46 +1735,9 @@ mod tests {
     }
 
     #[test]
-    fn export_analyze_check_flow() {
-        let path_s = tmp_app("bank.json", "banking");
-        // Banking's withdrawals are snapshot-unsafe: analyze reports it.
-        assert_eq!(cmd_analyze(std::slice::from_ref(&path_s)), Ok(Findings::Diagnostics));
-        assert_eq!(cmd_verify(std::slice::from_ref(&path_s)), Ok(Findings::Clean));
-        assert_eq!(cmd_obligations(std::slice::from_ref(&path_s)), Ok(Findings::Clean));
-        // A passing check:
-        assert_eq!(
-            cmd_check(&[path_s.clone(), "Withdraw_sav".into(), "REPEATABLE READ".into()]),
-            Ok(Findings::Clean)
-        );
-        // A rejected level is a diagnostic, not an error:
-        assert_eq!(
-            cmd_check(&[path_s, "Withdraw_sav".into(), "SNAPSHOT".into()]),
-            Ok(Findings::Diagnostics)
-        );
-    }
-
-    #[test]
-    fn lint_exit_semantics() {
-        // Banking default lint: write-skew advisory => diagnostics (exit 1).
-        let bank = tmp_app("bank_lint.json", "banking");
-        assert_eq!(cmd_lint(std::slice::from_ref(&bank)), Ok(Findings::Diagnostics));
-        assert_eq!(cmd_lint(&[bank.clone(), "--json".into()]), Ok(Findings::Diagnostics));
-        // Orders at its T2-assigned mixed levels lints clean (exit 0).
-        let ord = tmp_app("orders_lint.json", "orders");
-        assert_eq!(
-            cmd_lint(&[ord.clone(), "--levels".into(), "RU,RC,RC,RR,SER".into()]),
-            Ok(Findings::Clean)
-        );
-        // Usage errors are errors (exit 2), not diagnostics.
-        assert!(cmd_lint(&[ord.clone(), "--levels".into(), "RU".into()]).is_err());
-        assert!(cmd_lint(&[ord, "--levels".into(), "BOGUS,RC,RC,RR,SER".into()]).is_err());
-        assert!(cmd_lint(&["/nonexistent/x.json".to_string()]).is_err());
-    }
-
-    #[test]
     fn lint_json_shape() {
         let bank = tmp_app("bank_lint_json.json", "banking");
-        let app = load_app(&bank).expect("load");
+        let app: App = load(&bank).expect("load");
         let report = lint(&app, None);
         let json = lint_report_json(&report);
         assert_eq!(json.get("clean").and_then(Json::as_bool), Some(false));
@@ -1795,8 +1751,8 @@ mod tests {
 
     #[test]
     fn bad_inputs_are_reported() {
-        assert!(load_app("/nonexistent/x.json").is_err());
-        assert!(cmd_export(&["nope".to_string(), "/tmp/x.json".to_string()]).is_err());
+        assert!(load::<App>("/nonexistent/x.json").is_err());
+        assert!(semcc(&["export", "nope", "/tmp/x.json"]).is_err());
         assert!(IsolationLevel::from_name("BOGUS").is_none());
     }
 
@@ -1817,14 +1773,12 @@ mod tests {
         ] {
             let p = dir.join(name);
             std::fs::write(&p, text).expect("write");
-            let p = p.to_str().expect("utf8").to_string();
-            assert!(load_app(&p).is_err(), "{name}");
-            assert!(cmd_lint(std::slice::from_ref(&p)).is_err(), "{name}");
-            assert!(cmd_analyze(std::slice::from_ref(&p)).is_err(), "{name}");
-            assert!(cmd_certify(std::slice::from_ref(&p)).is_err(), "{name}");
-            assert!(cmd_verify_cert(std::slice::from_ref(&p)).is_err(), "{name}");
-            assert!(cmd_synth(std::slice::from_ref(&p)).is_err(), "{name}");
-            assert!(cmd_serve(&["--policy".to_string(), p.clone()]).is_err(), "{name}");
+            let p = p.to_str().expect("utf8");
+            assert!(load::<App>(p).is_err(), "{name}");
+            for cmd in ["lint", "analyze", "certify", "verify-cert", "synth"] {
+                assert!(semcc(&[cmd, p]).is_err(), "{cmd} {name}");
+            }
+            assert!(semcc(&["serve", "--policy", p]).is_err(), "{name}");
         }
     }
 
@@ -1845,11 +1799,8 @@ mod tests {
                 dir.join(format!("depth_{which}.{kind}.json")).to_str().expect("utf8").to_string()
             };
             let (cert, policy, synth) = (out("cert"), out("policy"), out("synth"));
-            cmd_certify(&[app.clone(), "--refine".into(), "--out".into(), cert.clone()])
-                .expect("certify");
-            let synth_args =
-                [app.clone(), "--out".into(), policy.clone(), "--cert".into(), synth.clone()];
-            cmd_synth(&synth_args).expect("synth");
+            semcc(&["certify", &app, "--refine", "--out", &cert]).expect("certify");
+            semcc(&["synth", &app, "--out", &policy, "--cert", &synth]).expect("synth");
             for path in [app, cert, policy, synth] {
                 let text = std::fs::read_to_string(&path).expect("written");
                 let d = depth(&semcc_json::from_str_value(&text).expect("parses"));
@@ -1875,18 +1826,19 @@ mod tests {
         let policy1 = dir.join("synth_p1.json");
         let policy2 = dir.join("synth_p2.json");
         let cert = dir.join("synth_c.json");
-        let args = |out: &std::path::Path| {
-            vec![
-                app.clone(),
-                "--out".into(),
-                out.to_str().unwrap().to_string(),
-                "--cert".into(),
-                cert.to_str().unwrap().to_string(),
-            ]
+        let synth = |out: &std::path::Path| {
+            semcc(&[
+                "synth",
+                &app,
+                "--out",
+                out.to_str().unwrap(),
+                "--cert",
+                cert.to_str().unwrap(),
+            ])
         };
-        assert_eq!(cmd_synth(&args(&policy1)), Ok(Findings::Clean));
+        assert_eq!(synth(&policy1), Ok(Findings::Clean));
         let c1 = std::fs::read_to_string(&cert).expect("cert written");
-        assert_eq!(cmd_synth(&args(&policy2)), Ok(Findings::Clean));
+        assert_eq!(synth(&policy2), Ok(Findings::Clean));
         let c2 = std::fs::read_to_string(&cert).expect("cert written");
         // Repeated runs are byte-identical — artifact and certificate.
         assert_eq!(
@@ -1913,115 +1865,17 @@ mod tests {
         let cert_path = dir.join("bank_cert_out.json").to_str().expect("utf8").to_string();
         // Banking's withdrawals fail at SNAPSHOT, so certify reports
         // diagnostics — but still writes a certificate for what it proved.
-        assert_eq!(
-            cmd_certify(&[bank, "--out".into(), cert_path.clone()]),
-            Ok(Findings::Diagnostics)
-        );
+        assert_eq!(semcc(&["certify", &bank, "--out", &cert_path]), Ok(Findings::Diagnostics));
         // The independent checker accepts the freshly-emitted certificate.
-        assert_eq!(cmd_verify_cert(std::slice::from_ref(&cert_path)), Ok(Findings::Clean));
+        assert_eq!(semcc(&["verify-cert", &cert_path]), Ok(Findings::Clean));
         // A tampered certificate (flip one report's ok flag) is rejected.
-        let text = std::fs::read_to_string(&cert_path).expect("read");
-        let mut cert: semcc_cert::Certificate = semcc_json::from_str(&text).expect("parse");
+        let mut cert: semcc_cert::Certificate = load(&cert_path).expect("parse");
         if let Some(r) = cert.reports.iter_mut().find(|r| !r.ok) {
             r.ok = true;
         }
         let tampered = dir.join("bank_cert_tampered.json").to_str().expect("utf8").to_string();
         std::fs::write(&tampered, semcc_json::to_string_pretty(&cert)).expect("write");
-        assert_eq!(cmd_verify_cert(std::slice::from_ref(&tampered)), Ok(Findings::Diagnostics));
-    }
-
-    #[test]
-    fn explore_exit_semantics_on_the_paper_examples() {
-        // Example 2 (payroll): dirty read at RU => DIVERGENT (exit 1);
-        // CLEAN at SERIALIZABLE (exit 0).
-        let pay = tmp_app("pay_explore.json", "payroll");
-        let base = vec![
-            pay.clone(),
-            "--txns".into(),
-            "Hours,Print_Records".into(),
-            "--seed".into(),
-            "emp.rate=10".into(),
-        ];
-        let with_levels = |lv: &str| {
-            let mut v = base.clone();
-            v.push("--levels".into());
-            v.push(lv.into());
-            v
-        };
-        assert_eq!(cmd_explore(&with_levels("RU,RU")), Ok(Findings::Diagnostics));
-        assert_eq!(cmd_explore(&with_levels("SER,SER")), Ok(Findings::Clean));
-        // Example 3 (banking): write skew at SNAPSHOT, clean at RR.
-        let bank = tmp_app("bank_explore.json", "banking");
-        let bank_args = |lv: &str| {
-            vec![
-                bank.clone(),
-                "--txns".into(),
-                "Withdraw_sav,Withdraw_ch".into(),
-                "--levels".into(),
-                lv.into(),
-            ]
-        };
-        assert_eq!(cmd_explore(&bank_args("SI,SI")), Ok(Findings::Diagnostics));
-        assert_eq!(cmd_explore(&bank_args("RR,RR")), Ok(Findings::Clean));
-        // JSON mode reports the same verdict.
-        let mut json_args = bank_args("SI,SI");
-        json_args.push("--json".into());
-        assert_eq!(cmd_explore(&json_args), Ok(Findings::Diagnostics));
-    }
-
-    #[test]
-    fn explore_usage_errors() {
-        let bank = tmp_app("bank_explore_usage.json", "banking");
-        // 4 types and no --txns: must ask the user to pick.
-        assert!(cmd_explore(std::slice::from_ref(&bank)).is_err());
-        // Level count mismatch.
-        assert!(cmd_explore(&[
-            bank.clone(),
-            "--txns".into(),
-            "Withdraw_sav,Withdraw_ch".into(),
-            "--levels".into(),
-            "SI".into(),
-        ])
-        .is_err());
-        // Unknown transaction.
-        assert!(cmd_explore(&[
-            bank.clone(),
-            "--txns".into(),
-            "Nope,Withdraw_ch".into(),
-            "--levels".into(),
-            "SI,SI".into(),
-        ])
-        .is_err());
-        // Malformed --seed.
-        assert!(cmd_explore(&[
-            bank,
-            "--txns".into(),
-            "Withdraw_sav,Withdraw_ch".into(),
-            "--seed".into(),
-            "emp.rate".into(),
-        ])
-        .is_err());
-    }
-
-    #[test]
-    fn lint_witness_flag_replays() {
-        let bank = tmp_app("bank_witness.json", "banking");
-        assert_eq!(cmd_lint(&[bank.clone(), "--witness".into()]), Ok(Findings::Diagnostics));
-        assert_eq!(
-            cmd_lint(&[bank, "--witness".into(), "--json".into()]),
-            Ok(Findings::Diagnostics)
-        );
-    }
-
-    #[test]
-    fn lint_refine_keeps_verdicts() {
-        // Refinement deletes only proven-infeasible edges, so lint verdicts
-        // are unchanged: orders stays clean, banking stays diagnosed.
-        let ord = tmp_app("orders_refine_lint.json", "orders");
-        assert_eq!(cmd_lint(&[ord.clone(), "--refine".into()]), Ok(Findings::Clean));
-        assert_eq!(cmd_lint(&[ord, "--refine".into(), "--json".into()]), Ok(Findings::Clean));
-        let bank = tmp_app("bank_refine_lint.json", "banking");
-        assert_eq!(cmd_lint(&[bank, "--refine".into()]), Ok(Findings::Diagnostics));
+        assert_eq!(semcc(&["verify-cert", &tampered]), Ok(Findings::Diagnostics));
     }
 
     #[test]
@@ -2037,8 +1891,8 @@ mod tests {
             assert!(p.get("rule").and_then(Json::as_str).is_some());
             assert!(p.get("obligations").and_then(Json::as_int).unwrap_or(0) > 0);
         }
-        // Satellite: per-edge provenance in lint --json (statement indices,
-        // footprint items, creating rule).
+        // Per-edge provenance in lint --json (statement indices, footprint
+        // items, creating rule).
         let report = lint(&app, None);
         let lint_json = lint_report_json(&report);
         let edges = lint_json.get("edges").and_then(Json::as_arr).expect("edges array");
@@ -2051,84 +1905,15 @@ mod tests {
     }
 
     #[test]
-    fn lint_sweep_dedupes_and_keeps_exit_semantics() {
-        let bank = tmp_app("bank_sweep.json", "banking");
-        // SI vector diagnoses write skew; RR vector is clean. The sweep
-        // reports the deduplicated union => diagnostics.
-        assert_eq!(
-            cmd_lint(&[bank.clone(), "--levels".into(), "SI,SI,SI,SI;RR,RR,RR,RR".into()]),
-            Ok(Findings::Diagnostics)
-        );
-        assert_eq!(
-            cmd_lint(&[
-                bank.clone(),
-                "--levels".into(),
-                "SI,SI,SI,SI;RR,RR,RR,RR".into(),
-                "--json".into(),
-            ]),
-            Ok(Findings::Diagnostics)
-        );
-        // Both vectors clean => clean.
-        assert_eq!(
-            cmd_lint(&[bank.clone(), "--levels".into(), "RR,RR,RR,RR;SER,SER,SER,SER".into()]),
-            Ok(Findings::Clean)
-        );
-        // Witness replay is per-vector; combining it with a sweep is a
-        // usage error, not a silent ignore.
-        assert!(cmd_lint(&[
-            bank,
-            "--levels".into(),
-            "SI,SI,SI,SI;RR,RR,RR,RR".into(),
-            "--witness".into(),
-        ])
-        .is_err());
-    }
-
-    #[test]
-    fn explore_refine_exit_semantics_match_base() {
-        // The refined dependence relation must not change any verdict on
-        // the paper examples — only shrink the schedule space.
-        let pay = tmp_app("pay_explore_refine.json", "payroll");
-        let pay_args = |lv: &str| {
-            vec![
-                pay.clone(),
-                "--txns".into(),
-                "Hours,Print_Records".into(),
-                "--seed".into(),
-                "emp.rate=10".into(),
-                "--levels".into(),
-                lv.into(),
-                "--refine".into(),
-            ]
-        };
-        assert_eq!(cmd_explore(&pay_args("RU,RU")), Ok(Findings::Diagnostics));
-        assert_eq!(cmd_explore(&pay_args("SER,SER")), Ok(Findings::Clean));
-        let bank = tmp_app("bank_explore_refine.json", "banking");
-        let bank_args = |lv: &str| {
-            vec![
-                bank.clone(),
-                "--txns".into(),
-                "Withdraw_sav,Withdraw_ch".into(),
-                "--levels".into(),
-                lv.into(),
-                "--refine".into(),
-            ]
-        };
-        assert_eq!(cmd_explore(&bank_args("SI,SI")), Ok(Findings::Diagnostics));
-        assert_eq!(cmd_explore(&bank_args("RR,RR")), Ok(Findings::Clean));
-    }
-
-    #[test]
     fn certify_refine_attaches_replayable_prunes() {
         let ord = tmp_app("orders_cert_refine.json", "orders");
         let dir = std::env::temp_dir().join("semcc_cli_test");
         let cert_path = dir.join("orders_cert_refine_out.json").to_str().expect("utf8").to_string();
-        cmd_certify(&[ord, "--refine".into(), "--out".into(), cert_path.clone()]).expect("certify");
-        let text = std::fs::read_to_string(&cert_path).expect("read");
-        let cert: semcc_cert::Certificate = semcc_json::from_str(&text).expect("parse");
+        semcc(&["certify", &ord, "--refine", "--out", &cert_path]).expect("certify");
+        let cert: semcc_cert::Certificate = load(&cert_path).expect("parse");
         assert!(!cert.prunes.is_empty(), "refined certificate carries prunes");
         // The independent checker replays the pruning proofs.
-        assert_eq!(cmd_verify_cert(std::slice::from_ref(&cert_path)), Ok(Findings::Clean));
+        assert_eq!(semcc(&["verify-cert", &cert_path]), Ok(Findings::Clean));
         let report = semcc_cert::verify(&cert);
         assert!(report.prune_proofs >= cert.prunes.len());
         // Strip a prune's obligations: the checker must reject it.
@@ -2136,6 +1921,6 @@ mod tests {
         tampered.prunes[0].obligations.clear();
         let tp = dir.join("orders_cert_refine_bad.json").to_str().expect("utf8").to_string();
         std::fs::write(&tp, semcc_json::to_string_pretty(&tampered)).expect("write");
-        assert_eq!(cmd_verify_cert(std::slice::from_ref(&tp)), Ok(Findings::Diagnostics));
+        assert_eq!(semcc(&["verify-cert", &tp]), Ok(Findings::Diagnostics));
     }
 }

@@ -106,6 +106,20 @@ impl IsolationLevel {
     pub fn from_name(name: &str) -> Option<IsolationLevel> {
         IsolationLevel::ALL.into_iter().find(|l| l.name() == name)
     }
+
+    /// The level's short code, one of the spellings [`FromStr`] accepts
+    /// (`RU`, `RC`, `RCFCW`, `RR`, `SI`, `SSI`, `SER`).
+    pub fn code(self) -> &'static str {
+        match self {
+            IsolationLevel::ReadUncommitted => "RU",
+            IsolationLevel::ReadCommitted => "RC",
+            IsolationLevel::ReadCommittedFcw => "RCFCW",
+            IsolationLevel::RepeatableRead => "RR",
+            IsolationLevel::Snapshot => "SI",
+            IsolationLevel::Ssi => "SSI",
+            IsolationLevel::Serializable => "SER",
+        }
+    }
 }
 
 /// Every accepted spelling, in any case: the display names plus the short
@@ -208,6 +222,7 @@ mod tests {
         }
         for l in IsolationLevel::ALL {
             assert_eq!(l.name().to_lowercase().parse(), Ok(l));
+            assert_eq!(l.code().parse(), Ok(l));
         }
         let err = "bogus".parse::<IsolationLevel>().expect_err("not a level");
         assert_eq!(err, "unknown isolation level `BOGUS`");

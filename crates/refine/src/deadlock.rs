@@ -47,6 +47,18 @@ pub struct DeadlockAdvisory {
     pub message: String,
 }
 
+impl DeadlockAdvisory {
+    /// Human-readable rendering: `code message`, then the hold/wait chain
+    /// one indented line per participant.
+    pub fn render(&self) -> String {
+        let mut out = format!("{} {}", self.code, self.message);
+        for line in &self.chain {
+            out.push_str(&format!("\n    {line}"));
+        }
+        out
+    }
+}
+
 /// The object `lint --json` and the admission-policy artifact both carry.
 impl ToJson for DeadlockAdvisory {
     fn to_json(&self) -> Json {

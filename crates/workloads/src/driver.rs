@@ -197,19 +197,9 @@ impl RunStats {
         self.aborts as f64 / finished as f64
     }
 
-    /// Nearest-rank percentile (µs): the smallest recorded latency ≥ `p`
-    /// of the sample. 0 on an empty sample; the sole value on a
-    /// singleton, for every `p`.
+    /// Nearest-rank percentile of the latencies (µs); see [`percentile`].
     pub fn percentile_us(&self, p: f64) -> u64 {
-        let n = self.latencies_us.len();
-        if n == 0 {
-            return 0;
-        }
-        let mut v = self.latencies_us.clone();
-        v.sort_unstable();
-        // Nearest-rank: rank = ⌈p·n⌉ (1-based), clamped to [1, n].
-        let rank = (p.clamp(0.0, 1.0) * n as f64).ceil() as usize;
-        v[rank.clamp(1, n) - 1]
+        percentile(&self.latencies_us, p)
     }
 
     /// Median latency (µs).
@@ -221,6 +211,21 @@ impl RunStats {
     pub fn p99_us(&self) -> u64 {
         self.percentile_us(0.99)
     }
+}
+
+/// Nearest-rank percentile of a sample given in any order: the smallest
+/// value that is at least a fraction `p` of the sample. 0 on an empty
+/// sample; the sole value on a singleton, for every `p`.
+pub fn percentile(sample: &[u64], p: f64) -> u64 {
+    let n = sample.len();
+    if n == 0 {
+        return 0;
+    }
+    let mut v = sample.to_vec();
+    v.sort_unstable();
+    // Nearest-rank: rank = ⌈p·n⌉ (1-based), clamped to [1, n].
+    let rank = (p.clamp(0.0, 1.0) * n as f64).ceil() as usize;
+    v[rank.clamp(1, n) - 1]
 }
 
 /// How one transaction ended under [`retry`].
@@ -528,22 +533,26 @@ mod tests {
     #[test]
     fn percentiles_use_nearest_rank_and_are_monotone() {
         // Unsorted on purpose: the accessor must sort internally.
-        let s = RunStats {
-            latencies_us: vec![50, 10, 40, 20, 30, 60, 90, 70, 80, 100],
-            ..RunStats::default()
-        };
-        // n = 10: p50 → rank ⌈5⌉ = 5th value; p99 → rank ⌈9.9⌉ = 10th.
+        let sample = vec![50, 10, 40, 20, 30, 60, 90, 70, 80, 100];
+        let s = RunStats { latencies_us: sample.clone(), ..RunStats::default() };
         assert_eq!(s.p50_us(), 50);
         assert_eq!(s.p99_us(), 100);
-        assert_eq!(s.percentile_us(0.10), 10);
-        // Out-of-range p clamps rather than panics.
-        assert_eq!(s.percentile_us(-0.5), 10);
-        assert_eq!(s.percentile_us(2.0), 100);
-        let mut prev = 0;
-        for i in 0..=20 {
-            let v = s.percentile_us(i as f64 / 20.0);
-            assert!(v >= prev, "percentile must be monotone in p");
-            prev = v;
+        let stats = |p| s.percentile_us(p);
+        let free = |p| percentile(&sample, p);
+        for pct in [&stats as &dyn Fn(f64) -> u64, &free] {
+            // n = 10: p50 → rank ⌈5⌉ = 5th value; p99 → rank ⌈9.9⌉ = 10th.
+            assert_eq!(pct(0.50), 50);
+            assert_eq!(pct(0.99), 100);
+            assert_eq!(pct(0.10), 10);
+            // Out-of-range p clamps rather than panics.
+            assert_eq!(pct(-0.5), 10);
+            assert_eq!(pct(2.0), 100);
+            let mut prev = 0;
+            for i in 0..=20 {
+                let v = pct(i as f64 / 20.0);
+                assert!(v >= prev, "percentile must be monotone in p");
+                prev = v;
+            }
         }
     }
 

@@ -154,6 +154,11 @@ impl FaultSimReport {
         }
         self.aborts as f64 / finished as f64
     }
+
+    /// Nearest-rank percentile (µs) of the recovery latencies.
+    pub fn recovery_percentile_us(&self, p: f64) -> u64 {
+        crate::driver::percentile(&self.recovery_latencies_us, p)
+    }
 }
 
 /// Resolve the per-program level vector.
