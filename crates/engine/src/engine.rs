@@ -232,11 +232,12 @@ impl Engine {
         self.history.clear();
     }
 
-    /// Garbage-collect versions nobody can read anymore.
+    /// Sweep every version chain to the watermark. Each commit already
+    /// trims the cells it installs into; the sweep reaches the ones no
+    /// later commit touches: versions kept for a snapshot that has since
+    /// ended, and deleted row slots such a snapshot still saw.
     pub fn gc(&self) {
-        let watermark = self.oracle.watermark();
-        self.store.gc(watermark);
-        self.oracle.gc_log(watermark);
+        self.store.gc(self.oracle.watermark());
     }
 }
 

@@ -10,7 +10,7 @@ use semcc_mvcc::{CommitConflict, Key, SsiConflict, SsiKey};
 use semcc_storage::eval::{empty_env, row_matches};
 use semcc_storage::wal::{Lsn, WalRecord};
 use semcc_storage::{
-    ItemCell, Row, RowId, Schema, Seen, Source, StorageError, Table, Ts, TxnId, Value, View,
+    Commit, ItemCell, Row, RowId, Schema, Seen, Source, StorageError, Table, Ts, TxnId, Value, View,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -598,7 +598,7 @@ impl Txn {
             // recovery replays the install group atomically at the Commit.
             // Installs go in write-set order, so the log is a function of
             // the transaction and not of a hash map's iteration order.
-            let install = |ts: Ts| {
+            let install = |at: Commit| {
                 for key in &self.write_set {
                     match key {
                         Key::Item(name) => {
@@ -608,7 +608,7 @@ impl Txn {
                                 continue;
                             };
                             let mut c = cell.lock();
-                            c.install(ts, v.clone());
+                            c.install(at, v.clone());
                             self.log(
                                 || WalRecord::ItemInstall {
                                     txn: id,
@@ -625,7 +625,7 @@ impl Txn {
                             ) else {
                                 continue;
                             };
-                            let _ = t.install(ts, *rid, state.clone());
+                            let _ = t.install(at, *rid, state.clone());
                             self.log(
                                 || WalRecord::RowInstall {
                                     txn: id,
@@ -639,7 +639,7 @@ impl Txn {
                     }
                 }
                 if let Some(wal) = &engine.wal {
-                    wal.append_commit(id, ts);
+                    wal.append_commit(id, at.ts);
                 }
             };
             let ts = if self.level.siread_locks() {
@@ -661,13 +661,13 @@ impl Txn {
         } else {
             // A validation failure leaves every dirty version in place for
             // the caller's abort path, which walks the same write set.
-            let ts = engine.oracle.validate_and_commit_with(&checks, &self.write_set, |ts| {
+            let ts = engine.oracle.validate_and_commit_with(&checks, &self.write_set, |at| {
                 // Commit record first, inside the critical section and with
                 // this transaction's X locks still held: every ItemWrite/Row*
                 // record of the transaction already precedes it, and no
                 // competing writer can slip a record in between.
-                let commit_lsn = engine.wal.as_ref().map_or(0, |wal| wal.append_commit(id, ts));
-                self.settle_dirty(Some(ts), commit_lsn);
+                let commit_lsn = engine.wal.as_ref().map_or(0, |wal| wal.append_commit(id, at.ts));
+                self.settle_dirty(Some(at), commit_lsn);
             })?;
             engine.locks.release_all(id);
             ts
@@ -677,25 +677,25 @@ impl Txn {
     }
 
     /// Resolve every dirty version this transaction left in the store
-    /// (locking levels): promote it at `Some(commit_ts)`, discard it at
+    /// (locking levels): promote it at `Some(commit)`, discard it at
     /// `None`, and stamp the cell with the LSN of the Commit or Abort record
     /// (0 without a log; stamps only ever raise).
-    fn settle_dirty(&self, commit_ts: Option<Ts>, lsn: Lsn) {
+    fn settle_dirty(&self, commit: Option<Commit>, lsn: Lsn) {
         for key in &self.write_set {
             match key {
                 Key::Item(name) => {
                     let Ok(cell) = self.engine.store.item(name) else { continue };
                     let mut c = cell.lock();
-                    match commit_ts {
-                        Some(ts) => c.promote(self.id, ts),
+                    match commit {
+                        Some(at) => c.promote(self.id, at),
                         None => drop(c.discard(self.id)),
                     }
                     c.stamp_lsn(lsn);
                 }
                 Key::Row(table, rid) => {
                     let Ok(t) = self.engine.store.table(table) else { continue };
-                    match commit_ts {
-                        Some(ts) => t.promote_row(self.id, *rid, ts),
+                    match commit {
+                        Some(at) => t.promote_row(self.id, *rid, at),
                         None => t.discard_row(self.id, *rid),
                     }
                     t.stamp_row_lsn(*rid, lsn);

@@ -565,6 +565,25 @@ fn gc_never_steals_versions_from_active_snapshots() {
 }
 
 #[test]
+fn gc_never_forgets_the_write_that_dooms_an_rc_fcw_reader() {
+    // RC+FCW protects a read-then-written item from the version it read,
+    // and that read registers no snapshot: a sweep between the read and
+    // the commit must not let the commit overwrite T2's update.
+    let e = engine();
+    bank(&e);
+    let mut t1 = e.begin(ReadCommittedFcw);
+    assert_eq!(t1.read("sav").expect("read"), Value::Int(100));
+    let mut t2 = e.begin(ReadCommitted);
+    t2.write("sav", 50).expect("write");
+    t2.commit().expect("commit");
+    e.gc();
+    t1.write("sav", 90).expect("write");
+    let r = t1.commit();
+    assert!(matches!(r, Err(EngineError::Fcw(_))), "lost update after gc: {r:?}");
+    assert_eq!(e.peek_item("sav").expect("peek"), Value::Int(50));
+}
+
+#[test]
 fn abort_releases_predicate_locks() {
     let e = engine();
     orders(&e);

@@ -1,5 +1,6 @@
 //! Multiversion concurrency-control machinery: the timestamp oracle,
-//! active-snapshot registry (for version GC), and the *first-committer-wins*
+//! active-snapshot registry (whose oldest entry is the watermark every
+//! install trims version chains to), and the *first-committer-wins*
 //! commit log used by SNAPSHOT isolation and by READ COMMITTED with
 //! first-committer-wins (the paper's Section 3.4 level).
 //!

@@ -2,7 +2,7 @@
 
 use crate::ssi::{SsiConflict, SsiKey, SsiState};
 use parking_lot::Mutex;
-use semcc_storage::{Key, Ts, TxnId};
+use semcc_storage::{Commit, Key, Ts, TxnId};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,7 +55,10 @@ impl std::error::Error for CommitConflict {}
 
 #[derive(Default)]
 struct CommitLog {
-    /// Last committed write timestamp per key.
+    /// Last committed write timestamp per key. Never pruned: an RC+FCW
+    /// check is `since` the version it read, which no snapshot registers,
+    /// so no watermark bounds the entries a check may still need. The map
+    /// holds one entry per key ever written.
     last_write: HashMap<Key, Ts>,
 }
 
@@ -66,7 +69,9 @@ pub struct Oracle {
     /// Last assigned commit timestamp. Snapshot reads use this as "now".
     last_commit: AtomicU64,
     log: Mutex<CommitLog>,
-    /// Active snapshots: snapshot ts per transaction (for the GC watermark).
+    /// Active snapshots: snapshot ts per transaction. Their minimum is the
+    /// watermark every install trims to. Lock order: `log`, `ssi`, then
+    /// `snapshots`; ending a snapshot takes only `snapshots`.
     snapshots: Mutex<BTreeMap<TxnId, Ts>>,
     /// SSI registry: SIREAD locks, write intents, and rw-antidependency
     /// flags per tracked transaction. Lock order: `log` before `ssi`
@@ -126,8 +131,8 @@ impl Oracle {
     /// snapshot timestamp the transaction reads at.
     pub fn begin_snapshot(&self, txn: TxnId) -> Ts {
         // Take the log lock so no commit can slide between reading "now"
-        // and registering the snapshot (which would let GC collect a
-        // version this snapshot needs).
+        // and registering the snapshot: that commit would read a watermark
+        // without this snapshot and trim away the version it needs.
         let _log = self.log.lock();
         let ts = self.current_ts();
         self.snapshots.lock().insert(txn, ts);
@@ -179,10 +184,13 @@ impl Oracle {
         self.next_txn.fetch_max(id + 1, Ordering::AcqRel);
     }
 
-    /// The GC watermark: no active snapshot reads below this timestamp.
+    /// The watermark: no active snapshot reads below this timestamp.
     pub fn watermark(&self) -> Ts {
-        let snaps = self.snapshots.lock();
-        snaps.values().copied().min().unwrap_or_else(|| self.current_ts())
+        self.oldest_snapshot().unwrap_or_else(|| self.current_ts())
+    }
+
+    fn oldest_snapshot(&self) -> Option<Ts> {
+        self.snapshots.lock().values().copied().min()
     }
 
     /// Atomically validate first-committer-wins `checks` and, on success,
@@ -205,11 +213,15 @@ impl Oracle {
     /// commit critical section. Because [`Oracle::begin_snapshot`] takes the
     /// same lock, no snapshot can start at a timestamp whose versions are
     /// not yet installed — the commit is atomic from every reader's view.
+    /// For the same reason the [`Commit`] handed to `install` carries a
+    /// watermark no open snapshot is below: the oldest one, or the commit
+    /// timestamp when none is open. A snapshot ending meanwhile only makes
+    /// it lower than it could be, which is safe.
     pub fn validate_and_commit_with(
         &self,
         checks: &[(Key, Ts)],
         writes: &[Key],
-        install: impl FnOnce(Ts),
+        install: impl FnOnce(Commit),
     ) -> Result<Ts, FcwConflict> {
         self.commit_section(None, checks, writes, install).map_err(|e| match e {
             CommitConflict::Fcw(e) => e,
@@ -219,15 +231,15 @@ impl Oracle {
 
     /// The commit critical section: validate `checks`, run the SSI
     /// precommit check when `ssi_txn` names a tracked transaction, assign
-    /// the timestamp, record `writes`, stamp the SSI record committed, run
-    /// `install`. The commit-log lock is held throughout, the SSI lock from
-    /// the precommit check on.
+    /// the timestamp, record `writes`, stamp the SSI record committed, read
+    /// the watermark, run `install`. The commit-log lock is held
+    /// throughout, the SSI lock from the precommit check on.
     fn commit_section(
         &self,
         ssi_txn: Option<TxnId>,
         checks: &[(Key, Ts)],
         writes: &[Key],
-        install: impl FnOnce(Ts),
+        install: impl FnOnce(Commit),
     ) -> Result<Ts, CommitConflict> {
         let mut log = self.log.lock();
         for (key, since) in checks {
@@ -254,7 +266,7 @@ impl Oracle {
             ssi.commit(*txn, ts);
         }
         self.commits.fetch_add(1, Ordering::Relaxed);
-        install(ts);
+        install(Commit { ts, watermark: self.oldest_snapshot().unwrap_or(ts) });
         Ok(ts)
     }
 
@@ -262,13 +274,6 @@ impl Oracle {
     /// with no FCW obligations) but still recording writes.
     pub fn commit(&self, writes: &[Key]) -> Ts {
         self.validate_and_commit(&[], writes).expect("no checks cannot fail")
-    }
-
-    /// Drop commit-log entries at or below the watermark (they can never
-    /// fail a future check, since every new FCW check's `since_ts` is at
-    /// least the requester's snapshot, which is ≥ the watermark).
-    pub fn gc_log(&self, watermark: Ts) {
-        self.log.lock().last_write.retain(|_, ts| *ts > watermark);
     }
 
     /// Number of commit-log entries (metrics/tests).
@@ -305,7 +310,7 @@ impl Oracle {
         txn: TxnId,
         checks: &[(Key, Ts)],
         writes: &[Key],
-        install: impl FnOnce(Ts),
+        install: impl FnOnce(Commit),
     ) -> Result<Ts, CommitConflict> {
         self.commit_section(Some(txn), checks, writes, install)
     }
@@ -437,14 +442,22 @@ mod tests {
     }
 
     #[test]
-    fn gc_log_keeps_recent_entries() {
+    fn install_gets_the_oldest_open_snapshot_as_watermark() {
         let o = Oracle::new();
-        o.commit(&[Key::item("a")]); // ts 1
-        o.commit(&[Key::item("b")]); // ts 2
-        o.gc_log(1);
-        assert_eq!(o.log_len(), 1);
-        // b's entry must still doom an old snapshot
-        assert!(o.validate_and_commit(&[(Key::item("b"), 1)], &[]).is_err());
+        let commit = || {
+            let mut at = None;
+            o.validate_and_commit_with(&[], &[], |c| at = Some(c)).expect("no checks");
+            at.expect("install ran")
+        };
+        assert_eq!(commit(), Commit { ts: 1, watermark: 1 }, "no snapshot: its own ts");
+        o.begin_snapshot(10);
+        o.commit(&[]); // ts 2
+        o.begin_snapshot(11);
+        assert_eq!(commit(), Commit { ts: 3, watermark: 1 });
+        o.end_snapshot(10);
+        assert_eq!(commit(), Commit { ts: 4, watermark: 2 });
+        o.end_snapshot(11);
+        assert_eq!(commit(), Commit { ts: 5, watermark: 5 });
     }
 
     #[test]

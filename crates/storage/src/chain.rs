@@ -12,6 +12,15 @@
 //! which version supplied it and the chain's newest commit timestamp. The
 //! engine's write locks guarantee a single dirty writer; the chain still
 //! defends against violations with [`StorageError::DirtyConflict`].
+//!
+//! Every committed version arrives with a [`Commit`]: its timestamp and the
+//! *watermark*, the oldest timestamp an open snapshot may still read at.
+//! Installing it trims the chain by the one rule of [`Versioned::trim`]:
+//! keep the newest version at or below the watermark and everything newer.
+//! A version older than that can never be read again. With no snapshot
+//! open the watermark is the commit timestamp itself, so the chain holds
+//! exactly one version and an install reuses its slot (DESIGN.md, "Version
+//! retention").
 
 use crate::error::StorageError;
 use crate::wal::Lsn;
@@ -57,6 +66,27 @@ impl<V: Clone> Seen<&V> {
     /// The same reading, owning its value.
     pub fn cloned(self) -> Seen<V> {
         Seen { value: self.value.clone(), source: self.source, latest_ts: self.latest_ts }
+    }
+}
+
+/// Where a committed version lands: its timestamp, and the oldest
+/// timestamp any open snapshot may still read at. The engine reads both
+/// inside the oracle's commit critical section.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Commit {
+    /// The version's commit timestamp.
+    pub ts: Ts,
+    /// No reader will ask for a version older than the newest one at or
+    /// below this timestamp. At most `ts`.
+    pub watermark: Ts,
+}
+
+/// A bare timestamp commits where no open snapshot predates it (bulk load,
+/// recovery redo, reference replay): the new version is the only one any
+/// reader can reach.
+impl From<Ts> for Commit {
+    fn from(ts: Ts) -> Self {
+        Commit { ts, watermark: ts }
     }
 }
 
@@ -137,11 +167,12 @@ impl<T> Versioned<T> {
         }
     }
 
-    /// Promote the transaction's dirty version to a committed one at `ts`.
-    /// No-op if the transaction has no dirty write here.
-    pub fn promote(&mut self, txn: TxnId, ts: Ts) {
+    /// Promote the transaction's dirty version to a committed one, as
+    /// [`Versioned::install`] does. No-op if the transaction has no dirty
+    /// write here.
+    pub fn promote(&mut self, txn: TxnId, at: impl Into<Commit>) {
         if let Some(value) = self.discard(txn) {
-            self.install(ts, value);
+            self.install(at, value);
         }
     }
 
@@ -154,12 +185,33 @@ impl<T> Versioned<T> {
         }
     }
 
-    /// Append a committed version directly (SNAPSHOT commit, bulk load).
-    /// Most chains only ever hold one, so the first is given exactly its
-    /// own room, not `Vec`'s four-element start.
-    pub fn install(&mut self, ts: Ts, value: T) {
+    /// Commit `value` at `at.ts` and trim the chain to `at.watermark` by
+    /// [`Versioned::trim`]'s rule (SNAPSHOT commit, bulk load, redo). A
+    /// chain left holding only the new version reuses its room.
+    pub fn install(&mut self, at: impl Into<Commit>, value: T) {
+        self.install_with(at, value, drop);
+    }
+
+    /// [`Versioned::install`], handing each version the trim drops to
+    /// `gone`, oldest first.
+    pub(crate) fn install_with(
+        &mut self,
+        at: impl Into<Commit>,
+        value: T,
+        mut gone: impl FnMut(T),
+    ) {
+        let Commit { ts, watermark } = at.into();
         debug_assert!(self.committed.last().is_none_or(|(newest, _)| ts >= *newest));
-        if self.committed.is_empty() {
+        // The trim runs before the push, so a chain that loses every old
+        // version takes the new one in the room they leave. When the
+        // watermark reaches `ts` the new version is the newest at or below
+        // it, and every old one goes.
+        let keep_from =
+            if ts <= watermark { self.committed.len() } else { self.keep_from(watermark) };
+        self.committed.drain(..keep_from).for_each(|(_, v)| gone(v));
+        // A chain holds one version unless a snapshot pins an older one, so
+        // the first is given exactly its own room, not `Vec`'s four.
+        if self.committed.capacity() == 0 {
             self.committed.reserve_exact(1);
         }
         self.committed.push((ts, value));
@@ -167,9 +219,15 @@ impl<T> Versioned<T> {
 
     /// Drop the versions no snapshot at or after `watermark` can see (all
     /// but the newest with `ts <= watermark`) and return them.
-    pub fn gc(&mut self, watermark: Ts) -> Vec<T> {
-        let keep_from = self.committed.iter().rposition(|(ts, _)| *ts <= watermark).unwrap_or(0);
+    pub fn trim(&mut self, watermark: Ts) -> Vec<T> {
+        let keep_from = self.keep_from(watermark);
         self.committed.drain(..keep_from).map(|(_, v)| v).collect()
+    }
+
+    /// Index of the newest committed version at or below `watermark`: the
+    /// oldest one a reader can still reach (0 when none is that old).
+    fn keep_from(&self, watermark: Ts) -> usize {
+        self.committed.iter().rposition(|(ts, _)| *ts <= watermark).unwrap_or(0)
     }
 }
 
@@ -186,7 +244,7 @@ mod tests {
         let mut c: Versioned<i64> = Versioned::default();
         assert_eq!(c.read(View::Latest), None, "an empty chain shows nothing to any view");
         c.install(3, 30);
-        c.install(6, 60);
+        c.install(Commit { ts: 6, watermark: 3 }, 60);
         c.write_dirty(7, 70).expect("first writer");
         assert_eq!(c.read(View::Latest), seen(&70, Source::Dirty(7), 6));
         assert_eq!(c.read(View::Visible(7)), seen(&70, Source::Dirty(7), 6));
@@ -195,5 +253,32 @@ mod tests {
         assert_eq!(c.read(View::At(5)), seen(&30, Source::Committed(3), 6));
         assert_eq!(c.read(View::At(2)), None, "nothing committed that early");
         assert_eq!(c.read(View::At(9)).map(Seen::cloned).map(|s| s.value), Some(60));
+    }
+
+    #[test]
+    fn installs_trim_to_the_watermark() {
+        let ts_of = |c: &Versioned<i64>| c.versions().map(|(ts, _)| ts).collect::<Vec<_>>();
+        let mut c: Versioned<i64> = Versioned::default();
+        c.install(1, 10);
+        // A snapshot at 1 pins the version it reads; nothing older exists.
+        c.install(Commit { ts: 2, watermark: 1 }, 20);
+        c.install(Commit { ts: 3, watermark: 1 }, 30);
+        assert_eq!(ts_of(&c), [1, 2, 3]);
+        // The snapshot ended and one at 2 is open: version 1 is unreachable.
+        c.write_dirty(9, 40).expect("writer");
+        c.promote(9, Commit { ts: 4, watermark: 2 });
+        assert_eq!(ts_of(&c), [2, 3, 4]);
+        assert_eq!(c.read(View::At(2)), seen(&20, Source::Committed(2), 4));
+        // No snapshot open: every older version goes, oldest first.
+        let mut gone = Vec::new();
+        c.install_with(5, 50, |v| gone.push(v));
+        assert_eq!((ts_of(&c), gone), (vec![5], vec![20, 30, 40]));
+        assert_eq!(c.trim(5), Vec::<i64>::new(), "nothing left to trim");
+        let mut one: Versioned<i64> = Versioned::default();
+        one.install(1, 10);
+        for ts in 2..100 {
+            one.install(ts, ts as i64);
+            assert_eq!(one.committed.capacity(), 1, "a lone version is replaced in place");
+        }
     }
 }

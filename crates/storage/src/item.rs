@@ -33,7 +33,7 @@ impl ItemCell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chain::Source;
+    use crate::chain::{Commit, Source};
     use crate::error::StorageError;
 
     /// The value `view` reads; panics where the view sees no version.
@@ -85,11 +85,16 @@ mod tests {
         assert_eq!(c.read(View::Latest).expect("visible").source, Source::Dirty(1));
     }
 
+    /// A commit at `ts` while a snapshot at 0 is open.
+    fn under_snapshot_0(ts: Ts) -> Commit {
+        Commit { ts, watermark: 0 }
+    }
+
     #[test]
     fn snapshot_reads() {
         let mut c = ItemCell::new(Value::Int(0));
-        c.install(5, Value::Int(50));
-        c.install(9, Value::Int(90));
+        c.install(under_snapshot_0(5), Value::Int(50));
+        c.install(under_snapshot_0(9), Value::Int(90));
         assert_eq!(value(&c, View::At(0)), &Value::Int(0));
         assert_eq!(value(&c, View::At(5)), &Value::Int(50));
         assert_eq!(value(&c, View::At(7)), &Value::Int(50));
@@ -115,15 +120,15 @@ mod tests {
     }
 
     #[test]
-    fn gc_keeps_watermark_visible_version() {
+    fn trim_keeps_watermark_visible_version() {
         let mut c = ItemCell::new(Value::Int(0));
-        c.install(5, Value::Int(50));
-        c.install(9, Value::Int(90));
-        c.gc(7);
+        c.install(under_snapshot_0(5), Value::Int(50));
+        c.install(under_snapshot_0(9), Value::Int(90));
+        c.trim(7);
         // version at ts 5 must survive (a snapshot at 7 reads it)
         assert_eq!(value(&c, View::At(7)), &Value::Int(50));
         assert_eq!(c.versions().count(), 2);
-        c.gc(9);
+        c.trim(9);
         assert_eq!(c.versions().count(), 1);
         assert_eq!(c.read_committed(), &Value::Int(90));
     }

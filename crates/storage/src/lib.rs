@@ -13,10 +13,12 @@
 //! and the LSN of the newest WAL record that touched the cell. An
 //! [`ItemCell`] is the chain at `T = Value`, a [`RowCell`] the chain at
 //! `T = Option<Row>`; writing, promoting, discarding, installing and
-//! collecting versions are written once, for both. So is reading: a
+//! trimming versions are written once, for both. So is reading: a
 //! [`View`] names the version a reader is entitled to, and one
 //! `read(view)` returns the value, the version that supplied it and the
-//! chain's newest commit timestamp from a single access.
+//! chain's newest commit timestamp from a single access. Every committed
+//! version arrives with a [`Commit`] carrying the snapshot watermark, and
+//! installing it drops the versions no reader can reach any more.
 //!
 //! Locking isolation levels write in place into the dirty slot — which is
 //! what makes READ UNCOMMITTED dirty reads observable — while SNAPSHOT
@@ -33,7 +35,7 @@ pub mod table;
 pub mod value;
 pub mod wal;
 
-pub use chain::{Seen, Source, Versioned, View};
+pub use chain::{Commit, Seen, Source, Versioned, View};
 pub use error::StorageError;
 pub use item::ItemCell;
 pub use key::Key;

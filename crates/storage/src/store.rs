@@ -147,11 +147,12 @@ impl Store {
         }
     }
 
-    /// Garbage-collect all version chains below the watermark.
+    /// Trim every version chain to the watermark and drop dead row slots:
+    /// what no later install revisits (see [`Table::gc`]).
     pub fn gc(&self, watermark: Ts) {
         for stripe in &self.item_stripes {
             for cell in stripe.read().values() {
-                cell.lock().gc(watermark);
+                cell.lock().trim(watermark);
             }
         }
         for stripe in &self.table_stripes {
@@ -165,6 +166,7 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain::Commit;
 
     #[test]
     fn item_lifecycle() {
@@ -208,8 +210,9 @@ mod tests {
         {
             let item = s.item("x").expect("item");
             let mut cell = item.lock();
-            cell.install(5, Value::Int(1));
-            cell.install(9, Value::Int(2));
+            cell.install(Commit { ts: 5, watermark: 0 }, Value::Int(1));
+            cell.install(Commit { ts: 9, watermark: 0 }, Value::Int(2));
+            assert_eq!(cell.versions().count(), 3, "a snapshot at 0 pins every version");
         }
         s.gc(9);
         assert_eq!(s.item("x").expect("item").lock().versions().count(), 1);

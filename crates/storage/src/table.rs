@@ -15,7 +15,7 @@
 //! with the whole predicate, exactly as a scanned cell is (DESIGN.md,
 //! "Access path").
 
-use crate::chain::{Seen, Versioned, View};
+use crate::chain::{Commit, Seen, Versioned, View};
 use crate::error::StorageError;
 use crate::eval::{empty_env, row_matches};
 use crate::schema::Schema;
@@ -148,6 +148,21 @@ impl Stripe {
             unindex_row(&mut self.indexes, id, &old, Some(cell));
         }
         Ok(())
+    }
+
+    /// Slot `id` was trimmed to `watermark`, dropping the rows in `gone`:
+    /// remove the slot if that left it garbage, and unindex what it no
+    /// longer holds.
+    fn settle(&mut self, id: RowId, watermark: Ts, gone: Vec<Row>) {
+        let Stripe { cells, indexes } = self;
+        if cells.get(&id).is_some_and(|cell| is_garbage(cell, watermark)) {
+            // Trimmed and garbage, the slot holds deletions only, which no
+            // index covers.
+            cells.remove(&id);
+        }
+        for row in gone {
+            unindex_row(indexes, id, &row, cells.get(&id));
+        }
     }
 }
 
@@ -415,17 +430,27 @@ impl Table {
         self.stripe(id).lock().write_dirty(txn, id, None)
     }
 
-    /// Install a committed version of slot `id` directly (SNAPSHOT commit).
-    /// `None` commits a delete. A missing slot is created (snapshot insert).
-    pub fn install(&self, ts: Ts, id: RowId, row: Option<Row>) -> Result<(), StorageError> {
+    /// Install a committed version of slot `id` directly (SNAPSHOT commit),
+    /// trimming the slot to the watermark. `None` commits a delete. A
+    /// missing slot is created (snapshot insert); a slot left holding
+    /// nothing any reader can see is removed.
+    pub fn install(
+        &self,
+        at: impl Into<Commit>,
+        id: RowId,
+        row: Option<Row>,
+    ) -> Result<(), StorageError> {
         if let Some(r) = &row {
             self.check_arity(r)?;
         }
+        let at = at.into();
         let mut stripe = self.stripe(id).lock();
         if let Some(r) = &row {
             index_row(&mut stripe.indexes, id, r);
         }
-        stripe.cells.entry(id).or_default().install(ts, row);
+        let mut gone = Vec::new();
+        stripe.cells.entry(id).or_default().install_with(at, row, |v| gone.extend(v));
+        stripe.settle(id, at.watermark, gone);
         Ok(())
     }
 
@@ -434,11 +459,17 @@ impl Table {
         self.next_row.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Promote `txn`'s dirty changes on `id` (commit).
-    pub fn promote_row(&self, txn: TxnId, id: RowId, ts: Ts) {
-        if let Some(cell) = self.stripe(id).lock().cells.get_mut(&id) {
-            cell.promote(txn, ts);
-        }
+    /// Promote `txn`'s dirty changes on `id` (commit), trimming as
+    /// [`Table::install`] does. No-op unless `txn` holds the dirty version.
+    pub fn promote_row(&self, txn: TxnId, id: RowId, at: impl Into<Commit>) {
+        let at = at.into();
+        let mut stripe = self.stripe(id).lock();
+        let Some(cell) = stripe.cells.get_mut(&id) else { return };
+        // The dirty row stays held as a committed one: its index entries stay.
+        let Some(value) = cell.discard(txn) else { return };
+        let mut gone = Vec::new();
+        cell.install_with(at, value, |v| gone.extend(v));
+        stripe.settle(id, at.watermark, gone);
     }
 
     /// Discard `txn`'s dirty changes on `id` (abort).
@@ -477,21 +508,19 @@ impl Table {
         })
     }
 
-    /// Garbage-collect versions below the watermark and drop dead slots.
+    /// Trim every slot to the watermark and drop dead slots. Installs trim
+    /// the slots they touch; this sweep also reaches the slots no install
+    /// revisits, such as a deletion kept for a snapshot that has since
+    /// ended.
     pub fn gc(&self, watermark: Ts) {
         for stripe in &self.stripes {
             let mut stripe = stripe.lock();
-            let Stripe { cells, indexes } = &mut *stripe;
-            cells.retain(|id, cell| {
-                if is_garbage(cell, watermark) {
-                    held(cell).for_each(|row| unindex_row(indexes, *id, row, None));
-                    return false;
-                }
-                for row in cell.gc(watermark).into_iter().flatten() {
-                    unindex_row(indexes, *id, &row, Some(cell));
-                }
-                true
-            });
+            let ids: Vec<RowId> = stripe.cells.keys().copied().collect();
+            for id in ids {
+                let cell = stripe.cells.get_mut(&id).expect("a listed slot");
+                let gone = cell.trim(watermark).into_iter().flatten().collect();
+                stripe.settle(id, watermark, gone);
+            }
         }
     }
 
@@ -578,7 +607,7 @@ mod tests {
         let t = orders();
         let id = t.load_row(1, row(1, "a", 10, false)).expect("load");
         t.delete_dirty(2, id).expect("delete");
-        t.promote_row(2, id, 7);
+        t.promote_row(2, id, Commit { ts: 7, watermark: 6 });
         assert_eq!(t.scan_committed().len(), 0);
         assert_eq!(scan_len(&t, View::At(6)), 1, "old snapshot still sees the row");
     }
@@ -653,7 +682,7 @@ mod tests {
         let seen = |value: Row, source, latest_ts| Some(Seen { value, source, latest_ts });
         let (old, new) = (row(1, "a", 10, false), row(1, "a", 10, true));
         let id = t.load_row(3, old.clone()).expect("load");
-        t.install(5, id, Some(old.clone())).expect("second committed version");
+        t.install(Commit { ts: 5, watermark: 3 }, id, Some(old.clone())).expect("second version");
         assert_eq!(t.read_row(id, View::Visible(7)), seen(old.clone(), Source::Committed(5), 5));
 
         // A committed version plus transaction 7's dirty one. The writer and
@@ -718,7 +747,7 @@ mod tests {
             t.update_dirty(9, 1, row(0, "c", 0, false)).expect("update");
             assert_eq!(t.ids_matching(View::Latest, &by_cust).len(), 9);
             assert_eq!(t.ids_matching(View::Committed, &by_cust).len(), 10);
-            t.promote_row(9, 1, 5);
+            t.promote_row(9, 1, Commit { ts: 5, watermark: 1 });
             t.gc(5);
             let before = t.rows_examined();
             assert_eq!(t.ids_matching(View::Committed, &by_cust).len(), 9);
@@ -728,16 +757,29 @@ mod tests {
     }
 
     #[test]
-    fn gc_drops_dead_slots_and_old_versions() {
+    fn dead_slots_go_at_the_commit_or_at_the_sweep() {
+        // Under a snapshot at 1 the deleted slot keeps its old versions
+        // until the sweep.
         let t = orders();
         let id = t.load_row(1, row(1, "a", 10, false)).expect("load");
         t.update_dirty(2, id, row(1, "a", 10, true)).expect("update");
-        t.promote_row(2, id, 5);
+        t.promote_row(2, id, Commit { ts: 5, watermark: 1 });
         t.delete_dirty(3, id).expect("delete");
-        t.promote_row(3, id, 8);
-        t.gc(10);
+        t.promote_row(3, id, Commit { ts: 8, watermark: 1 });
         assert_eq!(scan_len(&t, View::Latest), 0);
-        // fully dead slot dropped
-        assert!(row_at(&t, id, View::At(5)).is_none());
+        assert!(row_at(&t, id, View::At(5)).is_some(), "the snapshot pins the slot");
+        t.gc(10);
+        assert_eq!(t.row_lsn(id), None, "fully dead slot dropped");
+
+        // With no snapshot open the deletion's own commit drops the slot,
+        // whether promoted or installed.
+        let ids = [t.load_row(1, row(2, "b", 10, false)), t.load_row(1, row(3, "c", 10, false))];
+        let [promoted, installed] = ids.map(|id| id.expect("load"));
+        assert_eq!(t.ids_matching(View::Committed, &RowPred::field_eq_str("cust", "b")).len(), 1);
+        t.delete_dirty(4, promoted).expect("delete");
+        t.promote_row(4, promoted, 9);
+        t.install(10, installed, None).expect("install delete");
+        assert_eq!((t.row_lsn(promoted), t.row_lsn(installed)), (None, None));
+        assert_eq!(t.index_violations(), Vec::<String>::new());
     }
 }

@@ -1,34 +1,49 @@
 //! Model-based randomized tests for the versioned storage layer: an
 //! [`ItemCell`]/[`Table`] driven by a random operation sequence must agree
-//! with a trivial reference model at every step, garbage collection must
-//! never change what a live snapshot can read, and a table's access path
-//! (`rows_matching`, with its equality indexes) must return exactly what a
-//! scan filtered by `row_matches` returns.
+//! with a trivial reference model at every step, neither the trim every
+//! install and promote makes nor the sweep may change what a live snapshot
+//! can read, and a table's access path (`rows_matching`, with its equality
+//! indexes) must return exactly what a scan filtered by `row_matches`
+//! returns.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use semcc_logic::row::{RowExpr, RowPred};
 use semcc_logic::CmpOp;
 use semcc_storage::eval::{empty_env, row_matches};
-use semcc_storage::{ItemCell, Row, RowId, Schema, Seen, Source, Table, Value, View};
+use semcc_storage::{Commit, ItemCell, Row, RowId, Schema, Seen, Source, Table, Value, View};
 use std::collections::BTreeMap;
+
+/// The trim rule, on a model chain: keep the newest version at or below
+/// `watermark` and everything newer.
+fn trim<V>(chain: &mut Vec<(u64, V)>, watermark: u64) {
+    let keep_from = chain.iter().rposition(|(ts, _)| *ts <= watermark).unwrap_or(0);
+    chain.drain(..keep_from);
+}
+
+/// `pin` picks which of `committed`'s versions the oldest open snapshot
+/// reads, or none open (the watermark is then `next_ts`, the commit's own
+/// timestamp); watermarks never fall below `floor`.
+fn pick_watermark<V>(pin: u8, committed: &[(u64, V)], next_ts: u64, floor: u64) -> u64 {
+    committed.get(usize::from(pin)).map_or(next_ts, |(ts, _)| *ts).max(floor)
+}
 
 #[derive(Clone, Debug)]
 enum ItemOp {
     WriteDirty { txn: u8, v: i64 },
-    Promote { txn: u8 },
+    Promote { txn: u8, pin: u8 },
     Discard { txn: u8 },
-    Install { v: i64 },
-    Gc { watermark_idx: u8 },
+    Install { v: i64, pin: u8 },
+    Gc { pin: u8 },
 }
 
 fn gen_item_op(rng: &mut StdRng) -> ItemOp {
     match rng.gen_range(0..5) {
         0 => ItemOp::WriteDirty { txn: rng.gen_range(0..3), v: rng.gen_range(-100..100) },
-        1 => ItemOp::Promote { txn: rng.gen_range(0..3) },
+        1 => ItemOp::Promote { txn: rng.gen_range(0..3), pin: rng.gen_range(0..8) },
         2 => ItemOp::Discard { txn: rng.gen_range(0..3) },
-        3 => ItemOp::Install { v: rng.gen_range(-100..100) },
-        _ => ItemOp::Gc { watermark_idx: rng.gen_range(0..8) },
+        3 => ItemOp::Install { v: rng.gen_range(-100..100), pin: rng.gen_range(0..8) },
+        _ => ItemOp::Gc { pin: rng.gen_range(0..8) },
     }
 }
 
@@ -40,11 +55,14 @@ fn item_cell_agrees_with_model() {
         let ops: Vec<ItemOp> = (0..n_ops).map(|_| gen_item_op(&mut rng)).collect();
 
         let mut cell = ItemCell::new(Value::Int(0));
-        // model: committed versions (ts, value); dirty slot
+        // model: committed versions (ts, value) the chain holds, every
+        // version ever committed, and the dirty slot
         let mut committed: Vec<(u64, i64)> = vec![(0, 0)];
+        let mut history = committed.clone();
         let mut dirty: Option<(u8, i64)> = None;
         let mut next_ts = 1u64;
-        let mut min_live_snapshot = 0u64; // GC watermark floor we have used
+        // The oldest open snapshot: every read at or after it must survive.
+        let mut watermark = 0u64;
 
         for op in ops {
             match op {
@@ -60,11 +78,14 @@ fn item_cell_agrees_with_model() {
                         }
                     }
                 }
-                ItemOp::Promote { txn } => {
-                    cell.promote(txn as u64, next_ts);
+                ItemOp::Promote { txn, pin } => {
+                    watermark = pick_watermark(pin, &committed, next_ts, watermark);
+                    cell.promote(txn as u64, Commit { ts: next_ts, watermark });
                     if let Some((holder, v)) = dirty {
                         if holder == txn {
                             committed.push((next_ts, v));
+                            history.push((next_ts, v));
+                            trim(&mut committed, watermark);
                             dirty = None;
                             next_ts += 1;
                         }
@@ -76,22 +97,18 @@ fn item_cell_agrees_with_model() {
                         dirty = None;
                     }
                 }
-                ItemOp::Install { v } => {
-                    cell.install(next_ts, Value::Int(v));
+                ItemOp::Install { v, pin } => {
+                    watermark = pick_watermark(pin, &committed, next_ts, watermark);
+                    cell.install(Commit { ts: next_ts, watermark }, Value::Int(v));
                     committed.push((next_ts, v));
+                    history.push((next_ts, v));
+                    trim(&mut committed, watermark);
                     next_ts += 1;
                 }
-                ItemOp::Gc { watermark_idx } => {
-                    // GC at (or after) the newest committed version ≤ some
-                    // point we still consider live.
-                    let idx = (watermark_idx as usize).min(committed.len() - 1);
-                    let watermark = committed[idx].0.max(min_live_snapshot);
-                    min_live_snapshot = watermark;
-                    cell.gc(watermark);
-                    // model: drop versions strictly older than the newest ≤ watermark
-                    let keep_from =
-                        committed.iter().rposition(|(ts, _)| *ts <= watermark).unwrap_or(0);
-                    committed.drain(..keep_from);
+                ItemOp::Gc { pin } => {
+                    watermark = pick_watermark(pin, &committed, next_ts - 1, watermark);
+                    cell.trim(watermark);
+                    trim(&mut committed, watermark);
                 }
             }
             // Invariants after every step: under every view, the one read
@@ -114,9 +131,14 @@ fn item_cell_agrees_with_model() {
                 let (v, source) = own.unwrap_or(newest);
                 check(View::Visible(u64::from(txn)), v, source);
             }
-            // Snapshot reads at every surviving version boundary agree.
+            // Snapshot reads at every surviving version boundary agree, and
+            // every snapshot still open reads what it read when it began.
             for (ts, v) in &committed {
                 check(View::At(*ts), *v, Source::Committed(*ts));
+            }
+            for at in watermark..next_ts {
+                let (ts, v) = history.iter().rev().find(|(ts, _)| *ts <= at).expect("initial");
+                check(View::At(at), *v, Source::Committed(*ts));
             }
             assert_eq!(cell.versions().count(), committed.len(), "case {case}");
         }
@@ -143,19 +165,23 @@ enum TableOp {
         txn: u8,
         pick: usize,
     },
+    /// Commit `txn`'s dirty versions, trimming to `back` below the commit's
+    /// timestamp (0: no snapshot open).
     PromoteAll {
         txn: u8,
+        back: u64,
     },
     /// Also how a never-committed birth is discarded.
     DiscardAll {
         txn: u8,
     },
     /// Install a committed version (`None` = delete) into slot `pick`, or
-    /// into a freshly reserved slot when `fresh`.
+    /// into a freshly reserved slot when `fresh`, trimming as `PromoteAll`.
     Install {
         fresh: bool,
         pick: usize,
         row: Option<MRow>,
+        back: u64,
     },
     /// Collect below `newest timestamp - back`.
     Gc {
@@ -174,12 +200,13 @@ fn gen_table_op(rng: &mut StdRng) -> TableOp {
         0 | 1 => TableOp::InsertDirty { txn, row: gen_row(rng) },
         2 | 3 => TableOp::UpdateDirty { txn, pick, row: gen_row(rng) },
         4 => TableOp::DeleteDirty { txn, pick },
-        5 | 6 => TableOp::PromoteAll { txn },
+        5 | 6 => TableOp::PromoteAll { txn, back: rng.gen_range(0..4) },
         7 => TableOp::DiscardAll { txn },
         8 => TableOp::Install {
             fresh: rng.gen_bool(0.3),
             pick,
             row: rng.gen_bool(0.8).then(|| gen_row(rng)),
+            back: rng.gen_range(0..4),
         },
         _ => TableOp::Gc { back: rng.gen_range(0..4) },
     }
@@ -199,6 +226,15 @@ struct MSlot {
 impl MSlot {
     fn newest_at(&self, ts: u64) -> Option<&(u64, Option<MRow>)> {
         self.committed.iter().rev().find(|(t, _)| *t <= ts)
+    }
+
+    /// Trim to `watermark`; false when that leaves nothing any reader can
+    /// see (no dirty version, deletions only from the watermark on), so
+    /// the table drops the slot.
+    fn trim_and_keep(&mut self, watermark: u64) -> bool {
+        trim(&mut self.committed, watermark);
+        let dead = self.committed.iter().all(|(_, r)| r.is_none());
+        self.dirty.is_some() || !dead
     }
 
     fn read(&self, view: View) -> Option<MRow> {
@@ -255,11 +291,22 @@ fn views(watermark: u64, next_ts: u64) -> Vec<View> {
     out
 }
 
-/// `table` against the model and against itself: each view's scan is the
-/// model's, each predicate's answer is that scan filtered by
+/// `table` against the model and against itself: it holds a slot for
+/// exactly the model's ids among those `allocated`, each view's scan is
+/// the model's, each predicate's answer is that scan filtered by
 /// `row_matches` (same ids, same rows, same order), and every built index
 /// equals the index rebuilt from the cells.
-fn check_table(table: &Table, slots: &BTreeMap<RowId, MSlot>, views: &[View], what: &str) {
+fn check_table(
+    table: &Table,
+    slots: &BTreeMap<RowId, MSlot>,
+    allocated: &[RowId],
+    views: &[View],
+    what: &str,
+) {
+    for id in allocated {
+        let held = table.row_lsn(*id).is_some();
+        assert_eq!(held, slots.contains_key(id), "{what}: slot {id} present in the table");
+    }
     for &view in views {
         // Each slot read on its own: the model's row, the version it came
         // from and the slot's newest commit timestamp, or nothing at all.
@@ -320,6 +367,7 @@ fn table_agrees_with_model() {
             }
         }
         let mut slots: BTreeMap<RowId, MSlot> = BTreeMap::new();
+        let mut allocated: Vec<RowId> = Vec::new();
         let mut next_ts = 1u64;
         let mut watermark = 0u64;
 
@@ -332,6 +380,7 @@ fn table_agrees_with_model() {
                     });
                     let id = ids.next().expect("a table");
                     assert!(ids.all(|other| other == id), "case {case}: ids allocate alike");
+                    allocated.push(id);
                     slots
                         .insert(id, MSlot { committed: Vec::new(), dirty: Some((txn, Some(row))) });
                 }
@@ -354,16 +403,18 @@ fn table_agrees_with_model() {
                         slot.dirty = Some((txn, state));
                     }
                 }
-                TableOp::PromoteAll { txn } => {
-                    for (id, slot) in slots.iter_mut() {
-                        tables
-                            .iter()
-                            .for_each(|(t, _)| t.promote_row(u64::from(txn), *id, next_ts));
-                        if matches!(slot.dirty, Some((holder, _)) if holder == txn) {
-                            let (_, state) = slot.dirty.take().expect("dirty");
-                            slot.committed.push((next_ts, state));
+                TableOp::PromoteAll { txn, back } => {
+                    watermark = watermark.max(next_ts.saturating_sub(back));
+                    let at = Commit { ts: next_ts, watermark };
+                    slots.retain(|id, slot| {
+                        tables.iter().for_each(|(t, _)| t.promote_row(u64::from(txn), *id, at));
+                        if !matches!(slot.dirty, Some((holder, _)) if holder == txn) {
+                            return true;
                         }
-                    }
+                        let (_, state) = slot.dirty.take().expect("dirty");
+                        slot.committed.push((next_ts, state));
+                        slot.trim_and_keep(watermark)
+                    });
                     next_ts += 1;
                 }
                 TableOp::DiscardAll { txn } => {
@@ -376,42 +427,39 @@ fn table_agrees_with_model() {
                     // A birth that never committed is gone with its writer.
                     slots.retain(|_, s| s.dirty.is_some() || !s.committed.is_empty());
                 }
-                TableOp::Install { fresh, pick, row } => {
+                TableOp::Install { fresh, pick, row, back } => {
                     let id = match picked(pick) {
                         Some(id) if !fresh => id,
                         _ => {
                             let mut ids = tables.iter().map(|(t, _)| t.reserve_row_id());
                             let id = ids.next().expect("a table");
                             assert!(ids.all(|other| other == id), "case {case}");
+                            allocated.push(id);
                             id
                         }
                     };
+                    watermark = watermark.max(next_ts.saturating_sub(back));
+                    let at = Commit { ts: next_ts, watermark };
                     for (t, _) in &tables {
-                        t.install(next_ts, id, row.as_ref().map(to_row)).expect("install");
+                        t.install(at, id, row.as_ref().map(to_row)).expect("install");
                     }
-                    slots.entry(id).or_default().committed.push((next_ts, row));
+                    let slot = slots.entry(id).or_default();
+                    slot.committed.push((next_ts, row));
+                    if !slot.trim_and_keep(watermark) {
+                        slots.remove(&id);
+                    }
                     next_ts += 1;
                 }
                 TableOp::Gc { back } => {
                     watermark = watermark.max((next_ts - 1).saturating_sub(back));
                     tables.iter().for_each(|(t, _)| t.gc(watermark));
-                    slots.retain(|_, s| {
-                        let dead_at_watermark =
-                            s.newest_at(watermark).is_none_or(|(_, r)| r.is_none());
-                        let dead_after =
-                            s.committed.iter().all(|(t, r)| *t <= watermark || r.is_none());
-                        if s.dirty.is_none() && dead_at_watermark && dead_after {
-                            return false;
-                        }
-                        let keep = s.committed.iter().rposition(|(t, _)| *t <= watermark);
-                        s.committed.drain(..keep.unwrap_or(0));
-                        true
-                    });
+                    slots.retain(|_, s| s.trim_and_keep(watermark));
                 }
             }
             for (table, warm) in &tables {
                 if *warm {
-                    check_table(table, &slots, &views(watermark, next_ts), &format!("case {case}"));
+                    let views = views(watermark, next_ts);
+                    check_table(table, &slots, &allocated, &views, &format!("case {case}"));
                 }
             }
         }
@@ -419,7 +467,7 @@ fn table_agrees_with_model() {
             if !*warm {
                 assert!(table.indexed_columns().is_empty(), "case {case}: cold until now");
                 let what = format!("case {case} (cold)");
-                check_table(table, &slots, &views(watermark, next_ts), &what);
+                check_table(table, &slots, &allocated, &views(watermark, next_ts), &what);
             }
         }
     }
