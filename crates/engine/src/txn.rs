@@ -4,7 +4,7 @@ use crate::engine::Engine;
 use crate::error::EngineError;
 use crate::history::{Op, ReadSrc};
 use crate::level::IsolationLevel;
-use semcc_lock::{Mode, Target};
+use semcc_lock::{shard_bit, Mode, Target};
 use semcc_logic::row::RowPred;
 use semcc_mvcc::{CommitConflict, Key, SsiConflict, SsiKey};
 use semcc_storage::eval::{empty_env, row_matches};
@@ -12,6 +12,7 @@ use semcc_storage::wal::{Lsn, WalRecord};
 use semcc_storage::{
     Commit, ItemCell, Row, RowId, Schema, Seen, Source, StorageError, Table, Ts, TxnId, Value, View,
 };
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -51,6 +52,9 @@ pub struct Txn {
     write_set: Vec<Key>,
     /// First-read timestamps per key (RC-FCW validation).
     read_ts: HashMap<Key, Ts>,
+    /// The [`shard_bit`]s of the lock-table shards this transaction may
+    /// hold a lock in: commit and abort release there and nowhere else.
+    locked: Cell<u64>,
 }
 
 impl Txn {
@@ -75,6 +79,7 @@ impl Txn {
             buf_rows: HashMap::new(),
             write_set: Vec::new(),
             read_ts: HashMap::new(),
+            locked: Cell::new(0),
         }
     }
 
@@ -126,12 +131,24 @@ impl Txn {
         if !self.level.read_locks() {
             return Ok(read());
         }
+        if self.level.long_read_locks() {
+            self.lock(target(), Mode::S)?;
+            return Ok(read());
+        }
+        // A short lock leaves no grant behind for commit or abort: the
+        // release drops it, or uncounts a grant this transaction already
+        // held, whose shard is noted already. So its shard is not noted.
         self.engine.locks.acquire(self.id, target(), Mode::S)?;
         let out = read();
-        if !self.level.long_read_locks() {
-            self.engine.locks.release(self.id, &target());
-        }
+        self.engine.locks.release(self.id, &target());
         Ok(out)
+    }
+
+    /// Take a lock held until commit or abort, noting its shard.
+    fn lock(&self, target: Target, mode: Mode) -> Result<(), EngineError> {
+        let shard = self.engine.locks.acquire(self.id, target, mode)?;
+        self.locked.set(self.locked.get() | shard_bit(shard));
+        Ok(())
     }
 
     /// A privately buffered write as a reading: this transaction's own
@@ -286,7 +303,7 @@ impl Txn {
             self.buf_items.insert(name.to_string(), value.clone());
         } else {
             let cell = self.engine.store.item(name)?;
-            self.engine.locks.acquire(self.id, Target::item(name), Mode::X)?;
+            self.lock(Target::item(name), Mode::X)?;
             let mut c = cell.lock();
             let before = self.item_seen(name, &c)?.value;
             value = op.apply(&before);
@@ -324,7 +341,7 @@ impl Txn {
         // SERIALIZABLE: long S predicate lock first — phantoms are blocked
         // before we even look, and whatever the access path then examines.
         if self.level.read_predicate_locks() {
-            self.engine.locks.acquire(self.id, Target::pred(table, pred.clone()), Mode::S)?;
+            self.lock(Target::pred(table, pred.clone()), Mode::S)?;
         }
 
         let found = if self.level.read_locks() {
@@ -420,7 +437,7 @@ impl Txn {
             id
         } else {
             let point = point_pred(&t.schema, &row);
-            self.engine.locks.acquire(self.id, Target::pred(table, point), Mode::X)?;
+            self.lock(Target::pred(table, point), Mode::X)?;
             let id = t.insert_dirty(self.id, row.clone())?;
             // Noted before the row lock: if that acquisition fails (an
             // injected timeout — a fresh slot never conflicts naturally),
@@ -435,7 +452,7 @@ impl Txn {
                 },
                 |lsn| t.stamp_row_lsn(id, lsn),
             );
-            self.engine.locks.acquire(self.id, Target::row(table, id), Mode::X)?;
+            self.lock(Target::row(table, id), Mode::X)?;
             id
         };
         self.record(|| Op::RowInsert { table: table.to_string(), id, row });
@@ -493,9 +510,9 @@ impl Txn {
         } else {
             // The predicate lock covers the region whatever rows it holds
             // now; the access path only decides which cells are examined.
-            self.engine.locks.acquire(self.id, Target::pred(table, pred.clone()), Mode::X)?;
+            self.lock(Target::pred(table, pred.clone()), Mode::X)?;
             for id in t.ids_matching(self.view(), pred) {
-                self.engine.locks.acquire(self.id, Target::row(table, id), Mode::X)?;
+                self.lock(Target::row(table, id), Mode::X)?;
                 // Re-read after the (possibly waited-for) lock.
                 let Some(Seen { value: row, .. }) = t.read_row(id, self.view()) else { continue };
                 if !row_matches(&t.schema, &row, pred, &empty_env) {
@@ -669,7 +686,7 @@ impl Txn {
                 let commit_lsn = engine.wal.as_ref().map_or(0, |wal| wal.append_commit(id, at.ts));
                 self.settle_dirty(Some(at), commit_lsn);
             })?;
-            engine.locks.release_all(id);
+            engine.locks.release_in(id, self.locked.get());
             ts
         };
         self.record(|| Op::Commit { ts });
@@ -713,7 +730,7 @@ impl Txn {
 
     fn finish_abort(&mut self) {
         let engine = &self.engine;
-        // Abort record before releasing any lock: until release_all below,
+        // Abort record before releasing any lock: until release_in below,
         // no competing writer can append a record for the items/rows this
         // transaction dirtied, so recovery sees the rollback at the same
         // log position the live engine performed it.
@@ -726,7 +743,7 @@ impl Txn {
         } else {
             self.settle_dirty(None, abort_lsn);
         }
-        engine.locks.release_all(self.id);
+        engine.locks.release_in(self.id, self.locked.get());
         if self.level.siread_locks() {
             // Aborted transactions surrender their SIREAD locks and conflict
             // flags — only *committed* readers keep them.

@@ -13,11 +13,12 @@
 //! queuing, waits-for-graph deadlock detection (the requester whose wait
 //! would close a cycle is aborted), and wait timeouts. Lock *duration*
 //! (short vs long) is the engine's policy: short locks are released by an
-//! explicit [`LockManager::release`], long locks by
-//! [`LockManager::release_all`] at commit/abort.
+//! explicit [`LockManager::release`], long locks at commit/abort by
+//! [`LockManager::release_in`] over the shards the transaction's acquires
+//! reported (or [`LockManager::release_all`], which visits every shard).
 
 pub mod error;
 pub mod manager;
 
 pub use error::LockError;
-pub use manager::{LockConfig, LockManager, LockStats, Mode, Target};
+pub use manager::{shard_bit, LockConfig, LockManager, LockStats, Mode, Target};

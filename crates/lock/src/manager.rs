@@ -6,10 +6,15 @@
 //! *conflictable* targets always land in the same shard (a point never
 //! conflicts with a predicate, points only conflict when equal, and
 //! predicates only conflict on the same table). Disjoint keys therefore
-//! never contend on a shared mutex. Request sequence numbers come from one
-//! global atomic, preserving FIFO fairness per key, and deadlock detection
-//! merges a snapshot of every shard so waits-for cycles that span shards
-//! are still found.
+//! never contend on a shared mutex. A request that has to queue draws a
+//! ticket from one global atomic, preserving FIFO fairness per key; one
+//! granted on arrival draws none. Deadlock detection merges a snapshot of
+//! every shard so waits-for cycles that span shards are still found.
+//!
+//! [`LockManager::acquire`] reports the shard it granted in. A caller that
+//! collects those shards with [`shard_bit`] releases through
+//! [`LockManager::release_in`] and visits only them;
+//! [`LockManager::release_all`] visits every shard.
 
 use crate::error::LockError;
 use parking_lot::{Condvar, Mutex};
@@ -108,6 +113,13 @@ impl Default for Shard {
     fn default() -> Self {
         Shard { state: Mutex::new(State::default()), cv: Condvar::new() }
     }
+}
+
+/// The bit that stands for `shard` in a shard set: `shard % 64`. A set is
+/// one `u64`, so a table of more than 64 shards aliases shard `i` with
+/// shard `i + 64`, and releasing through the set visits a superset.
+pub fn shard_bit(shard: usize) -> u64 {
+    1 << (shard % 64)
 }
 
 /// Configuration for the lock manager.
@@ -257,8 +269,9 @@ impl LockManager {
         merged
     }
 
-    /// Acquire a lock, blocking if necessary.
-    pub fn acquire(&self, txn: u64, target: Target, mode: Mode) -> Result<(), LockError> {
+    /// Acquire a lock, blocking if necessary. Returns the index of the shard
+    /// the lock is held in.
+    pub fn acquire(&self, txn: u64, target: Target, mode: Mode) -> Result<usize, LockError> {
         // Fault injection: every acquisition request is an opportunity for
         // a spurious failure, reported before the lock table is touched so
         // the victim's abort path does the whole cleanup.
@@ -271,23 +284,28 @@ impl LockManager {
                 _ => {}
             }
         }
-        let shard = &self.shards[self.shard_index(&target)];
+        let index = self.shard_index(&target);
+        let shard = &self.shards[index];
         let mut state = shard.state.lock();
 
         // Reentrancy / upgrade bookkeeping.
         if let Some(g) = state.grants.iter_mut().find(|g| g.txn == txn && g.target == target) {
             if g.mode.covers(mode) {
                 g.count += 1;
-                return Ok(());
+                return Ok(index);
             }
             // S → X upgrade: fall through to the wait loop; the request is
             // treated as an X request whose own S grant is ignored.
         }
 
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let waiter = Waiter { seq, txn, target, mode };
+        // Only a request that queues draws a ticket. Every waiter in this
+        // shard drew its ticket earlier, under this shard's mutex, so a fresh
+        // ticket would rank behind all of them; `u64::MAX` ranks the same.
+        let mut waiter = Waiter { seq: u64::MAX, txn, target, mode };
 
         if !self.grantable(&state, &waiter) {
+            let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+            waiter.seq = seq;
             self.waits.fetch_add(1, Ordering::Relaxed);
             // Register the waiter, then check for a cycle against a merged
             // snapshot of all shards (the wait edge may close a cycle whose
@@ -327,7 +345,7 @@ impl LockManager {
         // locks are *released*, but an upgrade consumed a waiter slot —
         // conservatively wake everyone to re-check.
         shard.cv.notify_all();
-        Ok(())
+        Ok(index)
     }
 
     fn install_grant(&self, state: &mut State, txn: u64, target: Target, mode: Mode) {
@@ -435,9 +453,19 @@ impl LockManager {
         shard.cv.notify_all();
     }
 
-    /// Release every lock held by `txn` (commit/abort).
+    /// Release every lock held by `txn` (commit/abort), visiting every shard.
     pub fn release_all(&self, txn: u64) {
-        for shard in &self.shards {
+        self.release_in(txn, u64::MAX);
+    }
+
+    /// Release every lock `txn` holds in the shards of `set` (commit/abort),
+    /// visiting no other shard. `set` is the [`shard_bit`]s of the shards
+    /// `txn`'s acquires reported; one it left out keeps its grants there.
+    pub fn release_in(&self, txn: u64, set: u64) {
+        for (i, shard) in self.shards.iter().enumerate() {
+            if set & shard_bit(i) == 0 {
+                continue;
+            }
             let mut state = shard.state.lock();
             let before = state.grants.len() + state.waiters.len();
             state.grants.retain(|g| g.txn != txn);

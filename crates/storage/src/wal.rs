@@ -377,14 +377,26 @@ pub struct CrashSnapshot {
 
 struct WalInner {
     buf: Vec<u8>,
-    /// Byte offset at which each record starts (for torn-tail cuts).
-    starts: Vec<usize>,
+    /// Byte offset at which the last appended record starts.
+    last_start: usize,
     /// Durable prefix length in bytes (always a frame boundary).
     durable: usize,
+    /// Byte offset at which the last durable record starts (for torn-tail
+    /// cuts); meaningful while `durable > 0`.
+    durable_start: usize,
     /// Records appended since the last flush.
     pending: usize,
     next_lsn: Lsn,
     crashes: Vec<CrashSnapshot>,
+}
+
+impl WalInner {
+    /// Make every appended record durable.
+    fn make_durable(&mut self) {
+        self.durable = self.buf.len();
+        self.durable_start = self.last_start;
+        self.pending = 0;
+    }
 }
 
 /// The write-ahead log. Thread-safe; share as `Arc<Wal>`.
@@ -412,8 +424,9 @@ impl Wal {
             policy,
             inner: Mutex::new(WalInner {
                 buf: Vec::new(),
-                starts: Vec::new(),
+                last_start: 0,
                 durable: 0,
+                durable_start: 0,
                 pending: 0,
                 next_lsn: 1,
                 crashes: Vec::new(),
@@ -432,20 +445,21 @@ impl Wal {
         let mut g = self.inner.lock();
         let lsn = g.next_lsn;
         g.next_lsn += 1;
-        let mut payload = Vec::with_capacity(64);
-        put_u64(&mut payload, lsn);
-        rec.encode(&mut payload);
+        // The frame is encoded in place: a length placeholder, the payload,
+        // then the length patched and the payload's checksum appended.
         let start = g.buf.len();
-        g.starts.push(start);
-        let len = payload.len() as u32;
-        g.buf.extend_from_slice(&len.to_le_bytes());
-        let sum = fnv1a(&payload);
-        g.buf.extend_from_slice(&payload);
-        g.buf.extend_from_slice(&sum.to_le_bytes());
+        g.last_start = start;
+        let buf = &mut g.buf;
+        buf.extend_from_slice(&[0; 4]);
+        put_u64(buf, lsn);
+        rec.encode(buf);
+        let len = (buf.len() - start - 4) as u32;
+        buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        let sum = fnv1a(&buf[start + 4..]);
+        buf.extend_from_slice(&sum.to_le_bytes());
         g.pending += 1;
         if g.pending >= self.policy.flush_every {
-            g.durable = g.buf.len();
-            g.pending = 0;
+            g.make_durable();
         }
         lsn
     }
@@ -460,9 +474,7 @@ impl Wal {
 
     /// Make every appended record durable.
     pub fn flush(&self) {
-        let mut g = self.inner.lock();
-        g.durable = g.buf.len();
-        g.pending = 0;
+        self.inner.lock().make_durable();
     }
 
     /// Total appended bytes (durable or not).
@@ -503,15 +515,13 @@ impl Wal {
     pub fn mark_crash(&self, kind: &'static str, torn: bool) {
         let mut g = self.inner.lock();
         let mut end = g.durable;
-        if torn {
-            // Find the last record that starts strictly before the
-            // durable boundary; cut it halfway through its payload.
-            if let Some(&start) = g.starts.iter().rev().find(|&&s| s < end) {
-                let frame = end - start;
-                // frame = 4 (len) + payload + 8 (checksum)
-                let payload = frame.saturating_sub(12);
-                end = start + 4 + payload / 2;
-            }
+        if torn && end > 0 {
+            // Cut the last durable record halfway through its payload.
+            let start = g.durable_start;
+            let frame = end - start;
+            // frame = 4 (len) + payload + 8 (checksum)
+            let payload = frame.saturating_sub(12);
+            end = start + 4 + payload / 2;
         }
         let bytes = g.buf[..end].to_vec();
         g.crashes.push(CrashSnapshot { kind, bytes });

@@ -6,15 +6,15 @@
 //! Every schedule must end with no lost wakeup (each blocked request
 //! returns within a wall-clock bound far below its wait timeout), no
 //! undetected cycle (a cycle ends in a deadlock error, never in timeouts)
-//! and an empty table: no grant and no waiter left behind.
+//! and an empty table: no grant and no waiter left behind. Every
+//! transaction releases through [`LockManager::release_in`] over the shards
+//! its acquires reported, as the engine does at commit and abort, so a shard
+//! reported wrongly leaves a grant behind.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use semcc_lock::manager::LockConfig;
-use semcc_lock::{LockError, LockManager, Mode, Target};
-use semcc_storage::Key;
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use semcc_lock::{shard_bit, LockError, LockManager, Mode, Target};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 use std::thread;
@@ -31,27 +31,37 @@ fn table(wait_timeout: Duration) -> LockManager {
     LockManager::new(LockConfig { wait_timeout, shards: SHARDS, ..LockConfig::default() })
 }
 
-/// The shard `name`'s item lock routes to.
+/// The shard `name`'s item lock routes to, as a probe's acquire reports it.
+/// Only called while nobody holds `name` exclusively.
 fn shard(m: &LockManager, name: &str) -> usize {
-    let mut h = DefaultHasher::new();
-    Key::item(name).hash(&mut h);
-    (h.finish() % m.shard_count() as u64) as usize
+    const PROBE: u64 = u64::MAX;
+    let s = m.acquire(PROBE, Target::item(name), Mode::S).expect("probe");
+    m.release_in(PROBE, shard_bit(s));
+    s
 }
 
-/// `n` item names, drawn by `rng`, whose locks route to pairwise distinct
-/// shards.
-fn names_in_distinct_shards(m: &LockManager, rng: &mut StdRng, n: usize) -> Vec<String> {
-    let mut names: Vec<String> = Vec::new();
-    let mut used = Vec::new();
-    while names.len() < n {
+/// `N` item names, drawn by `rng`, whose locks route to pairwise distinct
+/// shards, each with its shard.
+fn names_in_distinct_shards<const N: usize>(
+    m: &LockManager,
+    rng: &mut StdRng,
+) -> [(String, usize); N] {
+    let mut names: Vec<(String, usize)> = Vec::new();
+    while names.len() < N {
         let name = format!("k{}", rng.gen_range(0..1_000_000u64));
         let s = shard(m, &name);
-        if !used.contains(&s) {
-            used.push(s);
-            names.push(name);
+        if names.iter().all(|(_, used)| *used != s) {
+            names.push((name, s));
         }
     }
-    names
+    names.try_into().unwrap()
+}
+
+/// Acquire and check the reported shard; returns its bit.
+fn lock_in(m: &LockManager, txn: u64, (name, shard): &(String, usize), mode: Mode) -> u64 {
+    let at = m.acquire(txn, Target::item(name), mode).expect("free lock");
+    assert_eq!(at, *shard, "txn {txn}: {name} granted in another shard");
+    shard_bit(at)
 }
 
 /// Spin until `cond` holds; a bound of [`LOST`] turns a hang into a failure.
@@ -92,34 +102,36 @@ fn cross_shard_two_cycle_is_always_found() {
     let m = table(LOST * 2);
     let mut rng = StdRng::seed_from_u64(0x5ba4d);
     for round in 0..100 {
-        let [a, b] = <[String; 2]>::try_from(names_in_distinct_shards(&m, &mut rng, 2)).unwrap();
-        assert_ne!(shard(&m, &a), shard(&m, &b));
-        m.acquire(1, Target::item(&a), Mode::X).expect("t1 a");
-        m.acquire(2, Target::item(&b), Mode::X).expect("t2 b");
+        let [a, b] = names_in_distinct_shards(&m, &mut rng);
+        let t1_set = lock_in(&m, 1, &a, Mode::X);
+        let t2_set = lock_in(&m, 2, &b, Mode::X);
         // A victim aborts at once, which frees its partner.
-        let request = |txn: u64, want: &str| {
+        let request = |txn: u64, (want, _): &(String, usize), held: u64| {
             let r = timed(|| m.acquire(txn, Target::item(want), Mode::X));
             if r.is_err() {
-                m.release_all(txn);
+                m.release_in(txn, held);
             }
             r
         };
         thread::scope(|s| {
-            let t1 = s.spawn(|| request(1, &b));
+            let t1 = s.spawn(|| request(1, &b, t1_set));
             wait_until("t1 queues on b", || m.waiting_by(1) == 1);
             jitter(&mut rng, 200);
-            let r2 = request(2, &a);
+            let r2 = request(2, &a, t2_set);
             match (t1.join().unwrap(), r2) {
-                (Ok(()), Err(LockError::Deadlock { victim: 2, cycle })) => {
+                (Ok(at), Err(LockError::Deadlock { victim: 2, cycle })) => {
+                    assert_eq!(at, b.1, "round {round}");
                     assert!(cycle.contains(&1) && cycle.contains(&2), "round {round}: {cycle:?}");
                 }
-                (Err(LockError::Deadlock { victim: 1, .. }), Ok(())) => {}
+                (Err(LockError::Deadlock { victim: 1, .. }), Ok(at)) => {
+                    assert_eq!(at, a.1, "round {round}")
+                }
                 (Err(LockError::Deadlock { .. }), Err(LockError::Deadlock { .. })) => {}
                 r => panic!("round {round}: cycle not detected: {r:?}"),
             }
         });
-        m.release_all(1);
-        m.release_all(2);
+        m.release_in(1, t1_set | shard_bit(b.1));
+        m.release_in(2, t2_set | shard_bit(a.1));
         assert_empty(&m, round);
     }
     assert_eq!(m.stats().timeouts, 0);
@@ -132,37 +144,37 @@ fn racing_cross_shard_two_cycle_always_has_a_victim() {
     let m = table(LOST * 2);
     let mut rng = StdRng::seed_from_u64(0x2c1c);
     for round in 0..100 {
-        let [a, b] = <[String; 2]>::try_from(names_in_distinct_shards(&m, &mut rng, 2)).unwrap();
-        m.acquire(1, Target::item(&a), Mode::X).expect("t1 a");
-        m.acquire(2, Target::item(&b), Mode::X).expect("t2 b");
+        let [a, b] = names_in_distinct_shards(&m, &mut rng);
+        let sets = [lock_in(&m, 1, &a, Mode::X), lock_in(&m, 2, &b, Mode::X)];
         let pauses = [rng.gen_range(0..=100u64), rng.gen_range(0..=100u64)];
         let go = Barrier::new(2);
         let results = thread::scope(|s| {
-            let run = |txn: u64, want: &str, pause: u64| {
-                let (m, go, want) = (&m, &go, want.to_string());
+            let run = |txn: u64, (want, at): &(String, usize), held: u64, pause: u64| {
+                let (m, go, want, at) = (&m, &go, want.clone(), *at);
                 s.spawn(move || {
                     go.wait();
                     jitter(&mut StdRng::seed_from_u64(pause), pause);
                     let r = timed(|| m.acquire(txn, Target::item(&want), Mode::X));
-                    // A victim aborts at once, which frees its partner.
-                    if r.is_err() {
-                        m.release_all(txn);
+                    match &r {
+                        Ok(got) => assert_eq!(*got, at, "txn {txn}: granted in another shard"),
+                        // A victim aborts at once, which frees its partner.
+                        Err(_) => m.release_in(txn, held),
                     }
                     r
                 })
             };
-            let t1 = run(1, &b, pauses[0]);
-            let t2 = run(2, &a, pauses[1]);
+            let t1 = run(1, &b, sets[0], pauses[0]);
+            let t2 = run(2, &a, sets[1], pauses[1]);
             [t1.join().unwrap(), t2.join().unwrap()]
         });
         let victims =
             results.iter().filter(|r| matches!(r, Err(LockError::Deadlock { .. }))).count();
         assert!(victims >= 1, "round {round}: undetected cycle: {results:?}");
         for r in &results {
-            assert!(matches!(r, Ok(()) | Err(LockError::Deadlock { .. })), "round {round}: {r:?}");
+            assert!(matches!(r, Ok(_) | Err(LockError::Deadlock { .. })), "round {round}: {r:?}");
         }
-        m.release_all(1);
-        m.release_all(2);
+        m.release_in(1, sets[0] | shard_bit(b.1));
+        m.release_in(2, sets[1] | shard_bit(a.1));
         assert_empty(&m, round);
     }
     assert_eq!(m.stats().timeouts, 0);
@@ -175,20 +187,21 @@ fn holder_releasing_at_the_waiters_deadline_leaves_a_consistent_table() {
     let mut rng = StdRng::seed_from_u64(0xdead1);
     let (mut granted, mut timed_out) = (0, 0);
     for round in 0..10 {
-        let a = names_in_distinct_shards(&m, &mut rng, 1).remove(0);
-        m.acquire(1, Target::item(&a), Mode::X).expect("holder");
+        let [a] = names_in_distinct_shards(&m, &mut rng);
+        let held = lock_in(&m, 1, &a, Mode::X);
         let release_after =
             TIMEOUT + Duration::from_micros(rng.gen_range(0..6_000)) - Duration::from_millis(3);
         let r = thread::scope(|s| {
-            let waiter = s.spawn(|| timed(|| m.acquire(2, Target::item(&a), Mode::X)));
+            let waiter = s.spawn(|| timed(|| m.acquire(2, Target::item(&a.0), Mode::X)));
             wait_until("the waiter queues", || m.waiting_by(2) == 1);
             thread::sleep(release_after);
-            m.release_all(1);
+            m.release_in(1, held);
             waiter.join().unwrap()
         });
         // Either side of the race is legal; a half-done one is not.
         match r {
-            Ok(()) => {
+            Ok(at) => {
+                assert_eq!(at, a.1, "round {round}");
                 granted += 1;
                 assert_eq!(m.held_by(2), 1, "round {round}");
             }
@@ -199,10 +212,9 @@ fn holder_releasing_at_the_waiters_deadline_leaves_a_consistent_table() {
             r => panic!("round {round}: {r:?}"),
         }
         assert_eq!(m.waiting_by(2), 0, "round {round}: waiter left queued");
-        m.release_all(2);
+        m.release_in(2, held);
         // Nothing left behind blocks the next requester.
-        m.acquire(3, Target::item(&a), Mode::X).expect("lock is free after the race");
-        m.release_all(3);
+        m.release_in(3, lock_in(&m, 3, &a, Mode::X));
         assert_empty(&m, round);
     }
     assert_eq!(granted + timed_out, 10);
@@ -214,42 +226,47 @@ fn release_during_a_wait_hands_off_in_queue_order() {
     let mut rng = StdRng::seed_from_u64(0xf1f0);
     let mode = |x: bool| if x { Mode::X } else { Mode::S };
     for round in 0..100 {
-        let [a, b, c] = <[String; 3]>::try_from(names_in_distinct_shards(&m, &mut rng, 3)).unwrap();
+        let [a, b, c] = names_in_distinct_shards(&m, &mut rng);
         let (m1, m2) = (mode(rng.gen_bool(0.5)), mode(rng.gen_bool(0.5)));
         let both_shared = m1 == Mode::S && m2 == Mode::S;
+        // A shared holder queues a writer; then a reader must queue behind
+        // that writer, not join the holder.
+        let m0 = if m1 == Mode::X { mode(rng.gen_bool(0.5)) } else { Mode::X };
         // Each waiter also holds a lock in a shard of its own, so a release
         // must clear more than the contended shard.
-        m.acquire(1, Target::item(&a), Mode::X).expect("holder");
-        m.acquire(2, Target::item(&b), Mode::X).expect("w1 b");
-        m.acquire(3, Target::item(&c), Mode::X).expect("w2 c");
+        let held = lock_in(&m, 1, &a, m0);
+        let w1_set = lock_in(&m, 2, &b, Mode::X) | shard_bit(a.1);
+        let w2_set = lock_in(&m, 3, &c, Mode::X) | shard_bit(a.1);
         let order = AtomicU64::new(0);
         let pause = rng.gen_range(0..=200u64);
         let hold = rng.gen_range(0..=200u64);
         thread::scope(|s| {
             let (m, a, order) = (&m, &a, &order);
             let w1 = s.spawn(move || {
-                timed(|| m.acquire(2, Target::item(a), m1)).expect("w1 granted");
-                let at = order.fetch_add(1, Ordering::SeqCst);
+                let at = timed(|| m.acquire(2, Target::item(&a.0), m1)).expect("w1 granted");
+                assert_eq!(at, a.1, "round {round}");
+                let turn = order.fetch_add(1, Ordering::SeqCst);
                 if !both_shared {
                     assert_eq!(m.held_by(3), 1, "round {round}: w2 granted beside w1");
                 }
                 jitter(&mut StdRng::seed_from_u64(hold), hold);
-                m.release_all(2);
-                at
+                m.release_in(2, w1_set);
+                turn
             });
             wait_until("w1 queues", || m.waiting_by(2) == 1);
             let w2 = s.spawn(move || {
-                timed(|| m.acquire(3, Target::item(a), m2)).expect("w2 granted");
-                let at = order.fetch_add(1, Ordering::SeqCst);
-                m.release_all(3);
-                at
+                let at = timed(|| m.acquire(3, Target::item(&a.0), m2)).expect("w2 granted");
+                assert_eq!(at, a.1, "round {round}");
+                let turn = order.fetch_add(1, Ordering::SeqCst);
+                m.release_in(3, w2_set);
+                turn
             });
             wait_until("w2 queues", || m.waiting_by(3) == 1);
             jitter(&mut rng, pause);
-            m.release_all(1);
-            let (at1, at2) = (w1.join().unwrap(), w2.join().unwrap());
+            m.release_in(1, held);
+            let (turn1, turn2) = (w1.join().unwrap(), w2.join().unwrap());
             if !both_shared {
-                assert!(at1 < at2, "round {round}: w2 overtook w1");
+                assert!(turn1 < turn2, "round {round}: w2 overtook w1");
             }
         });
         assert_empty(&m, round);
