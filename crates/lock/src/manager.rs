@@ -258,7 +258,9 @@ impl LockManager {
     /// index order without nesting their locks, so this never deadlocks
     /// with concurrent acquires; the caller's own waiter is already
     /// registered before snapshotting, which guarantees the *last* member
-    /// of any cycle to queue observes the whole cycle.
+    /// of any cycle to queue observes the whole cycle, unless an earlier
+    /// member, still checking, saw it first and withdrew as the victim
+    /// (which breaks the cycle; both may withdraw).
     fn snapshot(&self) -> State {
         let mut merged = State::default();
         for shard in &self.shards {

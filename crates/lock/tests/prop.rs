@@ -13,22 +13,11 @@ use std::time::Duration;
 
 #[derive(Clone, Debug)]
 enum LockOp {
-    Acquire {
-        txn: u8,
-        item: usize,
-        exclusive: bool,
-    },
-    Release {
-        txn: u8,
-        item: usize,
-    },
-    ReleaseAll {
-        txn: u8,
-    },
-    /// Release through the set of shards the txn's acquires reported.
-    ReleaseHeld {
-        txn: u8,
-    },
+    Acquire { txn: u8, item: usize, exclusive: bool },
+    Release { txn: u8, item: usize },
+    ReleaseAll { txn: u8 },
+    // Release through the set of shards the txn's acquires reported.
+    ReleaseHeld { txn: u8 },
 }
 
 fn gen_op(rng: &mut StdRng, items: usize) -> LockOp {
