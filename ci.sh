@@ -49,6 +49,21 @@ if [ "$pass" -ne 25 ]; then
 fi
 echo "   orders_assigned_levels_hold_dynamically: 25/25"
 
+echo "== lock stress x20 (lost-wakeup regression gate) =="
+# The lock table wakes a shard only when requests are queued there; a lost
+# wakeup shows up as an intermittent failure, so require 20/20.
+pass=0
+for i in $(seq 1 20); do
+    if cargo test -q -p semcc --test lock_stress > /dev/null 2>&1; then
+        pass=$((pass + 1))
+    fi
+done
+if [ "$pass" -ne 20 ]; then
+    echo "ci: tests/lock_stress.rs passed only $pass/20" >&2
+    exit 1
+fi
+echo "   lock_stress: 20/20"
+
 if [ "${1:-}" != "--fast" ]; then
     echo "== table_par (parallel scaling rows + runtime identity assertion) =="
     cargo run -q --release -p semcc-bench --bin table_par > "$tmpdir/table_par.txt"

@@ -15,9 +15,16 @@
 //! collects those shards with [`shard_bit`] releases through
 //! [`LockManager::release_in`] and visits only them;
 //! [`LockManager::release_all`] visits every shard.
+//!
+//! A shard's condvar is broadcast only where a queued request may progress.
+//! A grant wakes no one: it only adds conflicts. A commit or abort
+//! ([`LockManager::release_in`]) and a waiter withdrawing itself (deadlock
+//! victim or timeout) wake a shard only if it changed and still has waiters.
+//! A short read lock's [`LockManager::release`] always wakes its shard.
+//! [`LockStats::wakeups`] counts the broadcasts.
 
 use crate::error::LockError;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use semcc_faults::{FaultInjector, FaultKind};
 use semcc_logic::prover::{Prover, Sat};
 use semcc_logic::row::RowPred;
@@ -102,8 +109,17 @@ struct Waiter {
 struct State {
     grants: Vec<Grant>,
     waiters: Vec<Waiter>,
+    /// Broadcasts issued on this shard's condvar, counted under its mutex.
+    wakeups: u64,
 }
 
+/// One shard of the table.
+///
+/// Invariant: a thread parks on `cv` only while its [`Waiter`] sits in
+/// `state.waiters`. It registers under the mutex before its first wait and
+/// re-checks `grantable` under the mutex before every wait.
+/// So a change made under the mutex that leaves `waiters` empty has nobody
+/// to wake, and a thread that parks after the change has already seen it.
 struct Shard {
     state: Mutex<State>,
     cv: Condvar,
@@ -112,6 +128,24 @@ struct Shard {
 impl Default for Shard {
     fn default() -> Self {
         Shard { state: Mutex::new(State::default()), cv: Condvar::new() }
+    }
+}
+
+impl Shard {
+    /// Wake every thread parked on this shard. The broadcast is counted
+    /// under the mutex and issued after `state` drops.
+    fn wake(&self, mut state: MutexGuard<'_, State>) {
+        state.wakeups += 1;
+        drop(state);
+        self.cv.notify_all();
+    }
+
+    /// Wake this shard after a change that may have let a queued request
+    /// progress, unless nobody is queued here (see the invariant above).
+    fn wake_waiters(&self, state: MutexGuard<'_, State>) {
+        if !state.waiters.is_empty() {
+            self.wake(state);
+        }
     }
 }
 
@@ -153,6 +187,10 @@ pub struct LockStats {
     pub timeouts: u64,
     /// Waits refused because they would have closed a waits-for cycle.
     pub deadlocks: u64,
+    /// Condition-variable broadcasts issued: one per short-lock
+    /// [`LockManager::release`], and one per shard that a commit, an abort or
+    /// a withdrawn wait changed while requests were queued there.
+    pub wakeups: u64,
 }
 
 /// The lock manager. One instance is shared by all engine threads.
@@ -192,12 +230,14 @@ impl LockManager {
         self.shards.len()
     }
 
-    /// Cumulative contention counters.
+    /// Cumulative contention counters. Locks every shard once, to sum the
+    /// wakeups counted there.
     pub fn stats(&self) -> LockStats {
         LockStats {
             waits: self.waits.load(Ordering::Relaxed),
             timeouts: self.timeouts.load(Ordering::Relaxed),
             deadlocks: self.deadlocks.load(Ordering::Relaxed),
+            wakeups: self.shards.iter().map(|s| s.state.lock().wakeups).sum(),
         }
     }
 
@@ -317,10 +357,10 @@ impl LockManager {
             drop(state);
             let snap = self.snapshot();
             if let Some(cycle) = self.find_cycle(&snap, &waiter) {
+                // Withdrawing may unblock a request queued behind this one.
                 let mut state = shard.state.lock();
                 state.waiters.retain(|w| w.seq != seq);
-                drop(state);
-                shard.cv.notify_all();
+                shard.wake_waiters(state);
                 self.deadlocks.fetch_add(1, Ordering::Relaxed);
                 return Err(LockError::Deadlock { victim: txn, cycle });
             }
@@ -333,20 +373,19 @@ impl LockManager {
                 }
                 if shard.cv.wait_until(&mut state, deadline).timed_out() {
                     state.waiters.retain(|w| w.seq != seq);
-                    drop(state);
-                    shard.cv.notify_all();
+                    shard.wake_waiters(state);
                     self.timeouts.fetch_add(1, Ordering::Relaxed);
                     return Err(LockError::Timeout { txn });
                 }
             }
         }
 
+        // A grant wakes no one. Installing it, or turning this request's own
+        // waiter into it (an S → X upgrade becomes an X grant), only adds
+        // conflicts: a request this waiter blocked (it conflicts and queued
+        // later) conflicts with the grant on the same target and mode just
+        // as much. No queued request becomes grantable.
         self.install_grant(&mut state, txn, waiter.target, mode);
-        drop(state);
-        // Granting may unblock fairness-ordered waiters behind us only when
-        // locks are *released*, but an upgrade consumed a waiter slot —
-        // conservatively wake everyone to re-check.
-        shard.cv.notify_all();
         Ok(index)
     }
 
@@ -451,8 +490,10 @@ impl LockManager {
                 state.grants.remove(pos);
             }
         }
-        drop(state);
-        shard.cv.notify_all();
+        // Unlike `release_in`, this wakes the shard whether or not anyone
+        // waits (DESIGN.md §6, "a wake-up only where a queued request can
+        // progress").
+        shard.wake(state);
     }
 
     /// Release every lock held by `txn` (commit/abort), visiting every shard.
@@ -472,10 +513,8 @@ impl LockManager {
             let before = state.grants.len() + state.waiters.len();
             state.grants.retain(|g| g.txn != txn);
             state.waiters.retain(|w| w.txn != txn);
-            let changed = before != state.grants.len() + state.waiters.len();
-            drop(state);
-            if changed || self.shards.len() == 1 {
-                shard.cv.notify_all();
+            if before != state.grants.len() + state.waiters.len() {
+                shard.wake_waiters(state);
             }
         }
     }
@@ -786,6 +825,9 @@ mod tests {
         assert!(m.acquire(2, Target::item("x"), Mode::X).is_err());
         let s = m.stats();
         assert_eq!((s.waits, s.timeouts), (1, 1));
+        assert_eq!(s.wakeups, 0, "a withdrawal with nobody queued behind it wakes no one");
+        m.release(1, &Target::item("x"));
+        assert_eq!(m.stats().wakeups, 1, "a short-lock release always wakes");
         m.clear();
         assert_eq!(m.stats(), LockStats::default());
     }

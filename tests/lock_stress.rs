@@ -1,7 +1,8 @@
 //! Seeded multi-thread schedules on a 32-shard lock table, aimed at shard
 //! boundaries: a waits-for 2-cycle whose two edges live in different
-//! shards, a holder releasing at its waiter's deadline, and a release
-//! while two requests queue behind it.
+//! shards, a holder releasing at its waiter's deadline, a release while two
+//! requests queue behind it, and a queued request withdrawing (by timeout or
+//! as a deadlock victim) in front of another.
 //!
 //! Every schedule must end with no lost wakeup (each blocked request
 //! returns within a wall-clock bound far below its wait timeout), no
@@ -10,13 +11,21 @@
 //! transaction releases through [`LockManager::release_in`] over the shards
 //! its acquires reported, as the engine does at commit and abort, so a shard
 //! reported wrongly leaves a grant behind.
+//!
+//! The table broadcasts on a shard's condvar only where a queued request can
+//! progress; [`LockStats::wakeups`](semcc_lock::LockStats::wakeups) counts
+//! the broadcasts, and the last test pins the count for uncontended traffic
+//! and for single-thread banking.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use semcc::engine::{Engine, EngineConfig, EngineTuning, IsolationLevel};
+use semcc::txn::interp::run_program;
+use semcc::workloads::banking;
 use semcc_lock::manager::LockConfig;
 use semcc_lock::{shard_bit, LockError, LockManager, Mode, Target};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Barrier;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -272,4 +281,189 @@ fn release_during_a_wait_hands_off_in_queue_order() {
         assert_empty(&m, round);
     }
     assert_eq!(m.stats().timeouts + m.stats().deadlocks, 0);
+}
+
+/// T1 holds S on `a`, T2 queues X behind it, and T3 queues S behind T2,
+/// blocked by FIFO order alone. Runs `t2` (T2's request and its handling)
+/// on the calling thread, and T3's request on another once `t3_may_queue`
+/// holds; returns T2's result, T3's result and whether T3 queued (rather
+/// than being granted on arrival). T3 must be granted within [`LOST`],
+/// whatever T2's fate.
+fn queue_behind_a_withdrawing_writer(
+    m: &LockManager,
+    a: &(String, usize),
+    t3_may_queue: impl Fn() -> bool + Sync,
+    t2: impl FnOnce() -> Result<usize, LockError>,
+) -> (Result<usize, LockError>, Result<usize, LockError>, bool) {
+    let held = lock_in(m, 1, a, Mode::S);
+    let waits = m.stats().waits;
+    let (r2, r3) = thread::scope(|s| {
+        let t3 = s.spawn(|| {
+            while !t3_may_queue() {
+                thread::yield_now();
+            }
+            timed(|| m.acquire(3, Target::item(&a.0), Mode::S))
+        });
+        let r2 = t2();
+        (r2, t3.join().unwrap())
+    });
+    // T2 queued once; a second wait is T3's.
+    let t3_queued = m.stats().waits - waits == 2;
+    m.release_in(3, shard_bit(a.1));
+    m.release_in(1, held);
+    (r2, r3, t3_queued)
+}
+
+#[test]
+fn a_timed_out_waiter_wakes_the_queue_behind_it() {
+    // T3 queues GAP after T2, so its own deadline is GAP after T2's. Only
+    // T2's withdrawal at its deadline can grant T3 before T3's deadline.
+    const TIMEOUT: Duration = Duration::from_millis(60);
+    const GAP: Duration = Duration::from_millis(30);
+    let m = table(TIMEOUT);
+    let mut rng = StdRng::seed_from_u64(0x7130);
+    for round in 0..5 {
+        let [a] = names_in_distinct_shards(&m, &mut rng);
+        let t2_queued_at = OnceLock::new();
+        let (r2, r3, t3_queued) = queue_behind_a_withdrawing_writer(
+            &m,
+            &a,
+            || t2_queued_at.get().is_some_and(|at: &Instant| at.elapsed() >= GAP),
+            || {
+                thread::scope(|s| {
+                    let t2 = s.spawn(|| m.acquire(2, Target::item(&a.0), Mode::X));
+                    wait_until("t2 queues", || m.waiting_by(2) == 1);
+                    t2_queued_at.set(Instant::now()).unwrap();
+                    t2.join().unwrap()
+                })
+            },
+        );
+        assert!(matches!(r2, Err(LockError::Timeout { txn: 2 })), "round {round}: {r2:?}");
+        assert_eq!(r3.as_ref().ok(), Some(&a.1), "round {round}: t3 not woken by t2's timeout");
+        assert!(t3_queued, "round {round}: t3 never queued behind t2");
+        assert_empty(&m, round);
+    }
+    assert_eq!(m.stats().timeouts, 5, "only t2 times out");
+}
+
+#[test]
+fn a_deadlock_victim_wakes_the_queue_behind_it() {
+    // T1 also waits for T2's X on `b`, so T2's request on `a` closes the
+    // cycle and T2 withdraws as the victim. T3 requests once it sees T2
+    // queued, so it often queues behind T2 while T2 checks for the cycle,
+    // and now and then parks before T2 withdraws (a race). Either way it
+    // must not wait for its own deadline.
+    let m = table(LOST * 2);
+    let mut rng = StdRng::seed_from_u64(0xd1c7);
+    for round in 0..100 {
+        let [a, b] = names_in_distinct_shards(&m, &mut rng);
+        let t2_held = lock_in(&m, 2, &b, Mode::X);
+        let t2_done = AtomicBool::new(false);
+        let (r2, r3, _) = thread::scope(|s| {
+            let t1 = s.spawn(|| timed(|| m.acquire(1, Target::item(&b.0), Mode::X)));
+            let r = queue_behind_a_withdrawing_writer(
+                &m,
+                &a,
+                || m.waiting_by(2) == 1 || t2_done.load(Ordering::SeqCst),
+                || {
+                    wait_until("t1 queues on b", || m.waiting_by(1) == 1);
+                    // Let T1 finish its own cycle check and park, so that
+                    // T2's request is the one that closes the cycle.
+                    thread::sleep(Duration::from_millis(2));
+                    let r = m.acquire(2, Target::item(&a.0), Mode::X);
+                    t2_done.store(true, Ordering::SeqCst);
+                    // The victim aborts, which frees T1.
+                    m.release_in(2, t2_held);
+                    r
+                },
+            );
+            let r1 = t1.join().unwrap();
+            assert_eq!(r1, Ok(b.1), "round {round}: t1 not granted b");
+            r
+        });
+        assert!(matches!(r2, Err(LockError::Deadlock { victim: 2, .. })), "round {round}: {r2:?}");
+        assert_eq!(r3.ok(), Some(a.1), "round {round}");
+        m.release_in(1, shard_bit(b.1));
+        assert_empty(&m, round);
+    }
+    assert_eq!(m.stats().timeouts, 0);
+}
+
+/// Single-thread banking through `run_program` at the paper's levels:
+/// withdrawals at REPEATABLE READ, deposits at READ COMMITTED+FCW. Returns
+/// the number of deposits run.
+fn banking_run(engine: &Arc<Engine>, txns: usize) -> u64 {
+    const ACCOUNTS: usize = 8;
+    banking::setup(engine, ACCOUNTS, 1_000);
+    let programs = [
+        (banking::withdraw("sav", "ch"), IsolationLevel::RepeatableRead),
+        (banking::withdraw("ch", "sav"), IsolationLevel::RepeatableRead),
+        (banking::deposit("sav", "ch"), IsolationLevel::ReadCommittedFcw),
+        (banking::deposit("ch", "sav"), IsolationLevel::ReadCommittedFcw),
+    ];
+    let mut rng = StdRng::seed_from_u64(0xba2c);
+    let mut deposits = 0;
+    for _ in 0..txns {
+        let (program, level) = &programs[rng.gen_range(0..programs.len())];
+        let bindings = banking::bindings(&program.name, ACCOUNTS, &mut rng);
+        run_program(engine, program, *level, &bindings).expect("single-thread banking commits");
+        deposits += u64::from(*level == IsolationLevel::ReadCommittedFcw);
+    }
+    deposits
+}
+
+#[test]
+fn wakeups_go_only_where_a_queued_request_can_progress() {
+    // Uncontended long locks: S, X, a reentrant acquire and an S -> X
+    // upgrade, then commit's release_in. Nobody waits, nobody is woken.
+    for shards in [1, SHARDS] {
+        let m = LockManager::new(LockConfig { shards, ..LockConfig::default() });
+        for txn in 0..50u64 {
+            let mut set = 0;
+            for (name, mode) in [("s", Mode::S), ("x", Mode::X), ("x", Mode::X), ("u", Mode::S)] {
+                set |= shard_bit(m.acquire(txn, Target::item(name), mode).expect("free"));
+            }
+            set |= shard_bit(m.acquire(txn, Target::item("u"), Mode::X).expect("upgrade"));
+            m.release_in(txn, set);
+        }
+        assert_eq!(m.stats().wakeups, 0, "{shards} shards: uncontended long locks woke a shard");
+        assert_empty(&m, 0);
+
+        // The pending short-lock case: a short read lock's release wakes its
+        // shard once, waiters or not, until that path is redesigned.
+        for txn in 0..50u64 {
+            m.acquire(txn, Target::item("s"), Mode::S).expect("free");
+            m.release(txn, &Target::item("s"));
+        }
+        assert_eq!(m.stats().wakeups, 50, "{shards} shards: one wakeup per short-lock release");
+    }
+
+    // Single-thread banking: a withdrawal (RR, long locks) wakes no one; a
+    // deposit's short read at RC+FCW wakes once.
+    for tuning in [EngineTuning::default(), EngineTuning::server()] {
+        let config = EngineConfig { record_history: false, ..EngineConfig::default() };
+        let engine = Arc::new(Engine::with_tuning(config, tuning));
+        let deposits = banking_run(&engine, 400);
+        assert!(deposits > 100 && deposits < 300, "{deposits} deposits of 400");
+        assert_eq!(engine.locks().stats().wakeups, deposits, "{tuning:?}");
+    }
+
+    // A writer parked behind a long X is woken by the holder's commit.
+    let config = EngineConfig { lock_timeout: LOST * 2, ..EngineConfig::default() };
+    let engine = Arc::new(Engine::with_tuning(config, EngineTuning::server()));
+    engine.create_item("x", 0).expect("create x");
+    let mut holder = engine.begin(IsolationLevel::RepeatableRead);
+    holder.write("x", 1).expect("holder writes x");
+    thread::scope(|s| {
+        let waiter = s.spawn(|| {
+            let mut txn = engine.begin(IsolationLevel::RepeatableRead);
+            timed(|| txn.write("x", 2)).expect("woken by the holder's commit");
+            txn.commit().expect("waiter commits");
+        });
+        wait_until("the writer queues", || engine.locks().total_waiters() == 1);
+        holder.commit().expect("holder commits");
+        waiter.join().unwrap();
+    });
+    assert_eq!(engine.locks().stats().wakeups, 1, "only the holder's commit wakes");
+    assert_eq!(engine.peek_item("x").ok().and_then(|v| v.as_int()), Some(2));
 }
