@@ -64,6 +64,21 @@ if [ "$pass" -ne 20 ]; then
 fi
 echo "   lock_stress: 20/20"
 
+echo "== serve retry x10 (contended submissions never give up) =="
+# Two clients on two banking accounts: deadlock and FCW losers retry, the
+# first retry at once, later ones after a backoff; require 10/10.
+pass=0
+for i in $(seq 1 10); do
+    if cargo test -q -p semcc --test serve_retry > /dev/null 2>&1; then
+        pass=$((pass + 1))
+    fi
+done
+if [ "$pass" -ne 10 ]; then
+    echo "ci: tests/serve_retry.rs passed only $pass/10" >&2
+    exit 1
+fi
+echo "   serve_retry: 10/10"
+
 if [ "${1:-}" != "--fast" ]; then
     echo "== table_par (parallel scaling rows + runtime identity assertion) =="
     cargo run -q --release -p semcc-bench --bin table_par > "$tmpdir/table_par.txt"

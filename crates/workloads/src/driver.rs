@@ -81,8 +81,10 @@ impl AbortClass {
 pub struct RetryPolicy {
     /// Total attempts per transaction (first try included); must be ≥ 1.
     pub max_attempts: usize,
-    /// Backoff before retry `i` (1-based) is `base_backoff · 2^(i-1)`,
-    /// capped at [`RetryPolicy::max_backoff`], ±50% deterministic jitter.
+    /// The first retry runs at once. Before retry `i ≥ 2` (1-based) the
+    /// backoff is `base_backoff · 2^(i-1)`, capped at
+    /// [`RetryPolicy::max_backoff`], ±50% deterministic jitter; zero turns
+    /// every sleep off.
     pub base_backoff: Duration,
     /// Upper bound on a single backoff sleep (pre-jitter).
     pub max_backoff: Duration,
@@ -112,10 +114,18 @@ impl RetryPolicy {
     /// The backoff to sleep before retry `attempt` (1-based count of
     /// *failed* attempts so far), for a worker identified by `salt`.
     /// Deterministic in `(jitter_seed, salt, attempt)`.
+    ///
+    /// The first retry does not sleep: every abort class has already
+    /// waited out its cause. An FCW or SSI loser lost to a writer that has
+    /// committed; a deadlock victim has released its locks, and its re-run
+    /// queues FIFO behind the survivor, which wakes it on release; a
+    /// timeout has already waited `lock_timeout`. Only a second consecutive
+    /// abort sleeps, on the schedule that starts at `2·base_backoff`: that
+    /// sleep is the livelock guard.
     pub fn backoff(&self, attempt: usize, salt: u64) -> Duration {
         #[cfg(test)]
         tests::BACKOFF_CALLS.with(|calls| calls.borrow_mut().push((attempt, salt)));
-        if self.base_backoff.is_zero() {
+        if attempt <= 1 || self.base_backoff.is_zero() {
             return Duration::ZERO;
         }
         let exp = self.base_backoff.saturating_mul(1u32 << (attempt - 1).min(20) as u32);
@@ -617,6 +627,65 @@ mod tests {
         // Zero base ⇒ no sleeping at all.
         let none = RetryPolicy { base_backoff: Duration::ZERO, ..RetryPolicy::default() };
         assert_eq!(none.backoff(5, 1), Duration::ZERO);
+    }
+
+    /// The schedule every retry slept on before the first retry went
+    /// immediate, written out independently of [`RetryPolicy::backoff`].
+    /// Retries 2 and later must keep it: shifted down, the second sleep
+    /// would be `base`, and more ops would collide again and sleep twice.
+    fn exponential_jittered(policy: &RetryPolicy, attempt: usize, salt: u64) -> Duration {
+        let exp = policy.base_backoff * 2u32.pow((attempt - 1) as u32);
+        let capped = exp.min(policy.max_backoff).max(policy.base_backoff);
+        let seed = policy.jitter_seed ^ salt.rotate_left(17) ^ attempt as u64;
+        let jitter_pm = StdRng::seed_from_u64(seed).gen_range(50..=150) as u32;
+        capped * jitter_pm / 100
+    }
+
+    #[test]
+    fn first_retry_runs_at_once_and_later_ones_keep_the_schedule() {
+        let policies = [
+            RetryPolicy::default(),
+            RetryPolicy { jitter_seed: 42, ..RetryPolicy::default() },
+            RetryPolicy {
+                base_backoff: Duration::from_micros(100),
+                max_backoff: Duration::from_millis(2),
+                jitter_seed: 9,
+                ..RetryPolicy::default()
+            },
+        ];
+        let salts = (0..200).chain([u64::MAX, 1 << 32, 0xdead_beef_0000_0001]);
+        for salt in salts {
+            for policy in &policies {
+                assert_eq!(policy.backoff(1, salt), Duration::ZERO, "salt {salt}");
+                for k in 2..=10 {
+                    let want = exponential_jittered(policy, k, salt);
+                    assert_eq!(policy.backoff(k, salt), want, "retry {k}, salt {salt}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_a_second_consecutive_abort_sleeps() {
+        fn deadlock() -> EngineError {
+            EngineError::Lock(semcc_lock::LockError::Deadlock { victim: 1, cycle: vec![1, 2] })
+        }
+        let policy = RetryPolicy {
+            base_backoff: Duration::from_secs(1),
+            max_backoff: Duration::from_secs(2),
+            ..RetryPolicy::default()
+        };
+        let timed = |script: Vec<Result<u32, EngineError>>| {
+            let mut script = script.into_iter();
+            let start = Instant::now();
+            let attempted = retry(&policy, 3, || script.next().expect("scripted"), |_, _| {});
+            assert!(matches!(attempted, Attempted::Committed { value: 7, .. }), "{attempted:?}");
+            start.elapsed()
+        };
+        let once = timed(vec![Err(deadlock()), Ok(7)]);
+        assert!(once < Duration::from_millis(500), "one abort slept {once:?}");
+        let twice = timed(vec![Err(deadlock()), Err(deadlock()), Ok(7)]);
+        assert!(twice >= Duration::from_secs(1), "two aborts slept only {twice:?}");
     }
 
     #[test]
