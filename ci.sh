@@ -80,30 +80,26 @@ fi
 echo "   serve_retry: 10/10"
 
 if [ "${1:-}" != "--fast" ]; then
-    echo "== table_par (parallel scaling rows + runtime identity assertion) =="
-    cargo run -q --release -p semcc-bench --bin table_par > "$tmpdir/table_par.txt"
-    echo "   table_par: results identical at jobs 1/2/4/8"
-
-    echo "== table_refine smoke (precision asserted, jobs 1 vs 4 byte-identical) =="
-    # The binary itself asserts: >0 prunes, >0 STATIC-OVERAPPROX -> AGREE
+    echo "== tables refine smoke (precision asserted, jobs 1 vs 4 byte-identical) =="
+    # The table itself asserts: >0 prunes, >0 STATIC-OVERAPPROX -> AGREE
     # conversions, schedules saved, zero soundness violations.
-    cargo run -q --release -p semcc-bench --bin table_refine -- --jobs 1 \
+    cargo run -q --release -p semcc-bench -- refine --jobs 1 \
         > "$tmpdir/table_refine.1.txt"
-    cargo run -q --release -p semcc-bench --bin table_refine -- --jobs 4 \
+    cargo run -q --release -p semcc-bench -- refine --jobs 4 \
         > "$tmpdir/table_refine.4.txt"
     if ! cmp -s "$tmpdir/table_refine.1.txt" "$tmpdir/table_refine.4.txt"; then
-        echo "ci: table_refine differs between --jobs 1 and --jobs 4" >&2
+        echo "ci: tables refine differs between --jobs 1 and --jobs 4" >&2
         diff "$tmpdir/table_refine.1.txt" "$tmpdir/table_refine.4.txt" >&2 || true
         exit 1
     fi
-    echo "   table_refine: precision assertions hold, byte-identical at jobs 1 vs 4"
+    echo "   tables refine: precision assertions hold, byte-identical at jobs 1 vs 4"
 
-    echo "== table_serve (serve throughput rows + in-binary determinism asserts) =="
-    # The binary asserts per row: same-seed JSON byte-identity, nonzero
+    echo "== tables serve (serve throughput rows + in-table determinism asserts) =="
+    # The table asserts per row: same-seed JSON byte-identity, nonzero
     # commits, zero invariant violations, quiescence.
-    cargo run -q --release -p semcc-bench --bin table_serve -- --quick \
+    cargo run -q --release -p semcc-bench -- serve --quick \
         > "$tmpdir/table_serve.txt"
-    echo "   table_serve: all rows committed, audited clean, deterministic"
+    echo "   tables serve: all rows committed, audited clean, deterministic"
 
     echo "== perf/ (the benchmark package: a workspace of its own) =="
     # perf/ reaches ../crates by path from outside this workspace, so

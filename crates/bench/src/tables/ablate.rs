@@ -14,10 +14,10 @@
 //!   be sound: verdicts may only move up the ladder.
 //!
 //! ```text
-//! cargo run -p semcc-bench --bin table_ablate
+//! cargo run -p semcc-bench --release -- ablate
 //! ```
 
-use semcc_bench::{row, rule, short};
+use crate::{header, row, short, Opts};
 use semcc_core::theorems::{check_at_level, check_with, LevelReport};
 use semcc_core::{Analyzer, App};
 use semcc_engine::IsolationLevel::*;
@@ -43,13 +43,13 @@ fn check_opts(
     check_with(&Analyzer::new(app), app, txn, level, opts, &BTreeSet::new())
 }
 
-fn main() {
-    println!("ablations: switching off one analyzer mechanism at a time\n");
+pub fn head(_: &Opts, out: &mut String) {
+    outln!(out, "ablations: switching off one analyzer mechanism at a time\n");
 
     // ------------------------------------------------------------------
     // A1: update merging (the Hours / Example 2 mechanism)
     // ------------------------------------------------------------------
-    println!("== A1: sequential UPDATE merging ==");
+    outln!(out, "== A1: sequential UPDATE merging ==");
     let pay = payroll::app();
     let with = check_at_level(&pay, "Print_Records", ReadCommitted);
     let without = check_opts(
@@ -58,28 +58,21 @@ fn main() {
         ReadCommitted,
         SymOptions { merge_updates: false, ..SymOptions::default() },
     );
-    println!("  Print_Records @ RC, merging ON : {}", verdict_at(with.ok));
-    println!("  Print_Records @ RC, merging OFF: {}", verdict_at(without.ok));
+    outln!(out, "  Print_Records @ RC, merging ON : {}", verdict_at(with.ok));
+    outln!(out, "  Print_Records @ RC, merging OFF: {}", verdict_at(without.ok));
     if let Some(f) = without.failures.first() {
-        println!("    reason: {f}");
+        outln!(out, "    reason: {f}");
     }
     assert!(with.ok && !without.ok, "merging is exactly what buys Example 2's RC verdict");
-    println!("  -> without the sequential-composition rule, Hours's first UPDATE is");
-    println!("     checked in isolation and Example 2 degrades past READ COMMITTED.\n");
+    outln!(out, "  -> without the sequential-composition rule, Hours's first UPDATE is");
+    outln!(out, "     checked in isolation and Example 2 degrades past READ COMMITTED.\n");
 
     // ------------------------------------------------------------------
     // A2: loop unrolling depth
     // ------------------------------------------------------------------
-    println!("== A2: loop unrolling / havoc fallback ==");
+    outln!(out, "== A2: loop unrolling / havoc fallback ==");
     let widths = [26usize, 14, 14, 14];
-    println!(
-        "{}",
-        row(
-            &["txn @ level".into(), "unroll=0".into(), "unroll=2".into(), "unroll=4".into()],
-            &widths
-        )
-    );
-    println!("{}", rule(&widths));
+    outln!(out, "{}", header(&["txn @ level", "unroll=0", "unroll=2", "unroll=4"], &widths));
     let bank = banking::app();
     let ord = orders::app(false);
     for (app, txn, level) in [
@@ -97,30 +90,29 @@ fn main() {
             );
             verdict_at(r.ok).to_string()
         };
-        println!("{}", row(&[format!("{txn} @ {}", short(level)), at(0), at(2), at(4)], &widths));
+        outln!(
+            out,
+            "{}",
+            row(&[format!("{txn} @ {}", short(level)), at(0), at(2), at(4)], &widths)
+        );
     }
-    println!("  -> these workloads are loop-free at top level, so verdicts are stable;");
-    println!("     the fallback only matters for loop-carried database writes.\n");
+    outln!(out, "  -> these workloads are loop-free at top level, so verdicts are stable;");
+    outln!(out, "     the fallback only matters for loop-carried database writes.\n");
 
     // ------------------------------------------------------------------
     // A3: what the FCW exemption buys (RC vs RC+FCW obligations)
     // ------------------------------------------------------------------
-    println!("== A3: first-committer-wins read exemption ==");
+    outln!(out, "== A3: first-committer-wins read exemption ==");
     let widths = [22usize, 16, 20, 16];
-    println!(
-        "{}",
-        row(
-            &["txn".into(), "RC verdict".into(), "RC+FCW verdict".into(), "exempt reads".into()],
-            &widths
-        )
-    );
-    println!("{}", rule(&widths));
+    let names = ["txn", "RC verdict", "RC+FCW verdict", "exempt reads"];
+    outln!(out, "{}", header(&names, &widths));
     for (app, txn) in [(&bank, "Deposit_sav"), (&orders::app(true), "New_Order_strict")] {
         let rc = check_at_level(app, txn, ReadCommitted);
         let fcw = check_at_level(app, txn, ReadCommittedFcw);
         // exempt reads = obligations whose description marks the pre-check
         let exempted = fcw.failures.iter().filter(|f| f.contains("FCW-exempt")).count();
-        println!(
+        outln!(
+            out,
             "{}",
             row(
                 &[
@@ -134,13 +126,13 @@ fn main() {
         );
         assert!(!rc.ok && fcw.ok);
     }
-    println!("  -> both types are rejected at RC and certified at RC+FCW purely by the");
-    println!("     read-then-write exemption of Theorem 3.\n");
+    outln!(out, "  -> both types are rejected at RC and certified at RC+FCW purely by the");
+    outln!(out, "     read-then-write exemption of Theorem 3.\n");
 
     // ------------------------------------------------------------------
     // A4: starved prover stays sound (verdicts only move up)
     // ------------------------------------------------------------------
-    println!("== A4: prover-budget sensitivity (soundness under starvation) ==");
+    outln!(out, "== A4: prover-budget sensitivity (soundness under starvation) ==");
     // The analyzer constructs its own prover; starving is emulated by
     // collapsing symbolic paths (max_paths = 1 forces the havoc summary),
     // the coarsest over-approximation the analyzer can fall back to.
@@ -164,8 +156,8 @@ fn main() {
             }
         }
     }
-    println!("  {total} (txn, level) checks: coarse analysis never certified more than the");
-    println!("  precise one; {moved_up} verdicts degraded upward (havoc summaries are sound).");
+    outln!(out, "  {total} (txn, level) checks: coarse analysis never certified more than the");
+    outln!(out, "  precise one; {moved_up} verdicts degraded upward (havoc summaries are sound).");
 
-    println!("\nall ablations behaved as designed.");
+    outln!(out, "\nall ablations behaved as designed.");
 }

@@ -9,10 +9,10 @@
 //! predicted anomaly.
 //!
 //! ```text
-//! cargo run -p semcc-bench --release --bin table_cert
+//! cargo run -p semcc-bench --release -- cert
 //! ```
 
-use semcc_bench::{row, rule};
+use crate::{header, row, Opts};
 use semcc_core::{certify_app, lint, replay_witnesses, App};
 use semcc_engine::IsolationLevel;
 use semcc_txn::symexec::SymOptions;
@@ -24,11 +24,11 @@ fn all_at(app: &App, level: IsolationLevel) -> BTreeMap<String, IsolationLevel> 
 
 const WIDTHS: [usize; 7] = [14usize, 12, 11, 9, 10, 10, 12];
 
-fn cert_row(name: &str, app: &App) {
+fn cert_row(out: &mut String, name: &str, app: &App) {
     let cert = match certify_app(app, name, SymOptions::default()) {
         Ok(c) => c,
         Err(e) => {
-            println!("{name}: certification failed: {e}");
+            outln!(out, "{name}: certification failed: {e}");
             return;
         }
     };
@@ -38,7 +38,7 @@ fn cert_row(name: &str, app: &App) {
     let cert: semcc_cert::Certificate = match semcc_json::from_str(&text) {
         Ok(c) => c,
         Err(e) => {
-            println!("{name}: certificate JSON round trip failed: {e}");
+            outln!(out, "{name}: certificate JSON round trip failed: {e}");
             return;
         }
     };
@@ -46,7 +46,8 @@ fn cert_row(name: &str, app: &App) {
     let obligations: usize = cert.reports.iter().map(|r| r.obligations).sum();
     let certified: usize = cert.reports.iter().map(|r| r.certified.len()).sum();
     let rejected = cert.reports.iter().filter(|r| !r.ok).count();
-    println!(
+    outln!(
+        out,
         "{}",
         row(
             &[
@@ -62,13 +63,14 @@ fn cert_row(name: &str, app: &App) {
         )
     );
     for e in report.errors.iter().take(3) {
-        println!("    checker error: {e}");
+        outln!(out, "    checker error: {e}");
     }
 }
 
 const WWIDTHS: [usize; 6] = [14usize, 10, 13, 11, 13, 24];
 
 fn witness_row(
+    out: &mut String,
     name: &str,
     mode: &str,
     app: &App,
@@ -87,7 +89,8 @@ fn witness_row(
     }
     let by_kind =
         kinds.iter().map(|(k, (c, n))| format!("{k} {c}/{n}")).collect::<Vec<_>>().join(", ");
-    println!(
+    outln!(
+        out,
         "{}",
         row(
             &[
@@ -103,7 +106,7 @@ fn witness_row(
     );
 }
 
-fn main() {
+pub fn head(_: &Opts, out: &mut String) {
     let workloads: Vec<(&str, App)> = vec![
         ("banking", semcc_workloads::banking::app()),
         ("orders", semcc_workloads::orders::app(false)),
@@ -112,54 +115,29 @@ fn main() {
         ("tpcc", semcc_workloads::tpcc::app()),
     ];
 
-    println!("CERT: proof certificates + executable refutation witnesses");
-    println!("\n== proof certificates (verified by the prover-free semcc-cert checker) ==");
-    println!(
-        "{}",
-        row(
-            &[
-                "workload".into(),
-                "(txn,level)".into(),
-                "obligations".into(),
-                "certified".into(),
-                "rejected".into(),
-                "FM proofs".into(),
-                "checker".into(),
-            ],
-            &WIDTHS
-        )
-    );
-    println!("{}", rule(&WIDTHS));
+    outln!(out, "CERT: proof certificates + executable refutation witnesses");
+    outln!(out, "\n== proof certificates (verified by the prover-free semcc-cert checker) ==");
+    let names =
+        ["workload", "(txn,level)", "obligations", "certified", "rejected", "FM proofs", "checker"];
+    outln!(out, "{}", header(&names, &WIDTHS));
     for (name, app) in &workloads {
-        cert_row(name, app);
+        cert_row(out, name, app);
     }
 
-    println!("\n== refutation witnesses (lint diagnostics replayed on the engine) ==");
-    println!(
-        "{}",
-        row(
-            &[
-                "workload".into(),
-                "levels".into(),
-                "diagnostics".into(),
-                "CONFIRMED".into(),
-                "unconfirmed".into(),
-                "by kind (conf/total)".into(),
-            ],
-            &WWIDTHS
-        )
-    );
-    println!("{}", rule(&WWIDTHS));
+    outln!(out, "\n== refutation witnesses (lint diagnostics replayed on the engine) ==");
+    let names =
+        ["workload", "levels", "diagnostics", "CONFIRMED", "unconfirmed", "by kind (conf/total)"];
+    outln!(out, "{}", header(&names, &WWIDTHS));
     for (name, app) in &workloads {
-        witness_row(name, "assigned", app, None);
+        witness_row(out, name, "assigned", app, None);
         let ru = all_at(app, IsolationLevel::ReadUncommitted);
-        witness_row(name, "all-RU", app, Some(&ru));
+        witness_row(out, name, "all-RU", app, Some(&ru));
     }
-    println!("\nreading: every discharged triple carries a certificate the independent");
-    println!("checker replays (Substitution steps re-prove the FM refutation; lemma and");
-    println!("footprint steps are declared trusted premises); every failed obligation");
-    println!("yields an executable witness, and CONFIRMED rows are real engine runs of");
-    println!("the predicted anomaly — Example 2's dirty read and Example 3's write skew");
-    println!("among them. Unconfirmed witnesses are schedules the locking discipline");
-    println!("blocked or whose anomaly needs a shape the victim lacks (e.g. a re-read).");
+    outln!(out, "\nreading: every discharged triple carries a certificate the independent");
+    outln!(out, "checker replays (Substitution steps re-prove the FM refutation; lemma and");
+    outln!(out, "footprint steps are declared trusted premises); every failed obligation");
+    outln!(out, "yields an executable witness, and CONFIRMED rows are real engine runs of");
+    outln!(out, "the predicted anomaly — Example 2's dirty read and Example 3's write skew");
+    outln!(out, "among them. Unconfirmed witnesses are schedules the locking discipline");
+    outln!(out, "blocked or whose anomaly needs a shape the victim lacks (e.g. a re-read).");
 }

@@ -9,11 +9,10 @@
 //! verdict (AGREE / STATIC-OVERAPPROX / SOUNDNESS-VIOLATION).
 //!
 //! ```text
-//! cargo run --release -p semcc-bench --bin table_explore \
-//!     | tee results/table_explore.txt
+//! cargo run -p semcc-bench --release -- explore [--jobs N]
 //! ```
 
-use semcc_bench::{jobs_arg, row, rule, short};
+use crate::{header, row, short, Opts};
 use semcc_core::App;
 use semcc_engine::IsolationLevel;
 use semcc_explore::{differential_batch, explore_sweep, ExploreOptions};
@@ -21,25 +20,19 @@ use semcc_workloads::{banking, payroll};
 
 const WIDTHS: [usize; 8] = [6, 8, 8, 8, 8, 9, 24, 18];
 
-fn print_pair(app: &App, title: &str, txns: [&str; 2], opts: &ExploreOptions) {
-    println!("== {title} ==");
-    println!(
-        "{}",
-        row(
-            &[
-                "level".into(),
-                "naive".into(),
-                "ran".into(),
-                "blocked".into(),
-                "pruned".into(),
-                "divergent".into(),
-                "anomalies observed".into(),
-                "differential".into(),
-            ],
-            &WIDTHS
-        )
-    );
-    println!("{}", rule(&WIDTHS));
+fn print_pair(out: &mut String, app: &App, title: &str, txns: [&str; 2], opts: &ExploreOptions) {
+    outln!(out, "== {title} ==");
+    let names = [
+        "level",
+        "naive",
+        "ran",
+        "blocked",
+        "pruned",
+        "divergent",
+        "anomalies observed",
+        "differential",
+    ];
+    outln!(out, "{}", header(&names, &WIDTHS));
     // The outer level-vector sweep fans out over `opts.jobs`; the merged
     // cells come back in level order, identical at every job count.
     let names = vec![txns[0].to_string(), txns[1].to_string()];
@@ -53,7 +46,8 @@ fn print_pair(app: &App, title: &str, txns: [&str; 2], opts: &ExploreOptions) {
         } else {
             r.anomaly_counts.iter().map(|(k, n)| format!("{k} ×{n}")).collect::<Vec<_>>().join(", ")
         };
-        println!(
+        outln!(
+            out,
             "{}",
             row(
                 &[
@@ -70,19 +64,19 @@ fn print_pair(app: &App, title: &str, txns: [&str; 2], opts: &ExploreOptions) {
             )
         );
     }
-    println!();
+    outln!(out);
 }
 
-fn main() {
-    println!("schedule-space exploration — statement-granular DPOR vs static lint\n");
-    println!("every cell: ALL interleavings of the two transaction instances at that");
-    println!("level, executed on the engine from the same seeded state; `divergent`");
-    println!("counts completed schedules whose observable outcome (final DB state +");
-    println!("per-transaction locals and buffers) matches no serial execution.");
-    println!("`pruned` = naive / (ran + blocked): persistent-set + sleep-set DPOR");
-    println!("explores one representative per Mazurkiewicz trace class.\n");
+pub fn head(opts: &Opts, out: &mut String) {
+    outln!(out, "schedule-space exploration — statement-granular DPOR vs static lint\n");
+    outln!(out, "every cell: ALL interleavings of the two transaction instances at that");
+    outln!(out, "level, executed on the engine from the same seeded state; `divergent`");
+    outln!(out, "counts completed schedules whose observable outcome (final DB state +");
+    outln!(out, "per-transaction locals and buffers) matches no serial execution.");
+    outln!(out, "`pruned` = naive / (ran + blocked): persistent-set + sleep-set DPOR");
+    outln!(out, "explores one representative per Mazurkiewicz trace class.\n");
 
-    let jobs = jobs_arg();
+    let jobs = opts.jobs;
     let pay_opts = ExploreOptions {
         // The neutral seed zeroes integer columns; a real hourly rate makes
         // the mid-Hours inconsistency (rate·hrs ≠ sal) observable.
@@ -91,23 +85,25 @@ fn main() {
         ..ExploreOptions::default()
     };
     print_pair(
+        out,
         &payroll::app(),
         "payroll: Hours vs Print_Records (Example 2, dirty read)",
         ["Hours", "Print_Records"],
         &pay_opts,
     );
     print_pair(
+        out,
         &banking::app(),
         "banking: Withdraw_sav vs Withdraw_ch (Example 3, write skew)",
         ["Withdraw_sav", "Withdraw_ch"],
         &ExploreOptions { jobs, ..ExploreOptions::default() },
     );
 
-    println!("reading the table: a divergent schedule at a weak level is the concrete");
-    println!("execution behind the paper's counterexample; zero divergent schedules at");
-    println!("REPEATABLE READ / SERIALIZABLE is the exhaustive (not sampled) check that");
-    println!("the engine's locking really excludes them. STATIC-OVERAPPROX marks cells");
-    println!("where the may-analysis warns but no schedule exists (e.g. FCW blocks the");
-    println!("predicted lost update); SOUNDNESS-VIOLATION would mean the analyzer");
-    println!("called a divergent pair safe — the differential oracle's whole point.");
+    outln!(out, "reading the table: a divergent schedule at a weak level is the concrete");
+    outln!(out, "execution behind the paper's counterexample; zero divergent schedules at");
+    outln!(out, "REPEATABLE READ / SERIALIZABLE is the exhaustive (not sampled) check that");
+    outln!(out, "the engine's locking really excludes them. STATIC-OVERAPPROX marks cells");
+    outln!(out, "where the may-analysis warns but no schedule exists (e.g. FCW blocks the");
+    outln!(out, "predicted lost update); SOUNDNESS-VIOLATION would mean the analyzer");
+    outln!(out, "called a divergent pair safe — the differential oracle's whole point.");
 }

@@ -12,11 +12,10 @@
 //! summary (Theorem 1's quantification over rollback writes).
 //!
 //! ```text
-//! cargo run --release -p semcc-bench --bin table_faults \
-//!     | tee results/table_faults.txt
+//! cargo run -p semcc-bench --release -- faults
 //! ```
 
-use semcc_bench::{row, rule, short};
+use crate::{header, row, short, Opts};
 use semcc_core::App;
 use semcc_engine::IsolationLevel;
 use semcc_workloads::{banking, orders, payroll, simulate, FaultSimOptions};
@@ -28,23 +27,9 @@ const TXNS: usize = 240;
 
 fn print_app(app: &App, title: &str) {
     println!("== {title} ==");
-    println!(
-        "{}",
-        row(
-            &[
-                "level".into(),
-                "commit".into(),
-                "aborts".into(),
-                "gaveup".into(),
-                "injectd".into(),
-                "audits".into(),
-                "violatd".into(),
-                "recovery p50/p99".into(),
-            ],
-            &WIDTHS
-        )
-    );
-    println!("{}", rule(&WIDTHS));
+    let names =
+        ["level", "commit", "aborts", "gaveup", "injectd", "audits", "violatd", "recovery p50/p99"];
+    println!("{}", header(&names, &WIDTHS));
     for level in IsolationLevel::ALL {
         let opts = FaultSimOptions {
             seed: SEED,
@@ -79,17 +64,21 @@ fn print_app(app: &App, title: &str) {
     println!();
 }
 
-fn main() {
-    println!("fault-injection robustness — seeded fault plan, audited abort paths\n");
-    println!("every cell: {TXNS} transactions of the application's mix driven at that");
-    println!("level under seed {SEED} with all six fault classes armed (spurious lock");
-    println!("timeouts/deadlocks, injected FCW conflicts, forced mid-statement aborts,");
-    println!("client crashes before/after commit). `aborts` are absorbed by the bounded");
-    println!("retry policy; `gaveup` counts transactions that exhausted it. `audits`");
-    println!("counts post-abort + quiescence + committed-replay + rollback-coverage");
-    println!("checks; `violatd` must be 0. `recovery` is the commit latency of");
-    println!("transactions that absorbed at least one abort.\n");
+/// The title and the column legend.
+pub fn head(_: &Opts, out: &mut String) {
+    outln!(out, "fault-injection robustness — seeded fault plan, audited abort paths\n");
+    outln!(out, "every cell: {TXNS} transactions of the application's mix driven at that");
+    outln!(out, "level under seed {SEED} with all six fault classes armed (spurious lock");
+    outln!(out, "timeouts/deadlocks, injected FCW conflicts, forced mid-statement aborts,");
+    outln!(out, "client crashes before/after commit). `aborts` are absorbed by the bounded");
+    outln!(out, "retry policy; `gaveup` counts transactions that exhausted it. `audits`");
+    outln!(out, "counts post-abort + quiescence + committed-replay + rollback-coverage");
+    outln!(out, "checks; `violatd` must be 0. `recovery` is the commit latency of");
+    outln!(out, "transactions that absorbed at least one abort.\n");
+}
 
+/// One block per application; `recovery` is wall-clock.
+pub fn timed(_: &Opts) {
     print_app(&payroll::app(), "payroll (Example 2)");
     print_app(&banking::app(), "banking (Example 3)");
     print_app(&orders::app(false), "orders (Section 6)");

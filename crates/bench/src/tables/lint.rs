@@ -7,10 +7,10 @@
 //! diagnostic with its provenance and counterexample.
 //!
 //! ```text
-//! cargo run -p semcc-bench --bin table_lint
+//! cargo run -p semcc-bench --release -- lint
 //! ```
 
-use semcc_bench::{row, rule, short};
+use crate::{header, row, short, Opts};
 use semcc_core::sdg::{predict_exposures, DepGraph};
 use semcc_core::{lint, App};
 use semcc_engine::{AnomalyKind, IsolationLevel};
@@ -27,8 +27,8 @@ fn kinds(exposed: &BTreeMap<AnomalyKind, String>) -> String {
     }
 }
 
-fn print_app(name: &str, app: &App) {
-    println!("== {name} ==");
+fn print_app(out: &mut String, name: &str, app: &App) {
+    outln!(out, "== {name} ==");
     let report = lint(app, None);
 
     // Exposure at SNAPSHOT for every type, for the side-by-side column.
@@ -37,19 +37,11 @@ fn print_app(name: &str, app: &App) {
         app.programs.iter().map(|p| (p.name.clone(), IsolationLevel::Snapshot)).collect();
     let at_snapshot = predict_exposures(&graph, &snap_levels);
 
-    println!(
+    outln!(
+        out,
         "{}",
-        row(
-            &[
-                "transaction".into(),
-                "level".into(),
-                "predicted @ level".into(),
-                "predicted @ SNAPSHOT".into(),
-            ],
-            &WIDTHS
-        )
+        header(&["transaction", "level", "predicted @ level", "predicted @ SNAPSHOT"], &WIDTHS)
     );
-    println!("{}", rule(&WIDTHS));
     for (txn, level) in &report.levels {
         let here = report
             .exposures
@@ -62,11 +54,12 @@ fn print_app(name: &str, app: &App) {
             .find(|e| &e.txn == txn)
             .map(|e| kinds(&e.exposed))
             .unwrap_or_else(|| "-".into());
-        println!("{}", row(&[txn.clone(), short(*level).to_string(), here, snap], &WIDTHS));
+        outln!(out, "{}", row(&[txn.clone(), short(*level).to_string(), here, snap], &WIDTHS));
     }
 
     for d in &report.dangerous {
-        println!(
+        outln!(
+            out,
             "dangerous structure: {} <-rw-> {} (reads {{{}}} / {{{}}})",
             d.a,
             d.b,
@@ -75,19 +68,19 @@ fn print_app(name: &str, app: &App) {
         );
     }
     if report.clean() {
-        println!("lint: clean at the assigned levels");
+        outln!(out, "lint: clean at the assigned levels");
     } else {
         for d in &report.diagnostics {
-            println!("{}", d.render());
+            outln!(out, "{}", d.render());
         }
     }
-    println!();
+    outln!(out);
 }
 
-fn main() {
-    println!("lint matrix — static anomaly prediction vs theorem verdicts\n");
-    print_app("banking (Figure 1 / Example 3)", &banking::app());
-    print_app("orders (Figures 2-5)", &orders::app(false));
-    print_app("payroll (Section 2)", &payroll::app());
-    print_app("tpcc (Section 7 sketch)", &tpcc::app());
+pub fn head(_: &Opts, out: &mut String) {
+    outln!(out, "lint matrix — static anomaly prediction vs theorem verdicts\n");
+    print_app(out, "banking (Figure 1 / Example 3)", &banking::app());
+    print_app(out, "orders (Figures 2-5)", &orders::app(false));
+    print_app(out, "payroll (Section 2)", &payroll::app());
+    print_app(out, "tpcc (Section 7 sketch)", &tpcc::app());
 }

@@ -4,10 +4,10 @@
 //! isolation levels to evaluate the performance").
 //!
 //! ```text
-//! cargo run -p semcc-bench --release --bin table_p1 [--quick]
+//! cargo run -p semcc-bench --release -- p1 [--quick]
 //! ```
 
-use semcc_bench::{has_flag, row, rule, short};
+use crate::{header, row, short, Opts};
 use semcc_engine::{Engine, EngineConfig, IsolationLevel};
 use semcc_txn::program::with_pauses;
 use semcc_txn::Program;
@@ -36,24 +36,12 @@ struct Policy {
     level: fn(&str) -> IsolationLevel,
 }
 
-fn header() {
+fn print_header() {
     let widths = [14usize, 8, 12, 10, 10, 10, 10];
     println!(
         "{}",
-        row(
-            &[
-                "policy".into(),
-                "threads".into(),
-                "txn/s".into(),
-                "p50 us".into(),
-                "p99 us".into(),
-                "aborts/c".into(),
-                "failed".into(),
-            ],
-            &widths
-        )
+        header(&["policy", "threads", "txn/s", "p50 us", "p99 us", "aborts/c", "failed"], &widths)
     );
-    println!("{}", rule(&widths));
 }
 
 fn print_stats(policy: &str, threads: usize, stats: &driver::RunStats) {
@@ -77,7 +65,7 @@ fn print_stats(policy: &str, threads: usize, stats: &driver::RunStats) {
 
 fn bench_banking(threads_list: &[usize], per_thread: usize) {
     println!("\n== banking (2 accounts, withdraw/deposit mix, 50us think time) ==");
-    header();
+    print_header();
     let policies: Vec<Policy> = vec![
         Policy { name: "all-RC", level: |_| ReadCommitted },
         Policy { name: "all-RC+FCW", level: |_| ReadCommittedFcw },
@@ -116,7 +104,7 @@ fn bench_banking(threads_list: &[usize], per_thread: usize) {
 
 fn bench_orders(threads_list: &[usize], per_thread: usize) {
     println!("\n== order processing (Section 6 mix) ==");
-    header();
+    print_header();
     let policies: Vec<Policy> = vec![
         Policy { name: "all-RC", level: |_| ReadCommitted },
         Policy { name: "all-RR", level: |_| RepeatableRead },
@@ -149,7 +137,7 @@ fn bench_orders(threads_list: &[usize], per_thread: usize) {
 
 fn bench_payroll(threads_list: &[usize], per_thread: usize) {
     println!("\n== payroll (Hours/Print_Records, 8 employees) ==");
-    header();
+    print_header();
     let policies: [(&str, IsolationLevel, IsolationLevel); 3] = [
         ("all-SER", Serializable, Serializable),
         ("all-RR", RepeatableRead, RepeatableRead),
@@ -173,7 +161,7 @@ fn bench_payroll(threads_list: &[usize], per_thread: usize) {
 
 fn bench_tpcc(threads_list: &[usize], per_thread: usize) {
     println!("\n== TPC-C style (45/43/4/4/4 mix) ==");
-    header();
+    print_header();
     let policies: Vec<Policy> = vec![
         Policy { name: "all-SER", level: |_| Serializable },
         Policy { name: "all-SNAP", level: |_| Snapshot },
@@ -207,16 +195,28 @@ fn bench_tpcc(threads_list: &[usize], per_thread: usize) {
     }
 }
 
-fn main() {
-    let quick = has_flag("--quick");
-    let threads: &[usize] = if quick { &[4] } else { &[1, 2, 4, 8] };
-    let per_thread = if quick { 100 } else { 400 };
-    println!(
+/// Worker counts and transactions per worker.
+fn shape(opts: &Opts) -> (&'static [usize], usize) {
+    if opts.quick {
+        (&[4], 100)
+    } else {
+        (&[1, 2, 4, 8], 400)
+    }
+}
+
+pub fn head(opts: &Opts, out: &mut String) {
+    let (threads, per_thread) = shape(opts);
+    outln!(
+        out,
         "P1: throughput per isolation-level policy ({} threads x {} txns; seed 42)",
         threads.iter().map(|t| t.to_string()).collect::<Vec<_>>().join("/"),
         per_thread
     );
-    println!("levels: {}", IsolationLevel::ALL.map(short).join(", "));
+    outln!(out, "levels: {}", IsolationLevel::ALL.map(short).join(", "));
+}
+
+pub fn timed(opts: &Opts) {
+    let (threads, per_thread) = shape(opts);
     bench_banking(threads, per_thread);
     bench_orders(threads, per_thread);
     bench_payroll(threads, per_thread);

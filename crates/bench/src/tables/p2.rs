@@ -14,10 +14,10 @@
 //! serializability, the paper's core point.
 //!
 //! ```text
-//! cargo run -p semcc-bench --release --bin table_p2 [--quick]
+//! cargo run -p semcc-bench --release -- p2 [--quick]
 //! ```
 
-use semcc_bench::{has_flag, row, rule, short};
+use crate::{header, row, short, Opts};
 use semcc_checker::{is_conflict_serializable, AnomalyCounts, AnomalyKind};
 use semcc_engine::{Engine, EngineConfig, EngineError, IsolationLevel, Value};
 use semcc_logic::row::RowPred;
@@ -208,26 +208,22 @@ fn peek_int(e: &Engine, name: &str) -> i64 {
     e.peek_item(name).expect("peek").as_int().expect("int")
 }
 
-fn zoo_matrix() {
-    println!("== anomaly zoo (deterministic schedules; 'no (…)' = prevented) ==");
+/// The title and the anomaly zoo.
+pub fn head(_: &Opts, out: &mut String) {
+    outln!(out, "P2: anomaly incidence per level");
+    outln!(out, "== anomaly zoo (deterministic schedules; 'no (…)' = prevented) ==");
     let widths = [10usize, 16, 16, 16, 16, 16];
-    println!(
+    outln!(
+        out,
         "{}",
-        row(
-            &[
-                "level".into(),
-                "dirty read".into(),
-                "lost update".into(),
-                "non-rep read".into(),
-                "phantom".into(),
-                "write skew".into(),
-            ],
+        header(
+            &["level", "dirty read", "lost update", "non-rep read", "phantom", "write skew"],
             &widths
         )
     );
-    println!("{}", rule(&widths));
     for level in IsolationLevel::ALL {
-        println!(
+        outln!(
+            out,
             "{}",
             row(
                 &[
@@ -248,26 +244,15 @@ fn zoo_matrix() {
 // Part 2: stochastic workload runs with think time
 // ---------------------------------------------------------------------
 
-fn header() {
+fn print_header() {
     let widths = [12usize, 7, 6, 6, 6, 6, 6, 5, 10];
     println!(
         "{}",
-        row(
-            &[
-                "policy".into(),
-                "commit".into(),
-                "dirty".into(),
-                "lost".into(),
-                "nonrep".into(),
-                "phant".into(),
-                "skew".into(),
-                "CSR".into(),
-                "integrity".into(),
-            ],
+        header(
+            &["policy", "commit", "dirty", "lost", "nonrep", "phant", "skew", "CSR", "integrity"],
             &widths
         )
     );
-    println!("{}", rule(&widths));
 }
 
 fn print_run(policy: &str, committed: u64, counts: &AnomalyCounts, csr: bool, violations: usize) {
@@ -303,7 +288,7 @@ fn retries() -> RetryPolicy {
 
 fn banking_runs(per_thread: usize) {
     println!("\n== banking, 2 accounts, {THINK_US}us think time ==");
-    header();
+    print_header();
     let policies: Vec<(&str, PolicyFn)> = vec![
         ("all-RU", |_| ReadUncommitted),
         ("all-RC", |_| ReadCommitted),
@@ -344,7 +329,7 @@ fn banking_runs(per_thread: usize) {
 
 fn orders_runs(per_thread: usize) {
     println!("\n== order processing (Section 6 mix), {THINK_US}us think time ==");
-    header();
+    print_header();
     let policies: Vec<(&str, PolicyFn)> = vec![
         ("all-RU", |_| ReadUncommitted),
         ("all-RC", |_| ReadCommitted),
@@ -378,7 +363,7 @@ fn orders_runs(per_thread: usize) {
 
 fn tpcc_runs(per_thread: usize) {
     println!("\n== TPC-C style, {THINK_US}us think time ==");
-    header();
+    print_header();
     let policies: Vec<(&str, PolicyFn)> = vec![
         ("all-RC", |_| ReadCommitted),
         ("all-SNAP", |_| Snapshot),
@@ -409,11 +394,9 @@ fn tpcc_runs(per_thread: usize) {
     println!("  (integrity = ytd_consistency + order_ids_dense auditors)");
 }
 
-fn main() {
-    let quick = has_flag("--quick");
-    let per_thread = if quick { 40 } else { 150 };
-    println!("P2: anomaly incidence per level");
-    zoo_matrix();
+/// The stochastic workload runs.
+pub fn timed(opts: &Opts) {
+    let per_thread = if opts.quick { 40 } else { 150 };
     banking_runs(per_thread);
     orders_runs(per_thread);
     tpcc_runs(per_thread);

@@ -16,11 +16,10 @@
 //! flush — so the recovery auditor stays clean in every row.
 //!
 //! ```text
-//! cargo run -p semcc-bench --release --bin table_recovery [--quick] \
-//!     | tee results/table_recovery.txt
+//! cargo run -p semcc-bench --release -- recovery [--quick]
 //! ```
 
-use semcc_bench::{has_flag, row, rule};
+use crate::{header, row, Opts};
 use semcc_engine::{recover, Engine, EngineConfig, FaultMix, IsolationLevel, Wal, WalPolicy};
 use semcc_workloads::{payroll, simulate, FaultSimOptions};
 use std::sync::Arc;
@@ -56,20 +55,11 @@ fn part1(quick: bool) {
     let widths = [8usize, 10, 9, 9, 7, 12, 11];
     println!(
         "{}",
-        row(
-            &[
-                "txns".into(),
-                "wal bytes".into(),
-                "records".into(),
-                "redone".into(),
-                "undone".into(),
-                "recover".into(),
-                "µs/record".into(),
-            ],
+        header(
+            &["txns", "wal bytes", "records", "redone", "undone", "recover", "µs/record"],
             &widths
         )
     );
-    println!("{}", rule(&widths));
     let sizes: &[usize] = if quick { &[50, 200] } else { &[50, 200, 800, 3200] };
     for &txns in sizes {
         let bytes = build_log(txns);
@@ -101,20 +91,11 @@ fn part2(quick: bool) {
     let widths = [12usize, 7, 8, 9, 8, 8, 8];
     println!(
         "{}",
-        row(
-            &[
-                "flush_every".into(),
-                "commit".into(),
-                "crashes".into(),
-                "audits".into(),
-                "redone".into(),
-                "undone".into(),
-                "violatd".into(),
-            ],
+        header(
+            &["flush_every", "commit", "crashes", "audits", "redone", "undone", "violatd"],
             &widths
         )
     );
-    println!("{}", rule(&widths));
     let app = payroll::app();
     for flush_every in [1usize, 8, 64] {
         let opts = FaultSimOptions {
@@ -153,12 +134,15 @@ fn part2(quick: bool) {
     println!();
 }
 
-fn main() {
-    let quick = has_flag("--quick");
-    println!("crash recovery — ARIES-lite redo/undo replay of the write-ahead log");
-    println!();
-    part1(quick);
-    part2(quick);
+pub fn head(_: &Opts, out: &mut String) {
+    outln!(out, "crash recovery — ARIES-lite redo/undo replay of the write-ahead log");
+    outln!(out);
+}
+
+/// Part 1 times `recover`; part 2 follows it.
+pub fn timed(opts: &Opts) {
+    part1(opts.quick);
+    part2(opts.quick);
     println!("recovery contract: every row's `violatd` is 0 — replaying the surviving");
     println!("log prefix reproduces exactly the committed transactions, bit for bit,");
     println!("at every flush policy and every injected crash class.");

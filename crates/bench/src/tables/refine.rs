@@ -17,8 +17,7 @@
 //! SOUNDNESS-VIOLATION cell with refinement on aborts the run.
 //!
 //! ```text
-//! cargo run --release -p semcc-bench --bin table_refine \
-//!     [--jobs N] | tee results/table_refine.txt
+//! cargo run -p semcc-bench --release -- refine [--jobs N]
 //! ```
 //!
 //! `--jobs N` output is bit-identical to `--jobs 1` (the CI gate diffs
@@ -26,9 +25,9 @@
 //!
 //! `New_Order × New_Order` is deliberately absent: that self-pair trips a
 //! known pre-existing analyzer soundness gap at READ COMMITTED that is
-//! independent of refinement (see `table_explore`'s notes).
+//! independent of refinement (see the `explore` table's notes).
 
-use semcc_bench::{jobs_arg, row, rule, short};
+use crate::{header, row, short, Opts};
 use semcc_core::{App, DepGraph};
 use semcc_engine::IsolationLevel;
 use semcc_explore::{
@@ -54,7 +53,7 @@ struct Totals {
     violations: usize,
 }
 
-fn print_pair(p: &Pair, jobs: usize, totals: &mut Totals) {
+fn print_pair(out: &mut String, p: &Pair, jobs: usize, totals: &mut Totals) {
     let names = vec![p.txns[0].to_string(), p.txns[1].to_string()];
     // Edge precision is a property of the pair's sub-application, not of
     // any particular level vector: use the first level only to build it.
@@ -62,33 +61,34 @@ fn print_pair(p: &Pair, jobs: usize, totals: &mut Totals) {
     let sub = sub_app(&p.app, &probe);
     let graph = DepGraph::build(&sub);
     let refined = semcc_refine::refine(&sub, &graph);
-    println!("== {} ==", p.title);
-    println!(
+    outln!(out, "== {} ==", p.title);
+    outln!(
+        out,
         "SDG: {} -> {} edges ({} constituent(s) pruned, prover-certified)",
         refined.base_edges,
         refined.refined_edges,
         refined.prunes.len()
     );
     for pr in &refined.prunes {
-        println!("  pruned {} -{}-> {} on `{}` ({})", pr.from, pr.kind, pr.to, pr.table, pr.rule);
+        outln!(
+            out,
+            "  pruned {} -{}-> {} on `{}` ({})",
+            pr.from,
+            pr.kind,
+            pr.to,
+            pr.table,
+            pr.rule
+        );
     }
     totals.pruned += refined.prunes.len();
-    println!(
+    outln!(
+        out,
         "{}",
-        row(
-            &[
-                "level".into(),
-                "base".into(),
-                "refined".into(),
-                "saved".into(),
-                "base diff".into(),
-                "refined diff".into(),
-                "converted".into(),
-            ],
+        header(
+            &["level", "base", "refined", "saved", "base diff", "refined diff", "converted"],
             &WIDTHS
         )
     );
-    println!("{}", rule(&WIDTHS));
     for l in IsolationLevel::ALL {
         let specs = specs_for(&p.app, &names, &[l, l]).expect("specs");
         let opts = ExploreOptions {
@@ -121,7 +121,8 @@ fn print_pair(p: &Pair, jobs: usize, totals: &mut Totals) {
         }
         totals.base_scheds += base_n;
         totals.refined_scheds += ref_n;
-        println!(
+        outln!(
+            out,
             "{}",
             row(
                 &[
@@ -137,18 +138,18 @@ fn print_pair(p: &Pair, jobs: usize, totals: &mut Totals) {
             )
         );
     }
-    println!();
+    outln!(out);
 }
 
-fn main() {
-    println!("semantic edge refinement — prover-pruned SDG conflicts, refined DPOR,");
-    println!("and the precision the singleton-instance theorems recover\n");
-    println!("`base`/`refined`: schedules the explorer ran or saw blocked with the");
-    println!("unrefined vs the prover-refined dependence relation (same seeds, same");
-    println!("engine). `converted` marks cells whose differential verdict improves");
-    println!("from STATIC-OVERAPPROX to AGREE on the refined analysis.\n");
+pub fn head(opts: &Opts, out: &mut String) {
+    outln!(out, "semantic edge refinement — prover-pruned SDG conflicts, refined DPOR,");
+    outln!(out, "and the precision the singleton-instance theorems recover\n");
+    outln!(out, "`base`/`refined`: schedules the explorer ran or saw blocked with the");
+    outln!(out, "unrefined vs the prover-refined dependence relation (same seeds, same");
+    outln!(out, "engine). `converted` marks cells whose differential verdict improves");
+    outln!(out, "from STATIC-OVERAPPROX to AGREE on the refined analysis.\n");
 
-    let jobs = jobs_arg();
+    let jobs = opts.jobs;
     let seed_orders = vec![("orders".to_string(), "deliv_date".to_string(), 1)];
     let pairs = [
         Pair {
@@ -204,9 +205,10 @@ fn main() {
     let mut totals =
         Totals { pruned: 0, conversions: 0, base_scheds: 0, refined_scheds: 0, violations: 0 };
     for p in &pairs {
-        print_pair(p, jobs, &mut totals);
+        print_pair(out, p, jobs, &mut totals);
     }
-    println!(
+    outln!(
+        out,
         "totals: {} edge constituent(s) pruned; {} STATIC-OVERAPPROX -> AGREE \
          conversion(s); schedules {} -> {} ({} saved); {} soundness violation(s)",
         totals.pruned,

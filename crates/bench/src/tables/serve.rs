@@ -8,8 +8,7 @@
 //! contention case) and `mixed` (banking + orders + payroll, 12 types).
 //!
 //! ```text
-//! cargo run --release -p semcc-bench --bin table_serve \
-//!     | tee results/table_serve.txt
+//! cargo run -p semcc-bench --release -- serve [--quick]
 //! ```
 //!
 //! Wall-clock columns depend on the host. The determinism contract is
@@ -17,7 +16,7 @@
 //! must print byte-identical JSON, and must commit nonzero work with a
 //! clean invariant audit and a quiescent engine.
 
-use semcc_bench::{row, rule};
+use crate::{header, row, Opts};
 use semcc_core::assign::{assign_levels, default_ladder};
 use semcc_core::App;
 use semcc_engine::IsolationLevel;
@@ -57,36 +56,23 @@ fn policy_for(mix: Mix) -> AdmissionPolicy {
     }
 }
 
-fn main() {
-    println!("serve throughput — closed-loop typed traffic at synthesized levels\n");
-    println!("each row drives workers x txns submissions through `semcc serve`'s");
-    println!("worker pool; `sharded` rows use the 32-shard lock table + 32-stripe");
-    println!("store, `single` rows the legacy one-mutex layout. every row is run");
-    println!("twice with the same seed and must report byte-identical JSON, commit");
-    println!("nonzero work, audit zero invariant violations, and end quiescent.\n");
+/// The title, the contract and the column header.
+pub fn head(_: &Opts, out: &mut String) {
+    outln!(out, "serve throughput — closed-loop typed traffic at synthesized levels\n");
+    outln!(out, "each row drives workers x txns submissions through `semcc serve`'s");
+    outln!(out, "worker pool; `sharded` rows use the 32-shard lock table + 32-stripe");
+    outln!(out, "store, `single` rows the legacy one-mutex layout. every row is run");
+    outln!(out, "twice with the same seed and must report byte-identical JSON, commit");
+    outln!(out, "nonzero work, audit zero invariant violations, and end quiescent.\n");
 
-    let quick = semcc_bench::has_flag("--quick");
-    let txns_per_worker = if quick { 25 } else { 100 };
+    let names =
+        ["mix", "jobs", "layout", "wall_ms", "txn/s", "p50_us", "p99_us", "waits", "identical"];
+    outln!(out, "{}", header(&names, &WIDTHS));
+}
 
-    println!(
-        "{}",
-        row(
-            &[
-                "mix".into(),
-                "jobs".into(),
-                "layout".into(),
-                "wall_ms".into(),
-                "txn/s".into(),
-                "p50_us".into(),
-                "p99_us".into(),
-                "waits".into(),
-                "identical".into(),
-            ],
-            &WIDTHS
-        )
-    );
-    println!("{}", rule(&WIDTHS));
-
+/// Every row runs twice and times the first run.
+pub fn timed(opts: &Opts) {
+    let txns_per_worker = if opts.quick { 25 } else { 100 };
     for mix in [Mix::Banking, Mix::Mixed] {
         let policy = policy_for(mix);
         for jobs in [1usize, 2, 4, 8] {

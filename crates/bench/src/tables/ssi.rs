@@ -18,10 +18,10 @@
 //! abort rate.
 //!
 //! ```text
-//! cargo run -p semcc-bench --release --bin table_ssi [--quick]
+//! cargo run -p semcc-bench --release -- ssi [--quick]
 //! ```
 
-use semcc_bench::{has_flag, row, rule, short};
+use crate::{header, row, short, Opts};
 use semcc_checker::{AnomalyCounts, AnomalyKind};
 use semcc_engine::{audit_quiescent, Engine, EngineConfig, EngineError, IsolationLevel, Txn};
 use semcc_txn::interp::run_program;
@@ -106,14 +106,15 @@ fn peek_int(e: &Engine, name: &str) -> i64 {
     e.peek_item(name).expect("peek").as_int().expect("int")
 }
 
-fn scripted_matrix() {
-    println!("== Example 3, scripted (reads see (100, 100); both withdraw 150) ==");
+/// The title and the scripted Example 3 matrix.
+pub fn head(_: &Opts, out: &mut String) {
+    outln!(out, "SSI: dangerous-structure aborts vs write skew");
+    outln!(out, "== Example 3, scripted (reads see (100, 100); both withdraw 150) ==");
     let widths = [10usize, 20, 36];
-    println!("{}", row(&["level".into(), "write skew".into(), "detail".into()], &widths));
-    println!("{}", rule(&widths));
+    outln!(out, "{}", header(&["level", "write skew", "detail"], &widths));
     for level in IsolationLevel::ALL {
         let (outcome, detail) = scripted_write_skew(level);
-        println!("{}", row(&[short(level).to_string(), outcome, detail], &widths));
+        outln!(out, "{}", row(&[short(level).to_string(), outcome, detail], &widths));
     }
 }
 
@@ -132,23 +133,11 @@ fn stochastic_runs(per_thread: usize) {
     let widths = [8usize, 7, 6, 5, 5, 5, 7, 5, 7, 10];
     println!(
         "{}",
-        row(
-            &[
-                "level".into(),
-                "commit".into(),
-                "ssi".into(),
-                "fcw".into(),
-                "dl".into(),
-                "t/o".into(),
-                "gave_up".into(),
-                "skew".into(),
-                "abort%".into(),
-                "audit".into(),
-            ],
+        header(
+            &["level", "commit", "ssi", "fcw", "dl", "t/o", "gave_up", "skew", "abort%", "audit"],
             &widths
         )
     );
-    println!("{}", rule(&widths));
 
     for level in IsolationLevel::ALL {
         let e = engine();
@@ -217,11 +206,9 @@ fn stochastic_runs(per_thread: usize) {
     println!("   no leaked SIREAD locks or conflict flags — is asserted per run)");
 }
 
-fn main() {
-    let quick = has_flag("--quick");
-    let per_thread = if quick { 15 } else { 40 };
-    println!("SSI: dangerous-structure aborts vs write skew");
-    scripted_matrix();
+/// The stochastic banking mix.
+pub fn timed(opts: &Opts) {
+    let per_thread = if opts.quick { 15 } else { 40 };
     stochastic_runs(per_thread);
     println!("\nreading: SNAPSHOT admits Example 3's write skew (disjoint write sets defeat");
     println!("first-committer-wins); SSI keeps snapshot reads but retains SIREAD locks past");

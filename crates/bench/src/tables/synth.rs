@@ -21,14 +21,13 @@
 //! a regression gate, not just a report.
 //!
 //! ```text
-//! cargo run --release -p semcc-bench --bin table_synth \
-//!     | tee results/table_synth.txt
+//! cargo run -p semcc-bench --release -- synth
 //! ```
 //!
-//! Output is deterministic (no timing, no randomness), so CI diffs
-//! repeated runs byte-for-byte.
+//! Output is deterministic (no timing, no randomness), so
+//! `results_fresh` holds it to the committed file byte for byte.
 
-use semcc_bench::{row, rule, short};
+use crate::{header, row, short, Opts};
 use semcc_core::assign::default_ladder;
 use semcc_core::{assign_levels, App};
 use semcc_synth::{ladder_only, synthesize, SynthOptions, SNAP};
@@ -36,12 +35,13 @@ use semcc_workloads::{banking, orders, payroll, tpcc};
 
 const WIDTHS: [usize; 4] = [22, 44, 12, 12];
 
-fn main() {
-    println!("whole-mix isolation-level synthesis (lattice search with monotone pruning)");
-    println!(
+pub fn head(_: &Opts, out: &mut String) {
+    outln!(out, "whole-mix isolation-level synthesis (lattice search with monotone pruning)");
+    outln!(
+        out,
         "vector order: RU < RC < RC+FCW < RR < SER on the ladder; SNAPSHOT and SSI off-ladder"
     );
-    println!();
+    outln!(out);
 
     let workloads: Vec<(&str, App)> = vec![
         ("banking (Fig 1 / Ex 3)", banking::app()),
@@ -63,14 +63,17 @@ fn main() {
             );
         }
 
-        println!("== {title} ==");
-        println!(
+        outln!(out, "== {title} ==");
+        outln!(
+            out,
             "{} types, lattice 7^{} = {}",
-            syn.stats.types, syn.stats.types, syn.stats.lattice
+            syn.stats.types,
+            syn.stats.types,
+            syn.stats.lattice
         );
-        println!();
-        println!("{}", row(&hdr(), &WIDTHS));
-        println!("{}", rule(&WIDTHS));
+        outln!(out);
+        let names = ["pattern", "minimal vector", "refuted", "countermdl"];
+        outln!(out, "{}", header(&names, &WIDTHS));
         for m in &syn.minimal {
             let pattern: Vec<&str> = syn
                 .txns
@@ -85,7 +88,8 @@ fn main() {
                 format!("SI: {}", pattern.join(","))
             };
             let vector: Vec<String> = m.levels.iter().map(|&l| short(l).to_string()).collect();
-            println!(
+            outln!(
+                out,
                 "{}",
                 row(
                     &[
@@ -115,32 +119,28 @@ fn main() {
             s.visited,
             s.lattice
         );
-        println!();
-        println!(
+        outln!(out);
+        outln!(
+            out,
             "disposal: visited {} ({frac:.2}%), cache-complete {}, pruned-safe {}, \
              pruned-unsafe {}",
-            s.visited, s.cache_complete, s.pruned_safe, s.pruned_unsafe
+            s.visited,
+            s.cache_complete,
+            s.pruned_safe,
+            s.pruned_unsafe
         );
-        println!(
+        outln!(
+            out,
             "lemmas: {} pair lemma(s) evaluated vs {} naive ({}x fewer), {} pair-cache hit(s)",
             s.pair_evals,
             s.naive_pair_evals,
             s.naive_pair_evals / (s.pair_evals.max(1) as u128),
             s.pair_hits
         );
-        println!("prover: {} call(s), {} memo hit(s)", s.prover_calls, s.prover_cache_hits);
-        println!();
+        outln!(out, "prover: {} call(s), {} memo hit(s)", s.prover_calls, s.prover_cache_hits);
+        outln!(out);
     }
-    println!("(primary vector == Section 5 greedy walk asserted for every workload;");
-    println!(" every other row is a Pareto-minimal SNAPSHOT mix with its refuted");
-    println!(" predecessor count and how many refutations carry FM countermodels)");
-}
-
-fn hdr() -> Vec<String> {
-    vec![
-        "pattern".to_string(),
-        "minimal vector".to_string(),
-        "refuted".to_string(),
-        "countermdl".to_string(),
-    ]
+    outln!(out, "(primary vector == Section 5 greedy walk asserted for every workload;");
+    outln!(out, " every other row is a Pareto-minimal SNAPSHOT mix with its refuted");
+    outln!(out, " predecessor count and how many refutations carry FM countermodels)");
 }

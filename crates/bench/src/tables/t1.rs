@@ -7,10 +7,10 @@
 //! synthetic `K × N` sweep.
 //!
 //! ```text
-//! cargo run -p semcc-bench --bin table_t1
+//! cargo run -p semcc-bench --release -- t1 [--quick]
 //! ```
 
-use semcc_bench::{row, rule, short};
+use crate::{header, row, short, Opts};
 use semcc_core::counting::cost_table;
 use semcc_core::App;
 use semcc_engine::IsolationLevel;
@@ -19,34 +19,29 @@ use semcc_txn::stmt::{ItemRef, Stmt};
 use semcc_txn::ProgramBuilder;
 use semcc_workloads::{banking, orders, payroll, tpcc};
 
-fn print_costs(name: &str, app: &App) {
+fn print_costs(out: &mut String, name: &str, app: &App) {
     let table = cost_table(app);
-    println!(
+    outln!(
+        out,
         "\n== {name}: K = {}, ΣN = {}, naive (ΣN)² = {} ==",
-        table.k, table.total_stmts, table.naive_triples
+        table.k,
+        table.total_stmts,
+        table.naive_triples
     );
     let widths = [12usize, 14, 14, 12, 20];
-    println!(
+    outln!(
+        out,
         "{}",
-        row(
-            &[
-                "level".into(),
-                "obligations".into(),
-                "prover calls".into(),
-                "cache hits".into(),
-                "vs naive".into(),
-            ],
-            &widths
-        )
+        header(&["level", "obligations", "prover calls", "cache hits", "vs naive"], &widths)
     );
-    println!("{}", rule(&widths));
     for c in &table.per_level {
         let pct = if table.naive_triples == 0 {
             0.0
         } else {
             100.0 * c.obligations as f64 / table.naive_triples as f64
         };
-        println!(
+        outln!(
+            out,
             "{}",
             row(
                 &[
@@ -90,33 +85,17 @@ fn synthetic(k: usize, n: usize) -> App {
     app
 }
 
-fn main() {
-    println!("T1: obligations per isolation level vs the naive (KN)^2 triple space");
-    print_costs("banking", &banking::app());
-    print_costs("orders (no_gaps)", &orders::app(false));
-    print_costs("payroll", &payroll::app());
-    print_costs("tpcc", &tpcc::app());
+pub fn head(opts: &Opts, out: &mut String) {
+    outln!(out, "T1: obligations per isolation level vs the naive (KN)^2 triple space");
+    print_costs(out, "banking", &banking::app());
+    print_costs(out, "orders (no_gaps)", &orders::app(false));
+    print_costs(out, "payroll", &payroll::app());
+    print_costs(out, "tpcc", &tpcc::app());
 
-    println!("\n== synthetic K x N sweep (read-modify-write chains) ==");
+    outln!(out, "\n== synthetic K x N sweep (read-modify-write chains) ==");
     let widths = [6usize, 6, 12, 10, 10, 10, 10, 10];
-    println!(
-        "{}",
-        row(
-            &[
-                "K".into(),
-                "N".into(),
-                "naive".into(),
-                "RU".into(),
-                "RC".into(),
-                "RR".into(),
-                "SNAP".into(),
-                "SER".into(),
-            ],
-            &widths
-        )
-    );
-    println!("{}", rule(&widths));
-    let quick = semcc_bench::has_flag("--quick");
+    outln!(out, "{}", header(&["K", "N", "naive", "RU", "RC", "RR", "SNAP", "SER"], &widths));
+    let quick = opts.quick;
     let ks: &[usize] = if quick { &[2, 4] } else { &[2, 4, 8] };
     let ns: &[usize] = if quick { &[4, 8] } else { &[4, 8, 16] };
     for &k in ks {
@@ -124,7 +103,8 @@ fn main() {
             let app = synthetic(k, n);
             let t = cost_table(&app);
             let at = |lvl| t.at(lvl).map(|c| c.obligations).unwrap_or(0);
-            println!(
+            outln!(
+                out,
                 "{}",
                 row(
                     &[
@@ -142,6 +122,6 @@ fn main() {
             );
         }
     }
-    println!("\nshape check: SNAPSHOT obligations grow as K^2 (pairs), independent of N;");
-    println!("RR is 0 for these conventional-model transactions (Theorem 4); SER is 0.");
+    outln!(out, "\nshape check: SNAPSHOT obligations grow as K^2 (pairs), independent of N;");
+    outln!(out, "RR is 0 for these conventional-model transactions (Theorem 4); SER is 0.");
 }

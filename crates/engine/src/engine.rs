@@ -231,14 +231,6 @@ impl Engine {
         self.oracle.reset();
         self.history.clear();
     }
-
-    /// Sweep every version chain to the watermark. Each commit already
-    /// trims the cells it installs into; the sweep reaches the ones no
-    /// later commit touches: versions kept for a snapshot that has since
-    /// ended, and deleted row slots such a snapshot still saw.
-    pub fn gc(&self) {
-        self.store.gc(self.oracle.watermark());
-    }
 }
 
 #[cfg(test)]

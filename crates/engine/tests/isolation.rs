@@ -523,67 +523,6 @@ fn history_records_schedule() {
 }
 
 #[test]
-fn gc_reclaims_versions() {
-    let e = engine();
-    bank(&e);
-    for i in 0..10 {
-        let mut t = e.begin(ReadCommitted);
-        t.write("sav", i).expect("write");
-        t.commit().expect("commit");
-    }
-    e.gc();
-    // All but the newest version should be gone; snapshot still reads fine.
-    let mut t = e.begin(Snapshot);
-    assert_eq!(t.read("sav").expect("read"), Value::Int(9));
-    t.abort();
-}
-
-#[test]
-fn gc_never_steals_versions_from_active_snapshots() {
-    let e = engine();
-    bank(&e);
-    let mut snap = e.begin(Snapshot);
-    assert_eq!(snap.read("sav").expect("read"), Value::Int(100));
-    // Ten committed overwrites, GC after each: the snapshot's version must
-    // survive because the watermark is pinned by the active snapshot.
-    for i in 0..10 {
-        let mut w = e.begin(ReadCommitted);
-        w.write("sav", i).expect("write");
-        w.commit().expect("commit");
-        e.gc();
-        assert_eq!(
-            snap.read("sav").expect("read"),
-            Value::Int(100),
-            "GC stole the snapshot's version at iteration {i}"
-        );
-    }
-    snap.abort();
-    e.gc();
-    let mut after = e.begin(Snapshot);
-    assert_eq!(after.read("sav").expect("read"), Value::Int(9));
-    after.abort();
-}
-
-#[test]
-fn gc_never_forgets_the_write_that_dooms_an_rc_fcw_reader() {
-    // RC+FCW protects a read-then-written item from the version it read,
-    // and that read registers no snapshot: a sweep between the read and
-    // the commit must not let the commit overwrite T2's update.
-    let e = engine();
-    bank(&e);
-    let mut t1 = e.begin(ReadCommittedFcw);
-    assert_eq!(t1.read("sav").expect("read"), Value::Int(100));
-    let mut t2 = e.begin(ReadCommitted);
-    t2.write("sav", 50).expect("write");
-    t2.commit().expect("commit");
-    e.gc();
-    t1.write("sav", 90).expect("write");
-    let r = t1.commit();
-    assert!(matches!(r, Err(EngineError::Fcw(_))), "lost update after gc: {r:?}");
-    assert_eq!(e.peek_item("sav").expect("peek"), Value::Int(50));
-}
-
-#[test]
 fn abort_releases_predicate_locks() {
     let e = engine();
     orders(&e);

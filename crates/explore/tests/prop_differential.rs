@@ -20,44 +20,16 @@ use semcc_core::sdg::{predict_exposures, DepGraph};
 use semcc_core::{lint, App};
 use semcc_engine::IsolationLevel;
 use semcc_explore::{explore, specs_for, ExploreOptions, ExploreResult, TxnSpec};
-use semcc_logic::Expr;
-use semcc_txn::stmt::{ItemRef, Stmt};
-use semcc_txn::{Program, ProgramBuilder};
+use semcc_txn::Program;
+use semcc_workloads::random_item_program;
 use std::collections::BTreeMap;
 
 const ITEMS: [&str; 3] = ["x", "y", "z"];
 
-/// A random item program: 1–4 statements, each a read into a fresh local,
-/// a constant write, or a write of `last read + 1` (an increment when it
-/// follows a read of the same item).
-fn gen_program(name: &str, rng: &mut StdRng) -> Program {
-    let mut b = ProgramBuilder::new(name);
-    let mut last_local: Option<String> = None;
-    for j in 0..rng.gen_range(1..=4usize) {
-        let item = ItemRef::plain(ITEMS[rng.gen_range(0..ITEMS.len())]);
-        b = match rng.gen_range(0..3) {
-            0 => {
-                let local = format!("L{j}");
-                last_local = Some(local.clone());
-                b.bare(Stmt::ReadItem { item, into: local })
-            }
-            1 => b.bare(Stmt::WriteItem { item, value: Expr::int(rng.gen_range(-3..9)) }),
-            _ => match &last_local {
-                Some(l) => b.bare(Stmt::WriteItem {
-                    item,
-                    value: Expr::local(l.clone()).add(Expr::int(1)),
-                }),
-                None => b.bare(Stmt::WriteItem { item, value: Expr::int(1) }),
-            },
-        };
-    }
-    b.build()
-}
-
 fn case(seed: u64) -> (App, Vec<Program>) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let p0 = gen_program("T0", &mut rng);
-    let p1 = gen_program("T1", &mut rng);
+    let p0 = random_item_program("T0", &ITEMS, 4, &mut rng);
+    let p1 = random_item_program("T1", &ITEMS, 4, &mut rng);
     let app = App::new().with_program(p0.clone()).with_program(p1.clone());
     (app, vec![p0, p1])
 }

@@ -9,41 +9,13 @@
 //! failure reproduces by seed.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use semcc_core::App;
 use semcc_engine::IsolationLevel;
 use semcc_explore::{differential, explore, specs_for, ExploreOptions, ExploreResult, TxnSpec};
-use semcc_logic::Expr;
-use semcc_txn::stmt::{ItemRef, Stmt};
-use semcc_txn::{Program, ProgramBuilder};
+use semcc_workloads::random_item_program;
 
 const ITEMS: [&str; 3] = ["x", "y", "z"];
-
-/// A random item program: 1–3 statements, each a read into a fresh local,
-/// a constant write, or a write of `last read + 1`.
-fn gen_program(name: &str, rng: &mut StdRng) -> Program {
-    let mut b = ProgramBuilder::new(name);
-    let mut last_local: Option<String> = None;
-    for j in 0..rng.gen_range(1..=3usize) {
-        let item = ItemRef::plain(ITEMS[rng.gen_range(0..ITEMS.len())]);
-        b = match rng.gen_range(0..3) {
-            0 => {
-                let local = format!("L{j}");
-                last_local = Some(local.clone());
-                b.bare(Stmt::ReadItem { item, into: local })
-            }
-            1 => b.bare(Stmt::WriteItem { item, value: Expr::int(rng.gen_range(-3..9)) }),
-            _ => match &last_local {
-                Some(l) => b.bare(Stmt::WriteItem {
-                    item,
-                    value: Expr::local(l.clone()).add(Expr::int(1)),
-                }),
-                None => b.bare(Stmt::WriteItem { item, value: Expr::int(1) }),
-            },
-        };
-    }
-    b.build()
-}
 
 fn case(seed: u64, k: usize) -> (App, Vec<String>) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -51,7 +23,7 @@ fn case(seed: u64, k: usize) -> (App, Vec<String>) {
     let mut names = Vec::new();
     for i in 0..k {
         let name = format!("T{i}");
-        app = app.with_program(gen_program(&name, &mut rng));
+        app = app.with_program(random_item_program(&name, &ITEMS, 3, &mut rng));
         names.push(name);
     }
     (app, names)

@@ -27,40 +27,10 @@ use semcc_engine::IsolationLevel;
 use semcc_explore::{
     differential, explore, specs_for, DifferentialVerdict, ExploreOptions, ExploreResult, TxnSpec,
 };
-use semcc_logic::Expr;
-use semcc_txn::stmt::{ItemRef, Stmt};
-use semcc_txn::{Program, ProgramBuilder};
+use semcc_workloads::random_item_program;
 use std::collections::BTreeMap;
 
 const ITEMS: [&str; 3] = ["x", "y", "z"];
-
-/// A random item program: 1–3 statements, each a read into a fresh local,
-/// a constant write, or a write of `last read + 1` (a read-modify-write
-/// when it follows a read of the same item — the shape write skew is made
-/// of).
-fn gen_program(name: &str, rng: &mut StdRng) -> Program {
-    let mut b = ProgramBuilder::new(name);
-    let mut last_local: Option<String> = None;
-    for j in 0..rng.gen_range(1..=3usize) {
-        let item = ItemRef::plain(ITEMS[rng.gen_range(0..ITEMS.len())]);
-        b = match rng.gen_range(0..3) {
-            0 => {
-                let local = format!("L{j}");
-                last_local = Some(local.clone());
-                b.bare(Stmt::ReadItem { item, into: local })
-            }
-            1 => b.bare(Stmt::WriteItem { item, value: Expr::int(rng.gen_range(-3..9)) }),
-            _ => match &last_local {
-                Some(l) => b.bare(Stmt::WriteItem {
-                    item,
-                    value: Expr::local(l.clone()).add(Expr::int(1)),
-                }),
-                None => b.bare(Stmt::WriteItem { item, value: Expr::int(1) }),
-            },
-        };
-    }
-    b.build()
-}
 
 /// 2 transactions most iterations, 3 every fourth (triples are pricier to
 /// explore exhaustively, so they keep a smaller share of the budget).
@@ -71,7 +41,7 @@ fn case(seed: u64) -> (App, Vec<String>) {
     let mut names = Vec::new();
     for i in 0..k {
         let name = format!("T{i}");
-        app = app.with_program(gen_program(&name, &mut rng));
+        app = app.with_program(random_item_program(&name, &ITEMS, 3, &mut rng));
         names.push(name);
     }
     (app, names)

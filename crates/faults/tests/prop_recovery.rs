@@ -22,41 +22,14 @@ use semcc_core::App;
 use semcc_engine::{
     audit_recovery, Engine, EngineConfig, FaultMix, FaultPlan, IsolationLevel, Wal, WalPolicy,
 };
-use semcc_logic::Expr;
-use semcc_txn::stmt::{ItemRef, Stmt};
-use semcc_txn::{Program, ProgramBuilder};
-use semcc_workloads::{simulate, simulate_sweep, FaultSimOptions, RetryPolicy};
+use semcc_workloads::{
+    random_item_program, simulate, simulate_sweep, FaultSimOptions, RetryPolicy,
+};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
 const ITEMS: [&str; 3] = ["x", "y", "z"];
-
-/// A random item program: 1–4 statements, each a read into a fresh local,
-/// a constant write, or a write of `last read + 1`.
-fn gen_program(name: &str, rng: &mut StdRng) -> Program {
-    let mut b = ProgramBuilder::new(name);
-    let mut last_local: Option<String> = None;
-    for j in 0..rng.gen_range(1..=4usize) {
-        let item = ItemRef::plain(ITEMS[rng.gen_range(0..ITEMS.len())]);
-        b = match rng.gen_range(0..3) {
-            0 => {
-                let local = format!("L{j}");
-                last_local = Some(local.clone());
-                b.bare(Stmt::ReadItem { item, into: local })
-            }
-            1 => b.bare(Stmt::WriteItem { item, value: Expr::int(rng.gen_range(-3..9)) }),
-            _ => match &last_local {
-                Some(l) => b.bare(Stmt::WriteItem {
-                    item,
-                    value: Expr::local(l.clone()).add(Expr::int(1)),
-                }),
-                None => b.bare(Stmt::WriteItem { item, value: Expr::int(1) }),
-            },
-        };
-    }
-    b.build()
-}
 
 /// A crash-heavy random mix: every crash class drawn from {off, rare,
 /// common}, the non-crash classes kept rare so retries stay cheap.
@@ -120,8 +93,8 @@ fn recovery_audit_finds_no_violation_across_seeds_and_levels() {
         let level = IsolationLevel::ALL[(iter as usize) % IsolationLevel::ALL.len()];
         let mut rng = StdRng::seed_from_u64(0xD0_5EED ^ iter);
         let app = App::new()
-            .with_program(gen_program("T0", &mut rng))
-            .with_program(gen_program("T1", &mut rng));
+            .with_program(random_item_program("T0", &ITEMS, 4, &mut rng))
+            .with_program(random_item_program("T1", &ITEMS, 4, &mut rng));
         let opts = durable_opts(iter, &mut rng, level);
         let report = simulate(&app, &opts)
             .unwrap_or_else(|e| panic!("iteration {iter} at {level}: simulate failed: {e}"));
@@ -150,8 +123,8 @@ fn recovery_audit_finds_no_violation_across_seeds_and_levels() {
 fn durable_sweep_reports_are_jobs_invariant() {
     let mut rng = StdRng::seed_from_u64(0xD05E_ED0B);
     let app = App::new()
-        .with_program(gen_program("T0", &mut rng))
-        .with_program(gen_program("T1", &mut rng));
+        .with_program(random_item_program("T0", &ITEMS, 4, &mut rng))
+        .with_program(random_item_program("T1", &ITEMS, 4, &mut rng));
     let base = durable_opts(1, &mut rng, IsolationLevel::Serializable);
     let seeds: Vec<u64> = (0..8).collect();
     let seq = simulate_sweep(&app, &base, &seeds, 1).expect("jobs=1");

@@ -6,7 +6,6 @@ use crate::item::ItemCell;
 use crate::schema::Schema;
 use crate::table::Table;
 use crate::value::Value;
-use crate::Ts;
 use parking_lot::{Mutex, RwLock};
 use semcc_logic::hash::fnv1a;
 use std::collections::HashMap;
@@ -146,27 +145,11 @@ impl Store {
             stripe.write().clear();
         }
     }
-
-    /// Trim every version chain to the watermark and drop dead row slots:
-    /// what no later install revisits (see [`Table::gc`]).
-    pub fn gc(&self, watermark: Ts) {
-        for stripe in &self.item_stripes {
-            for cell in stripe.read().values() {
-                cell.lock().trim(watermark);
-            }
-        }
-        for stripe in &self.table_stripes {
-            for table in stripe.read().values() {
-                table.gc(watermark);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chain::Commit;
 
     #[test]
     fn item_lifecycle() {
@@ -201,21 +184,6 @@ mod tests {
         t.load_row(0, vec![Value::str("a"), Value::str("addr"), Value::Int(1)]).expect("load");
         assert_eq!(t.committed_len(), 1);
         assert_eq!(s.table_names(), vec!["cust".to_string()]);
-    }
-
-    #[test]
-    fn gc_runs_across_namespace() {
-        let s = Store::new();
-        s.create_item("x", Value::Int(0)).expect("create");
-        {
-            let item = s.item("x").expect("item");
-            let mut cell = item.lock();
-            cell.install(Commit { ts: 5, watermark: 0 }, Value::Int(1));
-            cell.install(Commit { ts: 9, watermark: 0 }, Value::Int(2));
-            assert_eq!(cell.versions().count(), 3, "a snapshot at 0 pins every version");
-        }
-        s.gc(9);
-        assert_eq!(s.item("x").expect("item").lock().versions().count(), 1);
     }
 
     #[test]

@@ -508,22 +508,6 @@ impl Table {
         })
     }
 
-    /// Trim every slot to the watermark and drop dead slots. Installs trim
-    /// the slots they touch; this sweep also reaches the slots no install
-    /// revisits, such as a deletion kept for a snapshot that has since
-    /// ended.
-    pub fn gc(&self, watermark: Ts) {
-        for stripe in &self.stripes {
-            let mut stripe = stripe.lock();
-            let ids: Vec<RowId> = stripe.cells.keys().copied().collect();
-            for id in ids {
-                let cell = stripe.cells.get_mut(&id).expect("a listed slot");
-                let gone = cell.trim(watermark).into_iter().flatten().collect();
-                stripe.settle(id, watermark, gone);
-            }
-        }
-    }
-
     /// Number of live (committed-visible) rows — for tests and metrics.
     pub fn committed_len(&self) -> usize {
         self.stripes
@@ -672,8 +656,7 @@ mod tests {
         t.update_dirty(9, 3, row(3, "c", 3, true)).expect("update");
         assert_eq!(t.dirty_rows(), vec![(3, 9)]);
         t.discard_row(9, 3);
-        t.gc(10);
-        assert_eq!(t.committed_len(), 16, "live rows survive gc");
+        assert_eq!(t.committed_len(), 16, "a discarded update leaves the row live");
     }
 
     #[test]
@@ -747,19 +730,18 @@ mod tests {
             t.update_dirty(9, 1, row(0, "c", 0, false)).expect("update");
             assert_eq!(t.ids_matching(View::Latest, &by_cust).len(), 9);
             assert_eq!(t.ids_matching(View::Committed, &by_cust).len(), 10);
-            t.promote_row(9, 1, Commit { ts: 5, watermark: 1 });
-            t.gc(5);
+            t.promote_row(9, 1, Commit { ts: 5, watermark: 5 });
             let before = t.rows_examined();
             assert_eq!(t.ids_matching(View::Committed, &by_cust).len(), 9);
-            assert_eq!(t.rows_examined() - before, 9, "gc dropped the last version holding `a`");
+            let dropped = "the commit trimmed the last version holding `a`";
+            assert_eq!(t.rows_examined() - before, 9, "{dropped}");
             assert_eq!(t.index_violations(), Vec::<String>::new());
         }
     }
 
     #[test]
-    fn dead_slots_go_at_the_commit_or_at_the_sweep() {
-        // Under a snapshot at 1 the deleted slot keeps its old versions
-        // until the sweep.
+    fn dead_slots_go_at_the_commit_unless_a_snapshot_pins_them() {
+        // Under a snapshot at 1 the deleted slot keeps its old versions.
         let t = orders();
         let id = t.load_row(1, row(1, "a", 10, false)).expect("load");
         t.update_dirty(2, id, row(1, "a", 10, true)).expect("update");
@@ -768,8 +750,6 @@ mod tests {
         t.promote_row(3, id, Commit { ts: 8, watermark: 1 });
         assert_eq!(scan_len(&t, View::Latest), 0);
         assert!(row_at(&t, id, View::At(5)).is_some(), "the snapshot pins the slot");
-        t.gc(10);
-        assert_eq!(t.row_lsn(id), None, "fully dead slot dropped");
 
         // With no snapshot open the deletion's own commit drops the slot,
         // whether promoted or installed.

@@ -183,10 +183,6 @@ enum TableOp {
         row: Option<MRow>,
         back: u64,
     },
-    /// Collect below `newest timestamp - back`.
-    Gc {
-        back: u64,
-    },
 }
 
 fn gen_row(rng: &mut StdRng) -> MRow {
@@ -196,19 +192,18 @@ fn gen_row(rng: &mut StdRng) -> MRow {
 fn gen_table_op(rng: &mut StdRng) -> TableOp {
     let txn = rng.gen_range(0..3);
     let pick = rng.gen_range(0..64);
-    match rng.gen_range(0..10) {
+    match rng.gen_range(0..9) {
         0 | 1 => TableOp::InsertDirty { txn, row: gen_row(rng) },
         2 | 3 => TableOp::UpdateDirty { txn, pick, row: gen_row(rng) },
         4 => TableOp::DeleteDirty { txn, pick },
         5 | 6 => TableOp::PromoteAll { txn, back: rng.gen_range(0..4) },
         7 => TableOp::DiscardAll { txn },
-        8 => TableOp::Install {
+        _ => TableOp::Install {
             fresh: rng.gen_bool(0.3),
             pick,
             row: rng.gen_bool(0.8).then(|| gen_row(rng)),
             back: rng.gen_range(0..4),
         },
-        _ => TableOp::Gc { back: rng.gen_range(0..4) },
     }
 }
 
@@ -449,11 +444,6 @@ fn table_agrees_with_model() {
                         slots.remove(&id);
                     }
                     next_ts += 1;
-                }
-                TableOp::Gc { back } => {
-                    watermark = watermark.max((next_ts - 1).saturating_sub(back));
-                    tables.iter().for_each(|(t, _)| t.gc(watermark));
-                    slots.retain(|_, s| s.trim_and_keep(watermark));
                 }
             }
             for (table, warm) in &tables {

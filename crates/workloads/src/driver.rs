@@ -1,9 +1,13 @@
-//! Concurrent load driver shared by the P1/P2 benchmark harnesses.
+//! Concurrent load driver shared by the P1/P2 benchmark harnesses, and
+//! the random item programs of the seeded property suites.
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use semcc_engine::{EngineError, FaultKind};
+use semcc_logic::Expr;
+use semcc_txn::stmt::{ItemRef, Stmt};
+use semcc_txn::{Program, ProgramBuilder};
 use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
 use std::time::{Duration, Instant};
@@ -357,6 +361,40 @@ where
         }
     });
     RunStats { elapsed: start.elapsed(), ..total.into_inner() }
+}
+
+/// A random item program for the seeded property suites: 1 to
+/// `max_stmts` statements over `items`, each a read into a fresh local, a
+/// constant write, or a write of `last read + 1` (an increment when it
+/// follows a read of the same item, the shape lost updates and write
+/// skew are made of).
+pub fn random_item_program(
+    name: &str,
+    items: &[&str],
+    max_stmts: usize,
+    rng: &mut impl Rng,
+) -> Program {
+    let mut b = ProgramBuilder::new(name);
+    let mut last_local: Option<String> = None;
+    for j in 0..rng.gen_range(1..=max_stmts) {
+        let item = ItemRef::plain(items[rng.gen_range(0..items.len())]);
+        b = match rng.gen_range(0..3) {
+            0 => {
+                let local = format!("L{j}");
+                last_local = Some(local.clone());
+                b.bare(Stmt::ReadItem { item, into: local })
+            }
+            1 => b.bare(Stmt::WriteItem { item, value: Expr::int(rng.gen_range(-3..9)) }),
+            _ => match &last_local {
+                Some(l) => b.bare(Stmt::WriteItem {
+                    item,
+                    value: Expr::local(l.clone()).add(Expr::int(1)),
+                }),
+                None => b.bare(Stmt::WriteItem { item, value: Expr::int(1) }),
+            },
+        };
+    }
+    b.build()
 }
 
 #[cfg(test)]

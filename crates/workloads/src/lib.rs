@@ -27,5 +27,7 @@ pub mod orders;
 pub mod payroll;
 pub mod tpcc;
 
-pub use driver::{retry, run_mix, AbortClass, Attempted, MixSpec, RetryPolicy, RunStats};
+pub use driver::{
+    random_item_program, retry, run_mix, AbortClass, Attempted, MixSpec, RetryPolicy, RunStats,
+};
 pub use faultsim::{simulate, simulate_sweep, FaultSimOptions, FaultSimReport};

@@ -16,39 +16,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use semcc_core::App;
 use semcc_engine::{FaultMix, FaultPlan, IsolationLevel};
-use semcc_logic::Expr;
-use semcc_txn::stmt::{ItemRef, Stmt};
-use semcc_txn::{Program, ProgramBuilder};
-use semcc_workloads::{simulate, FaultSimOptions, RetryPolicy};
+use semcc_workloads::{random_item_program, simulate, FaultSimOptions, RetryPolicy};
 use std::time::Duration;
 
 const ITEMS: [&str; 3] = ["x", "y", "z"];
-
-/// A random item program: 1–4 statements, each a read into a fresh local,
-/// a constant write, or a write of `last read + 1`.
-fn gen_program(name: &str, rng: &mut StdRng) -> Program {
-    let mut b = ProgramBuilder::new(name);
-    let mut last_local: Option<String> = None;
-    for j in 0..rng.gen_range(1..=4usize) {
-        let item = ItemRef::plain(ITEMS[rng.gen_range(0..ITEMS.len())]);
-        b = match rng.gen_range(0..3) {
-            0 => {
-                let local = format!("L{j}");
-                last_local = Some(local.clone());
-                b.bare(Stmt::ReadItem { item, into: local })
-            }
-            1 => b.bare(Stmt::WriteItem { item, value: Expr::int(rng.gen_range(-3..9)) }),
-            _ => match &last_local {
-                Some(l) => b.bare(Stmt::WriteItem {
-                    item,
-                    value: Expr::local(l.clone()).add(Expr::int(1)),
-                }),
-                None => b.bare(Stmt::WriteItem { item, value: Expr::int(1) }),
-            },
-        };
-    }
-    b.build()
-}
 
 /// A random fault mix: each class drawn from {off, rare, common}.
 fn gen_mix(rng: &mut StdRng) -> FaultMix {
@@ -87,8 +58,8 @@ fn auditor_finds_no_violation_on_random_programs_and_fault_plans() {
         let level = IsolationLevel::ALL[(iter as usize) % IsolationLevel::ALL.len()];
         let mut rng = StdRng::seed_from_u64(0xFA_0175 ^ iter);
         let app = App::new()
-            .with_program(gen_program("T0", &mut rng))
-            .with_program(gen_program("T1", &mut rng));
+            .with_program(random_item_program("T0", &ITEMS, 4, &mut rng))
+            .with_program(random_item_program("T1", &ITEMS, 4, &mut rng));
         let opts = FaultSimOptions {
             seed: iter.wrapping_mul(0x9E37_79B9_7F4A_7C15),
             txns: 12,
