@@ -7,21 +7,35 @@ set -eu
 
 cd "$(dirname "$0")"
 
-echo "== cargo fmt --check =="
+# `step "title"` opens a step; `step_done` prints the open step's elapsed
+# seconds. The last line gives the whole run's.
+ci_start=$(date +%s)
+step_start=
+step_done() {
+    now=$(date +%s)
+    [ -z "$step_start" ] || echo "   ($((now - step_start)) s)"
+}
+step() {
+    step_done
+    step_start=$now
+    echo "== $1 =="
+}
+
+step "cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo clippy (all targets, warnings are errors) =="
+step "cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 if [ "${1:-}" != "--fast" ]; then
-    echo "== cargo build --release =="
+    step "cargo build --release"
     cargo build --release
 fi
 
-echo "== cargo test =="
+step "cargo test"
 cargo test --workspace -q
 
-echo "== examples compile and run =="
+step "examples compile and run"
 for ex in anomaly_tour choose_isolation_levels quickstart write_skew_demo; do
     cargo run -q -p semcc --example "$ex" > /dev/null
     echo "   example $ex: OK"
@@ -32,7 +46,7 @@ done
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 
-echo "== orders dynamic validation x25 (Imax flake regression gate) =="
+step "orders dynamic validation x25 (Imax flake regression gate)"
 # Before the WriteItemMax fix this test flaked ~3/25 (two concurrent
 # New_Orders at RC clobbering maximum_date backwards); require 25/25.
 pass=0
@@ -49,7 +63,7 @@ if [ "$pass" -ne 25 ]; then
 fi
 echo "   orders_assigned_levels_hold_dynamically: 25/25"
 
-echo "== lock stress x20 (lost-wakeup regression gate) =="
+step "lock stress x20 (lost-wakeup regression gate)"
 # The lock table wakes a shard only when requests are queued there; a lost
 # wakeup shows up as an intermittent failure, so require 20/20.
 pass=0
@@ -64,7 +78,7 @@ if [ "$pass" -ne 20 ]; then
 fi
 echo "   lock_stress: 20/20"
 
-echo "== serve retry x10 (contended submissions never give up) =="
+step "serve retry x10 (contended submissions never give up)"
 # Two clients on two banking accounts: deadlock and FCW losers retry, the
 # first retry at once, later ones after a backoff; require 10/10.
 pass=0
@@ -80,7 +94,7 @@ fi
 echo "   serve_retry: 10/10"
 
 if [ "${1:-}" != "--fast" ]; then
-    echo "== tables refine smoke (precision asserted, jobs 1 vs 4 byte-identical) =="
+    step "tables refine smoke (precision asserted, jobs 1 vs 4 byte-identical)"
     # The table itself asserts: >0 prunes, >0 STATIC-OVERAPPROX -> AGREE
     # conversions, schedules saved, zero soundness violations.
     cargo run -q --release -p semcc-bench -- refine --jobs 1 \
@@ -94,14 +108,14 @@ if [ "${1:-}" != "--fast" ]; then
     fi
     echo "   tables refine: precision assertions hold, byte-identical at jobs 1 vs 4"
 
-    echo "== tables serve (serve throughput rows + in-table determinism asserts) =="
+    step "tables serve (serve throughput rows + in-table determinism asserts)"
     # The table asserts per row: same-seed JSON byte-identity, nonzero
     # commits, zero invariant violations, quiescence.
     cargo run -q --release -p semcc-bench -- serve --quick \
         > "$tmpdir/table_serve.txt"
     echo "   tables serve: all rows committed, audited clean, deterministic"
 
-    echo "== perf/ (the benchmark package: a workspace of its own) =="
+    step "perf/ (the benchmark package: a workspace of its own)"
     # perf/ reaches ../crates by path from outside this workspace, so
     # nothing above compiles it; a crate API change would otherwise break
     # the benchmark silently. Either command exits nonzero on a failed op.
@@ -110,8 +124,9 @@ if [ "${1:-}" != "--fast" ]; then
     echo "   perf: package tests pass, run.sh --quick exits 0 on all workloads"
 fi
 
-echo "== rustdoc (warnings are errors) =="
+step "rustdoc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "   cargo doc: no warnings"
 
-echo "ci: all green"
+step_done
+echo "ci: all green in $((now - ci_start)) s"

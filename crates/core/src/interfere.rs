@@ -24,7 +24,6 @@
 
 use crate::app::{App, LemmaScope};
 use semcc_cert::{ObligationCert, Step};
-use semcc_logic::footprint::Footprint;
 use semcc_logic::pred::{OpaqueAtom, Pred, StrTerm, TableAtom, TableRegion};
 use semcc_logic::prover::{Outcome, Prover, Sat};
 use semcc_logic::row::RowPred;
@@ -264,7 +263,6 @@ impl<'a> Analyzer<'a> {
             }
             return Verdict::Preserved;
         }
-        let fp: Footprint = semcc_logic::footprint::pred_footprint(assertion);
         // Direct scalar mentions only: opaque footprints were handled above.
         let direct: BTreeSet<String> = assertion
             .vars()
@@ -274,7 +272,6 @@ impl<'a> Analyzer<'a> {
                 _ => None,
             })
             .collect();
-        let _ = fp;
         if direct.is_disjoint(&written) {
             if recording {
                 steps.push(Step::Disjoint);

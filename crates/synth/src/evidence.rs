@@ -23,7 +23,7 @@
 //!    schedule is embedded in the certificate. Replays are independent,
 //!    so they fan out over `jobs` workers in deterministic order.
 
-use crate::{partner_bit, MinimalVector, PairCache, SynthOptions, DOMAIN, SNAP, SSI};
+use crate::{index_of, partner_bit, MinimalVector, PairCache, SynthOptions, DOMAIN, SNAP, SSI};
 use semcc_cert::{check_countermodel, PredEvidence};
 use semcc_core::theorems::FailedObligation;
 use semcc_core::witness::replay_witness;
@@ -31,7 +31,6 @@ use semcc_core::{code_for, App, Diagnostic, LintReport};
 use semcc_engine::{AnomalyKind, IsolationLevel};
 use semcc_logic::{Expr, Var};
 use semcc_par::ordered_map;
-use std::collections::BTreeMap;
 
 /// The refutation of one immediate predecessor of a minimal vector.
 #[derive(Clone, Debug)]
@@ -130,14 +129,21 @@ fn countermodel_evidence(
     (PredEvidence::Trusted { reason }, Vec::new())
 }
 
-/// Refute every immediate predecessor of every minimal vector. Evidence
-/// extraction is sequential (the analyzer's memo cache makes the re-runs
-/// nearly free); witness replays fan out over `opts.jobs`.
+/// Refute every immediate predecessor of every minimal vector; `safety`
+/// is the search's table of vector safety by odometer position.
+///
+/// Evidence extraction is sequential and not free: each refutation
+/// re-runs its failed pair ([`PairCache::run`]) for the structured
+/// failure, and the re-run mints fresh skolems, so the analyzer's memo
+/// misses and the prover is asked again — a third to a half of
+/// [`synthesize`](crate::synthesize)'s time on the five-type apps. The
+/// re-runs stay because their prover queries are counted in the sealed
+/// `search.prover_calls`. Witness replays fan out over `opts.jobs`.
 pub(crate) fn refute_predecessors(
     app: &App,
     txns: &[String],
     cache: &mut PairCache<'_>,
-    safety: &BTreeMap<Vec<u8>, bool>,
+    safety: &[bool],
     minimal_codes: Vec<Vec<u8>>,
     opts: &SynthOptions,
 ) -> Vec<MinimalVector> {
@@ -158,7 +164,7 @@ pub(crate) fn refute_predecessors(
             let mut pred = codes.clone();
             let lowered = if c == SSI { SNAP } else { c - 1 };
             pred[coord] = lowered;
-            debug_assert_eq!(safety.get(&pred), Some(&false), "predecessor of a minimal vector");
+            debug_assert!(!safety[index_of(&pred)], "predecessor of a minimal vector is unsafe");
             // Pairs that differ from the (safe) minimal vector all
             // involve the lowered coordinate: as victim (its own level
             // dropped), or — when an SSI coordinate drops to SNAPSHOT —

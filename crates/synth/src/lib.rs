@@ -53,7 +53,6 @@ use semcc_core::theorems::{check_pair, FailedObligation, LevelReport};
 use semcc_core::{Analyzer, App};
 use semcc_engine::IsolationLevel;
 use semcc_txn::symexec::SymOptions;
-use std::collections::BTreeMap;
 
 pub mod evidence;
 pub mod policy;
@@ -123,7 +122,7 @@ impl Default for SynthOptions {
 
 /// Outcome of one pairwise interference lemma, memoized under the
 /// `(victim, interferer, level, partner class)` key.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct PairOutcome {
     /// All obligations of the pair discharged.
     pub ok: bool,
@@ -223,7 +222,8 @@ pub struct PairCache<'a> {
     app: &'a App,
     analyzer: Analyzer<'a>,
     sym: SymOptions,
-    outcomes: BTreeMap<(usize, usize, u8, bool), PairOutcome>,
+    /// One slot per key, `n·n·7·2` of them, at [`PairCache::slot`].
+    outcomes: Vec<Option<PairOutcome>>,
     evals: usize,
     hits: usize,
 }
@@ -233,30 +233,41 @@ pub use semcc_logic::hash::fnv1a;
 
 impl<'a> PairCache<'a> {
     pub fn new(app: &'a App, sym: SymOptions) -> Self {
+        let n = app.programs.len();
         PairCache {
             app,
             analyzer: Analyzer::new(app),
             sym,
-            outcomes: BTreeMap::new(),
+            outcomes: vec![None; n * n * DOMAIN.len() * 2],
             evals: 0,
             hits: 0,
         }
     }
 
-    /// Whether this pair is already cached as failed (no evaluation).
-    fn known_failed(&self, victim: usize, interferer: usize, code: u8, snap: bool) -> bool {
-        self.outcomes.get(&(victim, interferer, code, snap)).is_some_and(|o| !o.ok)
+    /// The outcome slot of a pair key.
+    fn slot(&self, victim: usize, interferer: usize, code: u8, snap: bool) -> usize {
+        let n = self.app.programs.len();
+        ((victim * n + interferer) * DOMAIN.len() + code as usize) * 2 + snap as usize
     }
 
-    /// Whether this pair is cached at all (no evaluation).
-    fn known(&self, victim: usize, interferer: usize, code: u8, snap: bool) -> bool {
-        self.outcomes.contains_key(&(victim, interferer, code, snap))
+    /// The cached outcome of a pair, if any (no evaluation).
+    fn cached(
+        &self,
+        victim: usize,
+        interferer: usize,
+        code: u8,
+        snap: bool,
+    ) -> Option<PairOutcome> {
+        self.outcomes[self.slot(victim, interferer, code, snap)]
     }
 
     /// Run the pair lemma on the shared analyzer, past the outcome cache:
     /// its report and its structured failures (certificate raw material).
-    /// Deterministic, and the analyzer's memo cache makes a re-run nearly
-    /// free.
+    /// Deterministic, but not cheap to repeat: the re-run calls
+    /// `summarize` and `rollback_effects` again, which mint fresh
+    /// `FreshVars` skolems, so the analyzer's printed-key memo misses and
+    /// the prover is asked again. Those repeat queries are counted in
+    /// [`SearchStats::prover_calls`], which the policy artifact seals.
     pub fn run(
         &self,
         victim: usize,
@@ -277,15 +288,15 @@ impl<'a> PairCache<'a> {
 
     /// Look up the pair lemma, evaluating it on a miss.
     pub fn get(&mut self, victim: usize, interferer: usize, code: u8, snap: bool) -> PairOutcome {
-        let key = (victim, interferer, code, snap);
-        if let Some(o) = self.outcomes.get(&key) {
+        let slot = self.slot(victim, interferer, code, snap);
+        if let Some(o) = self.outcomes[slot] {
             self.hits += 1;
-            return o.clone();
+            return o;
         }
         let (report, _) = self.run(victim, interferer, code, snap);
         self.evals += 1;
         let outcome = PairOutcome { ok: report.ok, obligations: report.obligations };
-        self.outcomes.insert(key, outcome.clone());
+        self.outcomes[slot] = Some(outcome);
         outcome
     }
 
@@ -309,15 +320,9 @@ pub fn partner_bit(vic: u8, par: u8) -> bool {
 
 /// The ordered pair keys whose conjunction decides vector `v`, in the
 /// deterministic order the search consults them.
-fn pair_keys(v: &[u8]) -> Vec<(usize, usize, u8, bool)> {
+fn pair_keys(v: &[u8]) -> impl Iterator<Item = (usize, usize, u8, bool)> + '_ {
     let n = v.len();
-    let mut out = Vec::with_capacity(n * n);
-    for i in 0..n {
-        for j in 0..n {
-            out.push((i, j, v[i], partner_bit(v[i], v[j])));
-        }
-    }
-    out
+    (0..n).flat_map(move |i| (0..n).map(move |j| (i, j, v[i], partner_bit(v[i], v[j]))))
 }
 
 /// Advance the base-7 odometer (rightmost coordinate fastest); `false`
@@ -331,6 +336,23 @@ fn next_vector(v: &mut [u8]) -> bool {
         *c = 0;
     }
     false
+}
+
+/// Position of `v` in the odometer's enumeration: its slot in the dense
+/// per-vector tables of the search.
+pub(crate) fn index_of(v: &[u8]) -> usize {
+    v.iter().fold(0, |idx, &c| idx * DOMAIN.len() + c as usize)
+}
+
+/// The `n`-coordinate vector at odometer position `idx` (inverse of
+/// [`index_of`]).
+fn decode(mut idx: usize, n: usize) -> Vec<u8> {
+    let mut v = vec![0u8; n];
+    for c in v.iter_mut().rev() {
+        *c = (idx % DOMAIN.len()) as u8;
+        idx /= DOMAIN.len();
+    }
+    v
 }
 
 /// Ladder-rank sum (off-ladder coordinates contribute their own rank
@@ -371,17 +393,17 @@ pub fn synthesize(app: &App, opts: &SynthOptions) -> Result<Synthesis, String> {
         naive_pair_evals: (lattice as u128) * (n as u128) * (n as u128),
         ..SearchStats::default()
     };
-    let mut safety: BTreeMap<Vec<u8>, bool> = BTreeMap::new();
+    // Safety of each vector, at its odometer position.
+    let mut safety = vec![false; lattice];
     // Antichain of known-safe ladder-only vectors (minimal elements seen
     // so far); any later ladder-only vector dominating one is excused.
     let mut frontier: Vec<Vec<u8>> = Vec::new();
 
     let mut v = vec![0u8; n];
-    loop {
-        let keys = pair_keys(&v);
+    for safe in safety.iter_mut() {
         let class;
         let ok;
-        if keys.iter().any(|&(i, j, c, s)| cache.known_failed(i, j, c, s)) {
+        if pair_keys(&v).any(|(i, j, c, s)| cache.cached(i, j, c, s).is_some_and(|o| !o.ok)) {
             class = Class::PrunedUnsafe;
             ok = false;
         } else if ladder_only(&v) && frontier.iter().any(|f| vec_le(f, &v)) {
@@ -389,11 +411,11 @@ pub fn synthesize(app: &App, opts: &SynthOptions) -> Result<Synthesis, String> {
             ok = true;
         } else {
             let evals_before = cache.evals;
-            let all_known = keys.iter().all(|&(i, j, c, s)| cache.known(i, j, c, s));
+            let all_known = pair_keys(&v).all(|(i, j, c, s)| cache.cached(i, j, c, s).is_some());
             // Evaluate the conjunction; short-circuit on the first failed
             // pair (its failure enters the cache and excuses the up-set
             // extensions of this vector).
-            ok = keys.iter().all(|&(i, j, c, s)| cache.get(i, j, c, s).ok);
+            ok = pair_keys(&v).all(|(i, j, c, s)| cache.get(i, j, c, s).ok);
             class = if all_known && cache.evals == evals_before {
                 Class::CacheComplete
             } else {
@@ -413,10 +435,8 @@ pub fn synthesize(app: &App, opts: &SynthOptions) -> Result<Synthesis, String> {
         if ok {
             stats.safe += 1;
         }
-        safety.insert(v.clone(), ok);
-        if !next_vector(&mut v) {
-            break;
-        }
+        *safe = ok;
+        next_vector(&mut v);
     }
 
     // Pareto minima, per off-ladder pattern (a coordinate is either on
@@ -425,16 +445,15 @@ pub fn synthesize(app: &App, opts: &SynthOptions) -> Result<Synthesis, String> {
     // another). Within a pattern, scanning by ascending rank sum
     // guarantees every dominator candidate is already kept when its
     // up-set is scanned.
-    let mut groups: BTreeMap<Vec<bool>, Vec<Vec<u8>>> = BTreeMap::new();
-    for (vec, &ok) in &safety {
-        if ok {
-            let pattern: Vec<bool> = vec.iter().map(|&c| c >= SNAP).collect();
-            groups.entry(pattern).or_default().push(vec.clone());
-        }
+    let mut groups: Vec<Vec<Vec<u8>>> = vec![Vec::new(); 1 << n];
+    for idx in (0..lattice).filter(|&idx| safety[idx]) {
+        let vec = decode(idx, n);
+        let pattern = vec.iter().fold(0, |bits, &c| bits << 1 | usize::from(c >= SNAP));
+        groups[pattern].push(vec);
     }
     let mut minimal_codes: Vec<Vec<u8>> = Vec::new();
-    for (_, mut group) in groups {
-        group.sort_by_key(|u| (rank_sum(u), u.clone()));
+    for mut group in groups {
+        group.sort_by(|a, b| (rank_sum(a), a).cmp(&(rank_sum(b), b)));
         let mut kept: Vec<Vec<u8>> = Vec::new();
         for u in group {
             if !kept.iter().any(|k| vec_le(k, &u)) {

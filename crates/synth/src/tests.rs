@@ -93,6 +93,10 @@ fn odometer_enumerates_the_whole_lattice_once() {
     let mut v = vec![0u8; 3];
     let mut seen = std::collections::BTreeSet::new();
     loop {
+        // The dense tables index a vector by its odometer position, and
+        // only safe indices are decoded back to codes.
+        assert_eq!(index_of(&v), seen.len());
+        assert_eq!(decode(seen.len(), 3), v);
         assert!(seen.insert(v.clone()));
         if !next_vector(&mut v) {
             break;
