@@ -46,52 +46,41 @@ done
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 
+# `repeat n what cmd...` runs `cmd` n times and fails unless all n pass:
+# the gate for tests whose failures are races.
+repeat() {
+    n=$1
+    what=$2
+    shift 2
+    pass=0
+    for _ in $(seq 1 "$n"); do
+        if "$@" > /dev/null 2>&1; then
+            pass=$((pass + 1))
+        fi
+    done
+    if [ "$pass" -ne "$n" ]; then
+        echo "ci: $what passed only $pass/$n" >&2
+        exit 1
+    fi
+    echo "   $what: $n/$n"
+}
+
 step "orders dynamic validation x25 (Imax flake regression gate)"
 # Before the WriteItemMax fix this test flaked ~3/25 (two concurrent
 # New_Orders at RC clobbering maximum_date backwards); require 25/25.
-pass=0
-for i in $(seq 1 25); do
-    if cargo test -q -p semcc --test dynamic_validation \
-        orders_assigned_levels_hold_dynamically -- --exact \
-        > /dev/null 2>&1; then
-        pass=$((pass + 1))
-    fi
-done
-if [ "$pass" -ne 25 ]; then
-    echo "ci: orders_assigned_levels_hold_dynamically passed only $pass/25" >&2
-    exit 1
-fi
-echo "   orders_assigned_levels_hold_dynamically: 25/25"
+repeat 25 orders_assigned_levels_hold_dynamically \
+    cargo test -q -p semcc --test dynamic_validation \
+    orders_assigned_levels_hold_dynamically -- --exact
 
 step "lock stress x20 (lost-wakeup regression gate)"
 # The lock table wakes a shard only when requests are queued there; a lost
 # wakeup shows up as an intermittent failure, so require 20/20.
-pass=0
-for i in $(seq 1 20); do
-    if cargo test -q -p semcc --test lock_stress > /dev/null 2>&1; then
-        pass=$((pass + 1))
-    fi
-done
-if [ "$pass" -ne 20 ]; then
-    echo "ci: tests/lock_stress.rs passed only $pass/20" >&2
-    exit 1
-fi
-echo "   lock_stress: 20/20"
+repeat 20 tests/lock_stress.rs cargo test -q -p semcc --test lock_stress
 
 step "serve retry x10 (contended submissions never give up)"
 # Two clients on two banking accounts: deadlock and FCW losers retry, the
 # first retry at once, later ones after a backoff; require 10/10.
-pass=0
-for i in $(seq 1 10); do
-    if cargo test -q -p semcc --test serve_retry > /dev/null 2>&1; then
-        pass=$((pass + 1))
-    fi
-done
-if [ "$pass" -ne 10 ]; then
-    echo "ci: tests/serve_retry.rs passed only $pass/10" >&2
-    exit 1
-fi
-echo "   serve_retry: 10/10"
+repeat 10 tests/serve_retry.rs cargo test -q -p semcc --test serve_retry
 
 if [ "${1:-}" != "--fast" ]; then
     step "tables refine smoke (precision asserted, jobs 1 vs 4 byte-identical)"

@@ -17,7 +17,7 @@ use semcc_logic::row::{RowExpr, RowPred};
 use semcc_logic::transform::{Assign, FreshVars};
 use semcc_logic::{CmpOp, Expr, Pred, Var};
 use semcc_txn::stmt::Stmt;
-use semcc_txn::{ColExpr, PathSummary, Program, RelEffect};
+use semcc_txn::{PathSummary, Program, RelEffect};
 
 /// A named statement-level effect (for reporting).
 #[derive(Clone, Debug)]
@@ -142,7 +142,7 @@ pub fn rollback_effects(
                         .map(|(c, _)| {
                             (
                                 c.clone(),
-                                ColExpr::Outer(Expr::Var(FreshVars::fresh(&format!("undo_{c}")))),
+                                RowExpr::Outer(Expr::Var(FreshVars::fresh(&format!("undo_{c}")))),
                             )
                         })
                         .collect(),
@@ -153,7 +153,7 @@ pub fn rollback_effects(
                 let values = match schemas.get(table) {
                     Some(cols) => cols
                         .iter()
-                        .map(|c| ColExpr::Outer(Expr::Var(FreshVars::fresh(&format!("undel_{c}")))))
+                        .map(|c| RowExpr::Outer(Expr::Var(FreshVars::fresh(&format!("undel_{c}")))))
                         .collect(),
                     None => vec![],
                 };
@@ -176,11 +176,9 @@ pub fn rollback_effects(
 }
 
 /// `column = value` as a row predicate (compensating delete's point filter).
-fn point_eq(col: &str, v: &ColExpr) -> RowPred {
+fn point_eq(col: &str, v: &RowExpr) -> RowPred {
     let rhs = match v {
-        ColExpr::Int(i) => RowExpr::Int(*i),
-        ColExpr::Str(s) => RowExpr::Str(s.clone()),
-        ColExpr::Outer(e) => RowExpr::Outer(e.clone()),
+        RowExpr::Int(_) | RowExpr::Str(_) | RowExpr::Outer(_) => v.clone(),
         // Field refs are meaningless in INSERT values; arithmetic lowers
         // to an outer scalar when possible.
         other => match other.to_scalar() {
@@ -212,20 +210,16 @@ impl RenameAll for PathSummary {
         // First rename params (provided by semcc-txn)…
         let renamed = self.rename_params(prefix);
         // …then locals, via the same substitution machinery.
-        let mut locals = std::collections::BTreeSet::new();
         let mut collect = Vec::new();
         renamed.condition.collect_vars(&mut collect);
         for (_, e) in &renamed.assign.pairs {
             e.collect_vars(&mut collect);
         }
-        for v in collect {
-            if matches!(v, Var::Local(_)) {
-                locals.insert(v);
-            }
-        }
         for eff in &renamed.effects {
-            collect_effect_locals(eff, &mut locals);
+            eff.collect_outer_vars(&mut collect);
         }
+        let locals: std::collections::BTreeSet<Var> =
+            collect.into_iter().filter(|v| matches!(v, Var::Local(_))).collect();
         let mut s = semcc_logic::subst::Subst::new();
         for v in locals {
             if let Var::Local(name) = &v {
@@ -243,69 +237,9 @@ impl RenameAll for PathSummary {
                     .collect(),
             },
             havoc_items: renamed.havoc_items.clone(),
-            effects: renamed
-                .effects
-                .iter()
-                .map(|eff| match eff {
-                    RelEffect::Insert { table, values } => RelEffect::Insert {
-                        table: table.clone(),
-                        values: values.iter().map(|v| v.subst_outer(&s)).collect(),
-                    },
-                    RelEffect::Update { table, filter, sets } => RelEffect::Update {
-                        table: table.clone(),
-                        filter: s.apply_row_pred(filter),
-                        sets: sets.iter().map(|(c, e)| (c.clone(), e.subst_outer(&s))).collect(),
-                    },
-                    RelEffect::Delete { table, filter } => {
-                        RelEffect::Delete { table: table.clone(), filter: s.apply_row_pred(filter) }
-                    }
-                    RelEffect::HavocTable { table } => {
-                        RelEffect::HavocTable { table: table.clone() }
-                    }
-                })
-                .collect(),
+            effects: renamed.effects.iter().map(|eff| eff.subst(&s)).collect(),
             reads: renamed.reads.clone(),
         }
-    }
-}
-
-fn collect_effect_locals(eff: &RelEffect, out: &mut std::collections::BTreeSet<Var>) {
-    fn walk_col(e: &ColExpr, out: &mut std::collections::BTreeSet<Var>) {
-        match e {
-            ColExpr::Outer(expr) => {
-                let mut v = Vec::new();
-                expr.collect_vars(&mut v);
-                out.extend(v.into_iter().filter(|v| matches!(v, Var::Local(_))));
-            }
-            ColExpr::Add(a, b) | ColExpr::Sub(a, b) | ColExpr::Mul(a, b) => {
-                walk_col(a, out);
-                walk_col(b, out);
-            }
-            _ => {}
-        }
-    }
-    match eff {
-        RelEffect::Insert { values, .. } => values.iter().for_each(|v| walk_col(v, out)),
-        RelEffect::Update { filter, sets, .. } => {
-            let mut v = Vec::new();
-            filter.collect_outer_vars(&mut v);
-            for var in v {
-                if matches!(var, Var::Local(_)) {
-                    out.insert(var);
-                }
-            }
-            sets.iter().for_each(|(_, e)| walk_col(e, out));
-        }
-        RelEffect::Delete { filter, .. } => {
-            let mut v = Vec::new();
-            filter.collect_outer_vars(&mut v);
-            for var in v {
-                if matches!(var, Var::Local(_)) {
-                    out.insert(var);
-                }
-            }
-        }
-        RelEffect::HavocTable { .. } => {}
     }
 }
 
@@ -346,10 +280,10 @@ mod tests {
             .bare(Stmt::Insert {
                 table: "orders".into(),
                 values: vec![
-                    ColExpr::Outer(Expr::param("info")),
-                    ColExpr::Outer(Expr::param("customer")),
-                    ColExpr::Outer(Expr::local("maxdate").add(Expr::int(1))),
-                    ColExpr::Int(0),
+                    RowExpr::Outer(Expr::param("info")),
+                    RowExpr::Outer(Expr::param("customer")),
+                    RowExpr::Outer(Expr::local("maxdate").add(Expr::int(1))),
+                    RowExpr::Int(0),
                 ],
             })
             .build()
@@ -368,10 +302,10 @@ mod tests {
         // insert: params renamed inside values
         match &effs[1].summary.effects[0] {
             RelEffect::Insert { values, .. } => {
-                assert_eq!(values[1], ColExpr::Outer(Expr::Var(Var::param("w$customer"))));
+                assert_eq!(values[1], RowExpr::Outer(Expr::Var(Var::param("w$customer"))));
                 assert_eq!(
                     values[2],
-                    ColExpr::Outer(Expr::Var(Var::local("w$maxdate")).add(Expr::int(1)))
+                    RowExpr::Outer(Expr::Var(Var::local("w$maxdate")).add(Expr::int(1)))
                 );
             }
             other => panic!("unexpected {other:?}"),
@@ -415,7 +349,7 @@ mod tests {
             .bare(Stmt::Update {
                 table: "orders".into(),
                 filter: RowPred::field_eq_int("date", 1),
-                sets: vec![("done".into(), ColExpr::Int(1))],
+                sets: vec![("done".into(), RowExpr::Int(1))],
             })
             .build();
         let effs = rollback_effects(&p, &schemas());
@@ -424,7 +358,7 @@ mod tests {
                 assert_eq!(filter, &RowPred::field_eq_int("date", 1));
                 assert_eq!(sets.len(), 1);
                 assert_eq!(sets[0].0, "done");
-                assert!(matches!(sets[0].1, ColExpr::Outer(Expr::Var(Var::Logical(_)))));
+                assert!(matches!(sets[0].1, RowExpr::Outer(Expr::Var(Var::Logical(_)))));
             }
             other => panic!("unexpected {other:?}"),
         }

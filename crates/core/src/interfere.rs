@@ -24,13 +24,13 @@
 
 use crate::app::{App, LemmaScope};
 use semcc_cert::{ObligationCert, Step};
-use semcc_logic::pred::{OpaqueAtom, Pred, StrTerm, TableAtom, TableRegion};
+use semcc_logic::pred::{OpaqueAtom, Pred, TableAtom, TableRegion};
 use semcc_logic::prover::{Outcome, Prover, Sat};
-use semcc_logic::row::RowPred;
+use semcc_logic::row::{bind_insert, field_skolem, RowExpr, RowPred};
 use semcc_logic::subst::Subst;
 use semcc_logic::transform::FreshVars;
 use semcc_logic::{Expr, Var};
-use semcc_txn::{ColExpr, PathSummary, RelEffect};
+use semcc_txn::{PathSummary, RelEffect};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashMap};
 
@@ -440,7 +440,7 @@ impl<'a> Analyzer<'a> {
         &self,
         ctx: &Pred,
         f: &RowPred,
-        sets: &[(String, semcc_txn::ColExpr)],
+        sets: &[(String, RowExpr)],
         g: &RowPred,
     ) -> bool {
         match self.apply_sets_to_region(g, sets) {
@@ -469,7 +469,7 @@ impl<'a> Analyzer<'a> {
         &self,
         ctx: &Pred,
         filter: &RowPred,
-        sets: &[(String, ColExpr)],
+        sets: &[(String, RowExpr)],
         g: Option<&RowPred>,
     ) -> bool {
         let Some(g) = g else { return true };
@@ -487,7 +487,7 @@ impl<'a> Analyzer<'a> {
     /// `g` after the SET clauses: substitute `?row$col ← set-expr` in the
     /// lowered region. Returns `None` when a set value cannot be lifted to
     /// scalar form *and* its column occurs in `g`.
-    fn apply_sets_to_region(&self, g: &RowPred, sets: &[(String, ColExpr)]) -> Option<Pred> {
+    fn apply_sets_to_region(&self, g: &RowPred, sets: &[(String, RowExpr)]) -> Option<Pred> {
         let g_cols = g.columns();
         let mut s = Subst::new();
         for (col, e) in sets {
@@ -496,7 +496,7 @@ impl<'a> Analyzer<'a> {
             }
             match e.to_scalar() {
                 Some(expr) => {
-                    s.insert(Var::logical(format!("row${col}")), expr);
+                    s.insert(field_skolem(col), expr);
                 }
                 None => {
                     // String-valued update into a column g depends on: the
@@ -511,32 +511,9 @@ impl<'a> Analyzer<'a> {
         Some(s.apply_pred(&g.to_scalar()))
     }
 
-    /// Bind an inserted row: `?row$col = value` for every column with a
-    /// liftable value. Unliftable values contribute no constraint (sound:
-    /// weaker hypotheses / wider satisfiability).
-    fn bind_insert(&self, table: &str, values: &[ColExpr]) -> Option<Pred> {
-        let cols = self.app.columns(table)?;
-        if cols.len() != values.len() {
-            return None;
-        }
-        let mut conj = Vec::new();
-        for (col, v) in cols.iter().zip(values) {
-            if let Some(e) = v.to_scalar() {
-                conj.push(Pred::eq(Expr::Var(Var::logical(format!("row${col}"))), e));
-            } else if let Some(term) = v.as_str_term() {
-                conj.push(Pred::StrCmp {
-                    eq: true,
-                    lhs: StrTerm::Var(Var::logical(format!("row${col}"))),
-                    rhs: term,
-                });
-            }
-        }
-        Some(Pred::and(conj))
-    }
-
     /// Can the inserted row satisfy region `r`?
-    fn insert_may_satisfy(&self, ctx: &Pred, table: &str, values: &[ColExpr], r: &RowPred) -> bool {
-        match self.bind_insert(table, values) {
+    fn insert_may_satisfy(&self, ctx: &Pred, table: &str, values: &[RowExpr], r: &RowPred) -> bool {
+        match self.app.columns(table).and_then(|cols| bind_insert(cols, values)) {
             Some(bound) => self.sat_possible(&Pred::and([ctx.clone(), bound, r.to_scalar()])),
             None => true, // unknown schema: conservative
         }
@@ -547,10 +524,10 @@ impl<'a> Analyzer<'a> {
         &self,
         ctx: &Pred,
         table: &str,
-        values: &[ColExpr],
+        values: &[RowExpr],
         r: &RowPred,
     ) -> bool {
-        match self.bind_insert(table, values) {
+        match self.app.columns(table).and_then(|cols| bind_insert(cols, values)) {
             Some(bound) => self.implies(&Pred::and([ctx.clone(), bound]), &r.to_scalar()),
             None => false,
         }
@@ -928,10 +905,10 @@ mod tests {
             vec![RelEffect::Insert {
                 table: "orders".into(),
                 values: vec![
-                    ColExpr::Int(1),
-                    ColExpr::Str("c".into()),
-                    ColExpr::Outer(Expr::param("d")),
-                    ColExpr::Int(0),
+                    RowExpr::Int(1),
+                    RowExpr::Str("c".into()),
+                    RowExpr::Outer(Expr::param("d")),
+                    RowExpr::Int(0),
                 ],
             }],
         );
@@ -942,10 +919,10 @@ mod tests {
             vec![RelEffect::Insert {
                 table: "orders".into(),
                 values: vec![
-                    ColExpr::Int(1),
-                    ColExpr::Str("c".into()),
-                    ColExpr::Outer(Expr::param("d")),
-                    ColExpr::Int(0),
+                    RowExpr::Int(1),
+                    RowExpr::Str("c".into()),
+                    RowExpr::Outer(Expr::param("d")),
+                    RowExpr::Int(0),
                 ],
             }],
         );
@@ -984,10 +961,10 @@ mod tests {
             vec![RelEffect::Insert {
                 table: "orders".into(),
                 values: vec![
-                    ColExpr::Int(9),
-                    ColExpr::Outer(Expr::param("j$customer")),
-                    ColExpr::Int(1),
-                    ColExpr::Int(0),
+                    RowExpr::Int(9),
+                    RowExpr::Outer(Expr::param("j$customer")),
+                    RowExpr::Int(1),
+                    RowExpr::Int(0),
                 ],
             }],
         );
@@ -998,7 +975,7 @@ mod tests {
             vec![RelEffect::Update {
                 table: "orders".into(),
                 filter: RowPred::True,
-                sets: vec![("done".into(), ColExpr::Int(1))],
+                sets: vec![("done".into(), RowExpr::Int(1))],
             }],
         );
         assert!(a.preserves(&count, &upd, "Delivery", LemmaScope::Unit).is_preserved());
@@ -1039,7 +1016,7 @@ mod tests {
             vec![RelEffect::Update {
                 table: "orders".into(),
                 filter: RowPred::field_eq_int("date", 5),
-                sets: vec![("done".into(), ColExpr::Int(1))],
+                sets: vec![("done".into(), RowExpr::Int(1))],
             }],
         );
         assert!(!a.preserves(&snap, &upd_in, "T", LemmaScope::Unit).is_preserved());
@@ -1049,7 +1026,7 @@ mod tests {
             vec![RelEffect::Update {
                 table: "orders".into(),
                 filter: RowPred::field_eq_int("date", 6),
-                sets: vec![("done".into(), ColExpr::Int(1))],
+                sets: vec![("done".into(), RowExpr::Int(1))],
             }],
         );
         assert!(a.preserves(&snap, &upd_out, "T", LemmaScope::Unit).is_preserved());
@@ -1059,7 +1036,7 @@ mod tests {
             vec![RelEffect::Update {
                 table: "orders".into(),
                 filter: RowPred::field_eq_int("date", 6),
-                sets: vec![("date".into(), ColExpr::Int(5))],
+                sets: vec![("date".into(), RowExpr::Int(5))],
             }],
         );
         assert!(!a.preserves(&snap, &upd_enter, "T", LemmaScope::Unit).is_preserved());
@@ -1084,10 +1061,10 @@ mod tests {
             effects: vec![RelEffect::Insert {
                 table: "orders".into(),
                 values: vec![
-                    ColExpr::Int(1),
-                    ColExpr::Str("c".into()),
-                    ColExpr::Int(9),
-                    ColExpr::Int(0),
+                    RowExpr::Int(1),
+                    RowExpr::Str("c".into()),
+                    RowExpr::Int(9),
+                    RowExpr::Int(0),
                 ],
             }],
             reads: Default::default(),
@@ -1103,7 +1080,7 @@ mod tests {
             vec![RelEffect::Update {
                 table: "orders".into(),
                 filter: RowPred::field_eq_int("date", 3),
-                sets: vec![("done".into(), ColExpr::Int(1))],
+                sets: vec![("done".into(), RowExpr::Int(1))],
             }],
         );
         assert!(a.preserves(&no_gap, &delivery_eff, "Delivery", LemmaScope::Unit).is_preserved());
@@ -1121,7 +1098,6 @@ mod tests {
     #[test]
     fn hours_unit_preserves_isal_but_single_update_does_not() {
         // Example 2, relational form: emp rows satisfy rate*hrs = sal.
-        use semcc_logic::row::RowExpr;
         let app = app();
         let a = Analyzer::new(&app);
         let isal = Pred::Table(TableAtom::AllRows {
@@ -1134,7 +1110,7 @@ mod tests {
         });
         let filter = RowPred::field_eq_outer("name", Expr::param("emp"));
         // Composite (merged) update: hrs := hrs + h, sal := rate * (hrs + h)
-        let new_hrs = ColExpr::field("hrs").add(ColExpr::Outer(Expr::param("h")));
+        let new_hrs = RowExpr::field("hrs").add(RowExpr::Outer(Expr::param("h")));
         let unit = rel_eff(
             Pred::True,
             vec![RelEffect::Update {
@@ -1142,7 +1118,7 @@ mod tests {
                 filter: filter.clone(),
                 sets: vec![
                     ("hrs".into(), new_hrs.clone()),
-                    ("sal".into(), ColExpr::field("rate").mul(new_hrs.clone())),
+                    ("sal".into(), RowExpr::field("rate").mul(new_hrs.clone())),
                 ],
             }],
         );

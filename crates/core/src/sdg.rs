@@ -30,8 +30,7 @@ use crate::app::App;
 use crate::interfere::Analyzer;
 use semcc_engine::{AnomalyKind, IsolationLevel};
 use semcc_logic::row::RowPred;
-use semcc_logic::subst::Subst;
-use semcc_logic::{Expr, Pred, Var};
+use semcc_logic::Pred;
 use semcc_txn::stmt::Stmt;
 use semcc_txn::symexec::{summarize, write_footprint, SymOptions};
 use std::collections::{BTreeMap, BTreeSet};
@@ -188,22 +187,6 @@ pub struct DangerousStructure {
     pub b_reads_a_writes: BTreeSet<String>,
 }
 
-/// Rename parameters inside a region filter apart with `prefix`, so two
-/// types sharing parameter names don't spuriously alias in the
-/// intersection query.
-fn rename_region(f: &RowPred, prefix: &str) -> RowPred {
-    let mut outer = Vec::new();
-    f.collect_outer_vars(&mut outer);
-    let mut s = Subst::new();
-    for v in outer {
-        if let Var::Param(name) = &v {
-            let renamed = Expr::Var(Var::param(format!("{prefix}{name}")));
-            s.insert(v.clone(), renamed);
-        }
-    }
-    s.apply_row_pred(f)
-}
-
 impl DepGraph {
     /// Build the graph for an application with default symbolic options.
     pub fn build(app: &App) -> DepGraph {
@@ -316,8 +299,8 @@ fn classify(analyzer: &Analyzer<'_>, a: &TxnFootprint, b: &TxnFootprint) -> Vec<
                 let hit = match (f, g) {
                     (Some(f), Some(g)) => analyzer.regions_may_intersect(
                         &Pred::True,
-                        &rename_region(f, "l$"),
-                        &rename_region(g, "r$"),
+                        &f.rename_params("l$"),
+                        &g.rename_params("r$"),
                     ),
                     _ => true, // whole-table side always overlaps
                 };
@@ -696,6 +679,7 @@ fn collect_stmt_footprint(s: &Stmt, fp: &mut StmtFootprint) {
 mod tests {
     use super::*;
     use semcc_logic::parser::parse_pred;
+    use semcc_logic::row::RowExpr;
     use semcc_txn::stmt::{AStmt, ItemRef, Stmt};
     use semcc_txn::ProgramBuilder;
 
@@ -841,7 +825,7 @@ mod tests {
             })
             .build();
         let insert = ProgramBuilder::new("Ins")
-            .bare(Stmt::Insert { table: "orders".into(), values: vec![semcc_txn::ColExpr::Int(1)] })
+            .bare(Stmt::Insert { table: "orders".into(), values: vec![RowExpr::Int(1)] })
             .build();
         let app =
             App::new().with_program(audit).with_program(insert).with_schema("orders", &["cust"]);
@@ -862,7 +846,7 @@ mod tests {
                 filter: RowPred::True,
                 into: "n1".into(),
             })
-            .bare(Stmt::Insert { table: "orders".into(), values: vec![semcc_txn::ColExpr::Int(2)] })
+            .bare(Stmt::Insert { table: "orders".into(), values: vec![RowExpr::Int(2)] })
             .bare(Stmt::SelectCount {
                 table: "orders".into(),
                 filter: RowPred::True,
@@ -901,7 +885,7 @@ mod tests {
             .bare(Stmt::Update {
                 table: "t".into(),
                 filter: RowPred::field_eq_int("k", 2),
-                sets: vec![("v".into(), semcc_txn::ColExpr::Int(0))],
+                sets: vec![("v".into(), RowExpr::Int(0))],
             })
             .build();
         let app = App::new().with_program(a).with_program(b).with_schema("t", &["k", "v"]);

@@ -31,7 +31,6 @@ use semcc_engine::{AnomalyKind, Engine, EngineConfig, EngineError, IsolationLeve
 use semcc_logic::row::{RowExpr, RowPred};
 use semcc_logic::{Expr, Var};
 use semcc_storage::{Schema, Value};
-use semcc_txn::colexpr::ColExpr;
 use semcc_txn::interp::Stepper;
 use semcc_txn::stmt::{visit_stmts, ItemRef, Stmt};
 use semcc_txn::{Bindings, ParamKind, Program};
@@ -540,8 +539,9 @@ fn resolve_seed_item(item: &ItemRef) -> String {
 fn string_columns(app: &App) -> BTreeSet<(String, String)> {
     let mut out = BTreeSet::new();
     for p in &app.programs {
-        let is_str_param = |e: &Expr| match e {
-            Expr::Var(Var::Param(n)) => {
+        let is_str_term = |e: &RowExpr| match e {
+            RowExpr::Str(_) => true,
+            RowExpr::Outer(Expr::Var(Var::Param(n))) => {
                 p.params.iter().any(|(pn, k)| pn == n && *k == ParamKind::Str)
             }
             _ => false,
@@ -552,20 +552,13 @@ fn string_columns(app: &App) -> BTreeSet<(String, String)> {
             | Stmt::SelectValue { table, filter, .. }
             | Stmt::Update { table, filter, .. }
             | Stmt::Delete { table, filter } => {
-                collect_str_cols(table, filter, &is_str_param, &mut out);
+                collect_str_cols(table, filter, &is_str_term, &mut out);
             }
             Stmt::Insert { table, values } => {
                 let Some(cols) = app.columns(table) else { return };
-                for (i, v) in values.iter().enumerate() {
-                    let is_str = match v {
-                        ColExpr::Str(_) => true,
-                        ColExpr::Outer(e) => is_str_param(e),
-                        _ => false,
-                    };
-                    if is_str {
-                        if let Some(c) = cols.get(i) {
-                            out.insert((table.clone(), c.clone()));
-                        }
+                for (c, v) in cols.iter().zip(values) {
+                    if is_str_term(v) {
+                        out.insert((table.clone(), c.clone()));
                     }
                 }
             }
@@ -578,7 +571,7 @@ fn string_columns(app: &App) -> BTreeSet<(String, String)> {
 fn collect_str_cols(
     table: &str,
     pred: &RowPred,
-    is_str_param: &dyn Fn(&Expr) -> bool,
+    is_str_term: &dyn Fn(&RowExpr) -> bool,
     out: &mut BTreeSet<(String, String)>,
 ) {
     match pred {
@@ -586,20 +579,15 @@ fn collect_str_cols(
         RowPred::Cmp(_, a, b) => {
             for (field, other) in [(a, b), (b, a)] {
                 let RowExpr::Field(c) = field else { continue };
-                let is_str = match other {
-                    RowExpr::Str(_) => true,
-                    RowExpr::Outer(e) => is_str_param(e),
-                    _ => false,
-                };
-                if is_str {
+                if is_str_term(other) {
                     out.insert((table.to_string(), c.clone()));
                 }
             }
         }
-        RowPred::Not(p) => collect_str_cols(table, p, is_str_param, out),
+        RowPred::Not(p) => collect_str_cols(table, p, is_str_term, out),
         RowPred::And(ps) | RowPred::Or(ps) => {
             for p in ps {
-                collect_str_cols(table, p, is_str_param, out);
+                collect_str_cols(table, p, is_str_term, out);
             }
         }
     }

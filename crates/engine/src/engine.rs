@@ -43,22 +43,19 @@ impl Default for EngineConfig {
 
 /// Concurrency-layout tuning, separate from [`EngineConfig`] so the many
 /// existing single-threaded harnesses keep their exact legacy layout (one
-/// lock-table shard, one store stripe, unbounded history) while servers
-/// opt into sharding via [`Engine::with_tuning`].
+/// lock-table shard, one store stripe) while servers opt into sharding via
+/// [`Engine::with_tuning`].
 #[derive(Clone, Copy, Debug)]
 pub struct EngineTuning {
     /// Lock-table shards (see [`semcc_lock::manager::LockConfig::shards`]).
     pub lock_shards: usize,
     /// Store map / table row-map stripes.
     pub store_stripes: usize,
-    /// When recording history, retain at most this many events
-    /// (ring-buffer mode with a drop counter); `None` = unbounded.
-    pub history_cap: Option<usize>,
 }
 
 impl Default for EngineTuning {
     fn default() -> Self {
-        EngineTuning { lock_shards: 1, store_stripes: 1, history_cap: None }
+        EngineTuning { lock_shards: 1, store_stripes: 1 }
     }
 }
 
@@ -66,7 +63,7 @@ impl EngineTuning {
     /// The layout `semcc serve` uses: enough shards/stripes that worker
     /// threads on disjoint keys never contend on one global lock.
     pub fn server() -> Self {
-        EngineTuning { lock_shards: 32, store_stripes: 32, history_cap: None }
+        EngineTuning { lock_shards: 32, store_stripes: 32 }
     }
 }
 
@@ -109,13 +106,9 @@ impl Engine {
     }
 
     /// Build an engine with an explicit concurrency layout (lock-table
-    /// shards, store stripes, bounded history) — the server constructor.
+    /// shards, store stripes) — the server constructor.
     pub fn with_tuning(config: EngineConfig, tuning: EngineTuning) -> Self {
-        let history = match (config.record_history, tuning.history_cap) {
-            (false, _) => History::disabled(),
-            (true, Some(cap)) => History::bounded(cap),
-            (true, None) => History::new(),
-        };
+        let history = if config.record_history { History::new() } else { History::disabled() };
         Engine {
             store: Arc::new(Store::with_stripes(tuning.store_stripes)),
             locks: Arc::new(LockManager::new(LockConfig {

@@ -11,7 +11,6 @@ use parking_lot::Mutex;
 use semcc_logic::row::RowPred;
 use semcc_mvcc::Key;
 use semcc_storage::{Row, RowId, Ts, TxnId, Value};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Where a read's value came from.
@@ -124,33 +123,18 @@ pub struct Event {
     pub op: Op,
 }
 
-#[derive(Default)]
-struct Inner {
-    /// Retained events, oldest first. Bounded by `cap` when set.
-    events: VecDeque<Event>,
-    /// Sequence number the next recorded event receives. Equals the count
-    /// of events ever recorded, including any that were dropped.
-    next_seq: u64,
-    /// Events evicted by the ring-buffer bound.
-    dropped: u64,
-}
-
-/// A shared, append-only schedule recording.
-///
-/// By default the buffer is unbounded (checkers need complete histories).
-/// Long-running servers use [`History::bounded`], which keeps only the
-/// newest `cap` events and counts what it evicted — memory stays flat no
-/// matter how many transactions run.
+/// A shared, append-only schedule recording. It keeps every event
+/// (checkers need complete histories), so long-running servers leave
+/// recording off.
 #[derive(Default)]
 pub struct History {
     enabled: AtomicBool,
-    inner: Mutex<Inner>,
-    /// Maximum retained events; `None` = unbounded.
-    cap: Option<usize>,
+    /// Recorded events, oldest first; an event's `seq` is its index.
+    events: Mutex<Vec<Event>>,
 }
 
 impl History {
-    /// A history with recording initially enabled and no bound.
+    /// A history with recording initially enabled.
     pub fn new() -> Self {
         let h = History::default();
         h.enabled.store(true, Ordering::Relaxed);
@@ -161,21 +145,6 @@ impl History {
     /// flag check; see [`History::record`]) — used by throughput benchmarks.
     pub fn disabled() -> Self {
         History::default()
-    }
-
-    /// A recording history that retains at most `cap` events (clamped to
-    /// ≥ 1), evicting the oldest and counting them in
-    /// [`History::dropped`]. Sequence numbers keep counting past evicted
-    /// events, so retained entries still show their true append order.
-    pub fn bounded(cap: usize) -> Self {
-        let h = History { cap: Some(cap.max(1)), ..History::default() };
-        h.enabled.store(true, Ordering::Relaxed);
-        h
-    }
-
-    /// The configured retention bound, if any.
-    pub fn cap(&self) -> Option<usize> {
-        self.cap
     }
 
     /// Toggle recording.
@@ -196,45 +165,30 @@ impl History {
             return;
         }
         let op = op();
-        let mut inner = self.inner.lock();
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        inner.events.push_back(Event { seq, txn, level, op });
-        if let Some(cap) = self.cap {
-            while inner.events.len() > cap {
-                inner.events.pop_front();
-                inner.dropped += 1;
-            }
-        }
+        let mut events = self.events.lock();
+        let seq = events.len() as u64;
+        events.push(Event { seq, txn, level, op });
     }
 
-    /// Snapshot of all retained events, oldest first.
+    /// Snapshot of all recorded events, oldest first.
     pub fn events(&self) -> Vec<Event> {
-        self.inner.lock().events.iter().cloned().collect()
+        self.events.lock().clone()
     }
 
-    /// Number of retained events.
+    /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.inner.lock().events.len()
+        self.events.lock().len()
     }
 
-    /// Events evicted by the retention bound (0 when unbounded).
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().dropped
-    }
-
-    /// Whether the history retains no events.
+    /// Whether the history holds no events.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().events.is_empty()
+        self.events.lock().is_empty()
     }
 
-    /// Drop all recorded events and reset the sequence and drop counters
-    /// (between benchmark phases; keeps deterministic replays identical).
+    /// Drop all recorded events and reset the sequence counter (between
+    /// benchmark phases; keeps deterministic replays identical).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.events.clear();
-        inner.next_seq = 0;
-        inner.dropped = 0;
+        self.events.lock().clear();
     }
 }
 
@@ -275,40 +229,8 @@ mod tests {
         h.record(1, IsolationLevel::Snapshot, || Op::Begin);
         h.clear();
         assert!(h.is_empty());
-        assert_eq!(h.dropped(), 0);
         // Sequence numbers restart so replays after clear are identical.
         h.record(1, IsolationLevel::Snapshot, || Op::Begin);
         assert_eq!(h.events()[0].seq, 0);
-    }
-
-    #[test]
-    fn bounded_history_evicts_oldest_and_counts_drops() {
-        let h = History::bounded(4);
-        assert_eq!(h.cap(), Some(4));
-        for i in 0..10 {
-            h.record(i, IsolationLevel::ReadCommitted, || Op::Begin);
-        }
-        assert_eq!(h.len(), 4, "retention bound holds");
-        assert_eq!(h.dropped(), 6);
-        let ev = h.events();
-        // The newest 4 events survive with their true sequence numbers.
-        assert_eq!(ev.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![6, 7, 8, 9]);
-        assert_eq!(ev.iter().map(|e| e.txn).collect::<Vec<_>>(), vec![6, 7, 8, 9]);
-        h.clear();
-        assert_eq!((h.len(), h.dropped()), (0, 0));
-    }
-
-    #[test]
-    fn bounded_history_memory_is_flat_across_100k_events() {
-        // The regression this guards: with `record_history: true` a
-        // long-running server leaked an unbounded Vec. A bounded history
-        // must retain exactly `cap` events no matter how many are recorded.
-        let h = History::bounded(256);
-        for i in 0..100_000u64 {
-            h.record(i, IsolationLevel::Serializable, || Op::Commit { ts: i });
-        }
-        assert_eq!(h.len(), 256, "retained set never exceeds the cap");
-        assert_eq!(h.dropped(), 100_000 - 256);
-        assert_eq!(h.events().last().map(|e| e.seq), Some(99_999));
     }
 }

@@ -1595,13 +1595,12 @@ mod tests {
     /// other's dirty inserts.
     #[test]
     fn schedules_are_divergent_when_every_serial_order_fails() {
-        use semcc_logic::row::RowPred;
-        use semcc_txn::ColExpr;
+        use semcc_logic::row::{RowExpr, RowPred};
         let mirror = |name: &str, own: i64, other: i64| {
             ProgramBuilder::new(name)
                 .bare(Stmt::Insert {
                     table: "t".into(),
-                    values: vec![ColExpr::Int(own), ColExpr::Int(0)],
+                    values: vec![RowExpr::Int(own), RowExpr::Int(0)],
                 })
                 .bare(Stmt::SelectValue {
                     table: "t".into(),

@@ -141,24 +141,9 @@ impl OpaqueAtom {
         }
     }
 
-    /// An opaque atom reading the listed whole tables.
-    pub fn over_tables(name: impl Into<String>, tables: &[&str]) -> Self {
-        OpaqueAtom {
-            name: name.into(),
-            reads_items: Vec::new(),
-            reads_tables: tables.iter().map(|t| TableRegion::whole(*t)).collect(),
-        }
-    }
-
     /// Add a table region to the footprint.
     pub fn with_region(mut self, region: TableRegion) -> Self {
         self.reads_tables.push(region);
-        self
-    }
-
-    /// Add an item to the footprint.
-    pub fn with_item(mut self, item: impl Into<String>) -> Self {
-        self.reads_items.push(item.into());
         self
     }
 }

@@ -1,22 +1,32 @@
-//! Row predicates: per-tuple filters used by relational statements
-//! (SELECT/UPDATE/DELETE WHERE-clauses) and by table atoms.
+//! Row terms and row predicates: per-tuple filters used by relational
+//! statements (SELECT/UPDATE/DELETE WHERE-clauses) and by table atoms, and
+//! the values of UPDATE SET clauses and INSERT VALUES.
 //!
 //! A [`RowPred`] constrains the fields of a single generic row. Fields are
 //! referenced by column name; *outer* scalar expressions (parameters, local
 //! variables) may appear, e.g. `cust_name = :customer`. Satisfiability and
 //! intersection of row predicates — the paper's phantom-reasoning primitive —
 //! are decided by translating fields to reserved skolem variables and
-//! handing the conjunction to the scalar prover.
+//! handing the conjunction to the scalar prover. SET and VALUES terms are
+//! lowered onto the same skolems ([`RowExpr::to_scalar`], [`bind_insert`]),
+//! so a write and a filter can be compared in one query.
 
 use crate::expr::{Expr, Var};
 use crate::pred::{CmpOp, Pred, StrTerm};
+use crate::subst::Subst;
 use std::fmt;
 
 /// Reserved prefix distinguishing row-field skolem variables from user
 /// logical constants when a [`RowPred`] is lowered to a scalar [`Pred`].
 pub const FIELD_SKOLEM_PREFIX: &str = "row$";
 
-/// A term inside a row predicate.
+/// The skolem `?row$col` standing for column `col` of the row under test.
+pub fn field_skolem(col: &str) -> Var {
+    Var::logical(format!("{FIELD_SKOLEM_PREFIX}{col}"))
+}
+
+/// A term over one row: a filter operand, a SET value (where `Field` is
+/// the old row's value) or an INSERT value (where `Field` has no value).
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub enum RowExpr {
     /// A column of the row under test.
@@ -73,6 +83,62 @@ impl RowExpr {
             }
         }
     }
+
+    /// Collect outer scalar variables (from `Outer` terms).
+    pub fn collect_outer_vars(&self, out: &mut Vec<Var>) {
+        match self {
+            RowExpr::Outer(e) => e.collect_vars(out),
+            RowExpr::Add(a, b) | RowExpr::Sub(a, b) | RowExpr::Mul(a, b) => {
+                a.collect_outer_vars(out);
+                b.collect_outer_vars(out);
+            }
+            RowExpr::Field(_) | RowExpr::Int(_) | RowExpr::Str(_) => {}
+        }
+    }
+
+    /// Lower to a scalar [`Expr`] for prover obligations, mapping `Field(c)`
+    /// to the skolem `?row$c`. Strings lower to `None`.
+    pub fn to_scalar(&self) -> Option<Expr> {
+        match self {
+            RowExpr::Field(c) => Some(Expr::Var(field_skolem(c))),
+            RowExpr::Int(v) => Some(Expr::Const(*v)),
+            RowExpr::Str(_) => None,
+            RowExpr::Outer(e) => Some(e.clone()),
+            RowExpr::Add(a, b) => Some(a.to_scalar()?.add(b.to_scalar()?)),
+            RowExpr::Sub(a, b) => Some(a.to_scalar()?.sub(b.to_scalar()?)),
+            RowExpr::Mul(a, b) => Some(a.to_scalar()?.mul(b.to_scalar()?)),
+        }
+    }
+
+    /// The term as a string term: a literal, a field's skolem or an outer
+    /// variable. Used where the term is compared as a string.
+    pub fn as_str_term(&self) -> Option<StrTerm> {
+        match self {
+            RowExpr::Str(s) => Some(StrTerm::Const(s.clone())),
+            RowExpr::Field(c) => Some(StrTerm::Var(field_skolem(c))),
+            RowExpr::Outer(Expr::Var(v)) => Some(StrTerm::Var(v.clone())),
+            _ => None,
+        }
+    }
+}
+
+/// Bind an inserted row over the `?row$col` skolems: `?row$col = value`
+/// for each value that lowers to a scalar, a string equality for a string
+/// term. Other values contribute no constraint (sound: wider
+/// satisfiability). `None` when `columns` and `values` differ in length.
+pub fn bind_insert(columns: &[String], values: &[RowExpr]) -> Option<Pred> {
+    if columns.len() != values.len() {
+        return None;
+    }
+    let mut conj = Vec::new();
+    for (col, v) in columns.iter().zip(values) {
+        if let Some(e) = v.to_scalar() {
+            conj.push(Pred::eq(Expr::Var(field_skolem(col)), e));
+        } else if let Some(term) = v.as_str_term() {
+            conj.push(Pred::StrCmp { eq: true, lhs: StrTerm::Var(field_skolem(col)), rhs: term });
+        }
+    }
+    Some(Pred::and(conj))
 }
 
 impl fmt::Debug for RowExpr {
@@ -206,25 +272,30 @@ impl RowPred {
 
     /// Collect outer scalar variables (from `RowExpr::Outer` terms).
     pub fn collect_outer_vars(&self, out: &mut Vec<Var>) {
-        fn walk_expr(t: &RowExpr, out: &mut Vec<Var>) {
-            match t {
-                RowExpr::Outer(e) => e.collect_vars(out),
-                RowExpr::Add(a, b) | RowExpr::Sub(a, b) | RowExpr::Mul(a, b) => {
-                    walk_expr(a, out);
-                    walk_expr(b, out);
-                }
-                _ => {}
-            }
-        }
         match self {
             RowPred::True | RowPred::False => {}
             RowPred::Cmp(_, a, b) => {
-                walk_expr(a, out);
-                walk_expr(b, out);
+                a.collect_outer_vars(out);
+                b.collect_outer_vars(out);
             }
             RowPred::Not(p) => p.collect_outer_vars(out),
             RowPred::And(ps) | RowPred::Or(ps) => ps.iter().for_each(|p| p.collect_outer_vars(out)),
         }
+    }
+
+    /// Rename the outer parameters apart with `prefix` (`:p` becomes
+    /// `:{prefix}p`), so two transactions sharing parameter names don't
+    /// alias in an intersection query.
+    pub fn rename_params(&self, prefix: &str) -> RowPred {
+        let mut outer = Vec::new();
+        self.collect_outer_vars(&mut outer);
+        let mut s = Subst::new();
+        for v in outer {
+            if let Var::Param(name) = &v {
+                s.insert(v.clone(), Expr::Var(Var::param(format!("{prefix}{name}"))));
+            }
+        }
+        s.apply_row_pred(self)
     }
 
     /// Lower to a scalar [`Pred`] by replacing each field `c` with the
@@ -232,38 +303,15 @@ impl RowPred {
     /// the same skolems and conjoined express "some single row satisfies
     /// both" — the intersection test at the heart of phantom reasoning.
     pub fn to_scalar(&self) -> Pred {
-        fn term(t: &RowExpr) -> Result<Expr, StrTerm> {
-            match t {
-                RowExpr::Field(c) => {
-                    Ok(Expr::Var(Var::logical(format!("{FIELD_SKOLEM_PREFIX}{c}"))))
-                }
-                RowExpr::Int(v) => Ok(Expr::Const(*v)),
-                RowExpr::Str(s) => Err(StrTerm::Const(s.clone())),
-                RowExpr::Outer(e) => Ok(e.clone()),
-                RowExpr::Add(a, b) => Ok(term(a)?.add(term(b)?)),
-                RowExpr::Sub(a, b) => Ok(term(a)?.sub(term(b)?)),
-                RowExpr::Mul(a, b) => Ok(term(a)?.mul(term(b)?)),
-            }
-        }
-        // A term used in a comparison against a string literal must be
-        // treated as a string term even if syntactically a field/outer var.
-        fn as_str_term(t: &RowExpr) -> Option<StrTerm> {
-            match t {
-                RowExpr::Str(s) => Some(StrTerm::Const(s.clone())),
-                RowExpr::Field(c) => {
-                    Some(StrTerm::Var(Var::logical(format!("{FIELD_SKOLEM_PREFIX}{c}"))))
-                }
-                RowExpr::Outer(Expr::Var(v)) => Some(StrTerm::Var(v.clone())),
-                _ => None,
-            }
-        }
         match self {
             RowPred::True => Pred::True,
             RowPred::False => Pred::False,
             RowPred::Cmp(op, a, b) => {
+                // A term compared against a string literal is a string term
+                // even if syntactically a field or outer variable.
                 let stringy = a.is_stringy() || b.is_stringy();
                 if stringy {
-                    match (as_str_term(a), as_str_term(b), op) {
+                    match (a.as_str_term(), b.as_str_term(), op) {
                         (Some(l), Some(r), CmpOp::Eq) => Pred::StrCmp { eq: true, lhs: l, rhs: r },
                         (Some(l), Some(r), CmpOp::Ne) => Pred::StrCmp { eq: false, lhs: l, rhs: r },
                         // Ordered string comparison: unsupported, treated as
@@ -271,8 +319,8 @@ impl RowPred {
                         _ => Pred::True,
                     }
                 } else {
-                    match (term(a), term(b)) {
-                        (Ok(l), Ok(r)) => Pred::Cmp(*op, l, r),
+                    match (a.to_scalar(), b.to_scalar()) {
+                        (Some(l), Some(r)) => Pred::Cmp(*op, l, r),
                         _ => Pred::True,
                     }
                 }
@@ -327,10 +375,13 @@ mod tests {
         let p = RowPred::field_eq_int("deliv_date", 7);
         match p.to_scalar() {
             Pred::Cmp(CmpOp::Eq, Expr::Var(v), Expr::Const(7)) => {
-                assert_eq!(v, Var::logical("row$deliv_date"));
+                assert_eq!(v, field_skolem("deliv_date"));
             }
             other => panic!("unexpected lowering: {other}"),
         }
+        let e = RowExpr::field("hrs").add(RowExpr::Int(2));
+        let scalar = e.to_scalar().expect("scalar");
+        assert!(scalar.mentions(&field_skolem("hrs")));
     }
 
     #[test]
@@ -338,11 +389,12 @@ mod tests {
         let p = RowPred::field_eq_str("cust", "alice");
         match p.to_scalar() {
             Pred::StrCmp { eq: true, lhs: StrTerm::Var(v), rhs: StrTerm::Const(s) } => {
-                assert_eq!(v, Var::logical("row$cust"));
+                assert_eq!(v, field_skolem("cust"));
                 assert_eq!(s, "alice");
             }
             other => panic!("unexpected lowering: {other}"),
         }
+        assert!(RowExpr::Str("x".into()).to_scalar().is_none());
     }
 
     #[test]
@@ -359,5 +411,13 @@ mod tests {
         let mut vs = Vec::new();
         p.collect_outer_vars(&mut vs);
         assert_eq!(vs, vec![Var::param("customer")]);
+        // Substitution rewrites the locals inside `Outer` terms.
+        let e = RowExpr::Outer(Expr::local("n")).add(RowExpr::Int(1));
+        let s = Subst::single(Var::local("n"), Expr::param("m"));
+        let renamed = s.apply_row_expr(&e);
+        assert_eq!(renamed, RowExpr::Outer(Expr::param("m")).add(RowExpr::Int(1)));
+        let mut vs = Vec::new();
+        renamed.collect_outer_vars(&mut vs);
+        assert_eq!(vs, vec![Var::param("m")]);
     }
 }

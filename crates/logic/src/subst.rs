@@ -101,7 +101,8 @@ impl Subst {
         }
     }
 
-    fn apply_row_expr(&self, t: &RowExpr) -> RowExpr {
+    /// Apply to a row term (its `Outer` scalar terms only).
+    pub fn apply_row_expr(&self, t: &RowExpr) -> RowExpr {
         match t {
             RowExpr::Outer(e) => RowExpr::Outer(self.apply_expr(e)),
             RowExpr::Add(a, b) => {

@@ -327,12 +327,6 @@ impl Oracle {
         self.ssi.lock().tracked(txn)
     }
 
-    /// Whether `txn` has an *active* (uncommitted) SSI record — a
-    /// finished transaction must not (post-abort auditing).
-    pub fn ssi_active(&self, txn: TxnId) -> bool {
-        self.ssi.lock().is_active(txn)
-    }
-
     /// The `(in_conflict, out_conflict)` flags of `txn`, if tracked.
     pub fn ssi_flags(&self, txn: TxnId) -> Option<(bool, bool)> {
         self.ssi.lock().flags(txn)
@@ -347,11 +341,6 @@ impl Oracle {
     /// engines must report 0.
     pub fn ssi_record_count(&self) -> usize {
         self.ssi.lock().record_count()
-    }
-
-    /// Active (uncommitted) SSI records.
-    pub fn ssi_active_count(&self) -> usize {
-        self.ssi.lock().active_count()
     }
 }
 

@@ -279,10 +279,6 @@ impl SsiState {
         self.records.contains_key(&txn)
     }
 
-    pub(crate) fn is_active(&self, txn: TxnId) -> bool {
-        self.records.get(&txn).is_some_and(|r| r.active())
-    }
-
     pub(crate) fn flags(&self, txn: TxnId) -> Option<(bool, bool)> {
         self.records.get(&txn).map(|r| (!r.in_edges.is_empty(), !r.out_edges.is_empty()))
     }
@@ -293,10 +289,6 @@ impl SsiState {
 
     pub(crate) fn record_count(&self) -> usize {
         self.records.len()
-    }
-
-    pub(crate) fn active_count(&self) -> usize {
-        self.records.values().filter(|r| r.active()).count()
     }
 }
 

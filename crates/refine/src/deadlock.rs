@@ -18,7 +18,6 @@
 //! SNAPSHOT transactions take no read locks and install their write
 //! buffers at commit, so they participate in no predicted cycle.
 
-use crate::prune::rename_row;
 use semcc_core::{Analyzer, App};
 use semcc_engine::IsolationLevel;
 use semcc_json::{Json, ToJson};
@@ -213,8 +212,8 @@ fn conflicts(analyzer: &Analyzer<'_>, want: &LockReq, held: &LockReq) -> bool {
             t == t2
                 && analyzer.regions_may_intersect(
                     &Pred::True,
-                    &rename_row(f, "l$"),
-                    &rename_row(g, "r$"),
+                    &f.rename_params("l$"),
+                    &g.rename_params("r$"),
                 )
         }
         _ => false,

@@ -25,12 +25,12 @@ use semcc_cert::PruneCert;
 use semcc_core::sdg::{DepEdge, DepGraph, DepKind};
 use semcc_core::{stmt_footprints, App, StmtFootprint};
 use semcc_logic::certtrace::{unsat_proof, UnsatProof};
-use semcc_logic::row::RowPred;
+use semcc_logic::row::{bind_insert, RowPred};
 use semcc_logic::subst::Subst;
-use semcc_logic::{Expr, Pred, StrTerm, Var};
+use semcc_logic::{Expr, Pred, Var};
 use semcc_txn::stmt::{visit_stmts, Stmt};
 use semcc_txn::symexec::{summarize, RelEffect, SymOptions};
-use semcc_txn::{ColExpr, Program};
+use semcc_txn::Program;
 use std::collections::BTreeMap;
 
 /// Branch budget for feasibility refutations — matches the certificate
@@ -210,12 +210,12 @@ fn insert_beyond_region(
     }
     extend_premises(&mut premises, uses);
     for (cond, values) in &inserts {
-        let bound = bind_insert(app, table, values)?;
+        let bound = bind_insert(app.columns(table)?, values)?;
         for u in uses {
             let goal = Pred::and([
                 cond.clone(),
                 bound.clone(),
-                rename_row(&u.filter, "r$").to_scalar(),
+                u.filter.rename_params("r$").to_scalar(),
                 rename_pred(&Pred::and(u.premises.iter().cloned()), "r$"),
             ]);
             let proof = unsat_proof(&goal, MAX_BRANCHES)?;
@@ -240,9 +240,9 @@ fn region_region(writer: &Program, table: &str, uses: &[RegionUse]) -> Option<Ru
     for w in &writer_uses {
         for u in uses {
             let goal = Pred::and([
-                rename_row(&w.filter, "l$").to_scalar(),
+                w.filter.rename_params("l$").to_scalar(),
                 rename_pred(&Pred::and(w.premises.iter().cloned()), "l$"),
-                rename_row(&u.filter, "r$").to_scalar(),
+                u.filter.rename_params("r$").to_scalar(),
                 rename_pred(&Pred::and(u.premises.iter().cloned()), "r$"),
             ]);
             let proof = unsat_proof(&goal, MAX_BRANCHES)?;
@@ -339,29 +339,6 @@ fn scalar_premises(p: &Pred) -> Vec<Pred> {
     out
 }
 
-/// Bind an inserted row over the `?row$col` skolems (mirrors the
-/// analyzer's lowering; unliftable values contribute no constraint —
-/// sound: wider satisfiability). `None` when the schema is unknown.
-fn bind_insert(app: &App, table: &str, values: &[ColExpr]) -> Option<Pred> {
-    let cols = app.columns(table)?;
-    if cols.len() != values.len() {
-        return None;
-    }
-    let mut conj = Vec::new();
-    for (col, v) in cols.iter().zip(values) {
-        if let Some(e) = v.to_scalar() {
-            conj.push(Pred::eq(Expr::Var(Var::logical(format!("row${col}"))), e));
-        } else if let Some(term) = v.as_str_term() {
-            conj.push(Pred::StrCmp {
-                eq: true,
-                lhs: StrTerm::Var(Var::logical(format!("row${col}"))),
-                rhs: term,
-            });
-        }
-    }
-    Some(Pred::and(conj))
-}
-
 /// Rename the parameters of a scalar predicate apart.
 fn rename_pred(p: &Pred, prefix: &str) -> Pred {
     let mut vars = Vec::new();
@@ -373,18 +350,4 @@ fn rename_pred(p: &Pred, prefix: &str) -> Pred {
         }
     }
     s.apply_pred(p)
-}
-
-/// Rename the outer parameters of a region filter apart (mirrors the SDG
-/// builder's renaming).
-pub(crate) fn rename_row(f: &RowPred, prefix: &str) -> RowPred {
-    let mut outer = Vec::new();
-    f.collect_outer_vars(&mut outer);
-    let mut s = Subst::new();
-    for v in outer {
-        if let Var::Param(name) = &v {
-            s.insert(v.clone(), Expr::Var(Var::param(format!("{prefix}{name}"))));
-        }
-    }
-    s.apply_row_pred(f)
 }

@@ -125,7 +125,6 @@ pub fn run(policy: AdmissionPolicy, cfg: &BenchConfig) -> Result<BenchReport, cr
     let serve_cfg = ServeConfig {
         lock_timeout: cfg.lock_timeout,
         tuning,
-        record_history: false,
         retry: RetryPolicy {
             max_attempts: cfg.max_attempts.max(1),
             jitter_seed: cfg.seed,

@@ -31,7 +31,7 @@ use std::time::Duration;
 /// [`TypeStats::aborts_by_class`] make the tuning observable). Second,
 /// history recording is **off**: the unbounded event log exists for
 /// checkers and explorers, and a long-running server would leak without
-/// bound; opting back in via `record_history` uses a bounded ring buffer.
+/// bound.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Lock-wait timeout (default 30 ms; see the struct docs).
@@ -39,25 +39,16 @@ pub struct ServeConfig {
     /// Concurrency layout (default [`EngineTuning::server`]: 32 lock
     /// shards, 32 store stripes).
     pub tuning: EngineTuning,
-    /// Record operation history (default **off** for servers). When on,
-    /// an unset `tuning.history_cap` is clamped to a bounded default so
-    /// the server still cannot leak.
-    pub record_history: bool,
     /// Retry policy applied per submission (attempt bound, per-class
     /// budgets, jittered backoff).
     pub retry: RetryPolicy,
 }
-
-/// Ring-buffer capacity used when history is enabled without an explicit
-/// cap.
-pub const DEFAULT_HISTORY_CAP: usize = 65_536;
 
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             lock_timeout: Duration::from_millis(30),
             tuning: EngineTuning::server(),
-            record_history: false,
             retry: RetryPolicy::default(),
         }
     }
@@ -207,18 +198,14 @@ impl Server {
             let name = p.name.clone();
             table.insert(name, Registered { program: p, level, counters: Counters::default() });
         }
-        let mut tuning = config.tuning;
-        if config.record_history && tuning.history_cap.is_none() {
-            tuning.history_cap = Some(DEFAULT_HISTORY_CAP);
-        }
         let engine = Arc::new(Engine::with_tuning(
             EngineConfig {
                 lock_timeout: config.lock_timeout,
-                record_history: config.record_history,
+                record_history: false,
                 faults: None,
                 wal: None,
             },
-            tuning,
+            config.tuning,
         ));
         Ok(Server {
             engine,

@@ -1,7 +1,9 @@
-//! Evaluation of row predicates against concrete rows.
+//! Evaluation of row terms and row predicates against concrete rows.
 //!
 //! The engine binds a transaction's scalar environment (parameters, locals)
 //! before evaluation, so `RowExpr::Outer` terms resolve to concrete values.
+//! The same evaluator computes filters, UPDATE SET values (against the old
+//! row) and INSERT values (against no row).
 
 use crate::schema::Schema;
 use crate::table::Row;
@@ -18,11 +20,20 @@ pub fn empty_env(_: &Var) -> Option<Value> {
     None
 }
 
-fn eval_row_expr(schema: &Schema, row: &Row, e: &RowExpr, env: Env<'_>) -> Option<Value> {
+/// Evaluate a row term against `row` (an UPDATE's old row, a filter's
+/// candidate) or `None` (an INSERT, where `Field` has no value). `None`
+/// when the term has no value: a field without a row, an unbound outer
+/// variable, a non-integer under arithmetic, or overflow.
+pub fn eval_row_expr(
+    schema: &Schema,
+    row: Option<&Row>,
+    e: &RowExpr,
+    env: Env<'_>,
+) -> Option<Value> {
     match e {
         RowExpr::Field(c) => {
             let idx = schema.column_index(c).ok()?;
-            row.get(idx).cloned()
+            row?.get(idx).cloned()
         }
         RowExpr::Int(v) => Some(Value::Int(*v)),
         RowExpr::Str(s) => Some(Value::str(s.clone())),
@@ -76,8 +87,8 @@ pub fn eval_row_pred(schema: &Schema, row: &Row, pred: &RowPred, env: Env<'_>) -
         RowPred::True => Some(true),
         RowPred::False => Some(false),
         RowPred::Cmp(op, a, b) => {
-            let va = eval_row_expr(schema, row, a, env)?;
-            let vb = eval_row_expr(schema, row, b, env)?;
+            let va = eval_row_expr(schema, Some(row), a, env)?;
+            let vb = eval_row_expr(schema, Some(row), b, env)?;
             eval_cmp(*op, &va, &vb)
         }
         RowPred::Not(p) => eval_row_pred(schema, row, p, env).map(|b| !b),
@@ -171,6 +182,9 @@ mod tests {
             }
         };
         assert!(row_matches(&s, &r, &p, &env));
+        // A string-valued outer needs no row (an INSERT value).
+        let e = RowExpr::Outer(Expr::param("customer"));
+        assert_eq!(eval_row_expr(&s, None, &e, &env), Some(Value::str("alice")));
     }
 
     #[test]
@@ -186,6 +200,9 @@ mod tests {
             }
         };
         assert!(row_matches(&s, &r, &p, &env));
+        // A SET value over the old row's field and an outer parameter.
+        let e = RowExpr::field("date").add(RowExpr::Outer(Expr::param("base")));
+        assert_eq!(eval_row_expr(&s, Some(&r), &e, &env), Some(Value::Int(35)));
     }
 
     #[test]
@@ -221,6 +238,8 @@ mod tests {
         let r = row();
         let p = RowPred::field_eq_int("nope", 1);
         assert_eq!(eval_row_pred(&s, &r, &p, &empty_env), None);
+        // So is a field with no row to read it from (an INSERT value).
+        assert_eq!(eval_row_expr(&s, None, &RowExpr::field("date"), &empty_env), None);
     }
 
     #[test]

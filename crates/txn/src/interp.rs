@@ -1,12 +1,12 @@
 //! Interpreter: execute an annotated program against the engine.
 
-use crate::colexpr::ColExpr;
 use crate::evalpred::{eval_expr, eval_pred, no_atoms};
 use crate::program::{Bindings, Program};
 use crate::stmt::{AStmt, ItemRef, Stmt};
 use semcc_engine::{Engine, EngineError, FaultKind, IsolationLevel, Txn};
 use semcc_logic::row::{RowExpr, RowPred};
 use semcc_logic::Var;
+use semcc_storage::eval::eval_row_expr;
 use semcc_storage::{Row, RowId, Table, Ts, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -182,7 +182,7 @@ fn exec_stmt(txn: &mut Txn, stmt: &Stmt, frame: &mut Frame<'_>) -> Result<(), En
         Stmt::Update { table, filter, sets } => {
             let bound = bind_row_pred(filter, frame)?;
             let t = txn_table(txn, table)?;
-            let set_idx: Vec<(usize, &ColExpr)> = sets
+            let set_idx: Vec<(usize, &RowExpr)> = sets
                 .iter()
                 .map(|(c, e)| t.schema.column_index(c).map(|i| (i, e)))
                 .collect::<Result<Vec<_>, _>>()?;
@@ -190,7 +190,7 @@ fn exec_stmt(txn: &mut Txn, stmt: &Stmt, frame: &mut Frame<'_>) -> Result<(), En
             let f = |old: &Row| -> Row {
                 let mut new = old.clone();
                 for (i, e) in &set_idx {
-                    if let Some(v) = e.eval(&t.schema, Some(old), &env) {
+                    if let Some(v) = eval_row_expr(&t.schema, Some(old), e, &env) {
                         new[*i] = v;
                     }
                 }
@@ -204,7 +204,7 @@ fn exec_stmt(txn: &mut Txn, stmt: &Stmt, frame: &mut Frame<'_>) -> Result<(), En
             let row: Row = values
                 .iter()
                 .map(|e| {
-                    e.eval(&t.schema, None, &env)
+                    eval_row_expr(&t.schema, None, e, &env)
                         .ok_or_else(|| EngineError::Invalid(format!("unbound insert value {e}")))
                 })
                 .collect::<Result<Vec<_>, _>>()?;

@@ -14,7 +14,6 @@
 
 #![allow(clippy::should_implement_trait)] // DSL builders named add/sub/mul
 
-pub mod colexpr;
 pub mod evalpred;
 pub mod interp;
 pub mod monitor;
@@ -22,7 +21,6 @@ pub mod program;
 pub mod stmt;
 pub mod symexec;
 
-pub use colexpr::ColExpr;
 pub use program::{Bindings, ParamKind, Program, ProgramBuilder};
 pub use stmt::{AStmt, ItemRef, Stmt};
 pub use symexec::{PathSummary, ReadFootprint, RelEffect, WriteFootprint};

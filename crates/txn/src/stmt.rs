@@ -1,7 +1,6 @@
 //! Statements of the transaction-program model (Section 3.1 + Section 4).
 
-use crate::colexpr::ColExpr;
-use semcc_logic::row::RowPred;
+use semcc_logic::row::{RowExpr, RowPred};
 use semcc_logic::{Expr, Pred};
 use std::fmt;
 
@@ -129,14 +128,14 @@ pub enum Stmt {
         /// WHERE clause.
         filter: RowPred,
         /// SET clauses (column := expression over old row + scalars).
-        sets: Vec<(String, ColExpr)>,
+        sets: Vec<(String, RowExpr)>,
     },
     /// SQL INSERT INTO ... VALUES.
     Insert {
         /// Table inserted into.
         table: String,
         /// One value per schema column (Field refs are not allowed here).
-        values: Vec<ColExpr>,
+        values: Vec<RowExpr>,
     },
     /// SQL DELETE FROM ... WHERE.
     Delete {
@@ -277,7 +276,7 @@ mod tests {
 
     #[test]
     fn stmt_roundtrips() {
-        use semcc_logic::{CmpOp, RowExpr};
+        use semcc_logic::CmpOp;
         let stmts = vec![
             Stmt::ReadItem { item: ItemRef { base: "sav".into(), index: None }, into: "S".into() },
             Stmt::WriteItem {
@@ -291,11 +290,11 @@ mod tests {
                     RowExpr::Field("name".into()),
                     RowExpr::Outer(Expr::param("e")),
                 ),
-                sets: vec![("hrs".into(), ColExpr::field("hrs").add(ColExpr::Int(1)))],
+                sets: vec![("hrs".into(), RowExpr::field("hrs").add(RowExpr::Int(1)))],
             },
             Stmt::Insert {
                 table: "orders".into(),
-                values: vec![ColExpr::Int(1), ColExpr::Str("x".into())],
+                values: vec![RowExpr::Int(1), RowExpr::Str("x".into())],
             },
             Stmt::Pause { micros: 250 },
         ];

@@ -8,10 +8,9 @@
 //! bounded unrolling plus a sound *havoc* fallback, and unreadable values
 //! (SELECT results) skolemized to fresh rigid constants.
 
-use crate::colexpr::ColExpr;
 use crate::program::Program;
 use crate::stmt::{AStmt, Stmt};
-use semcc_logic::row::RowPred;
+use semcc_logic::row::{RowExpr, RowPred};
 use semcc_logic::subst::Subst;
 use semcc_logic::transform::{Assign, FreshVars};
 use semcc_logic::{Expr, Pred, Var};
@@ -26,7 +25,7 @@ pub enum RelEffect {
         table: String,
         /// One symbolic value per column (Outer terms range over the
         /// transaction's parameters and skolem constants).
-        values: Vec<ColExpr>,
+        values: Vec<RowExpr>,
     },
     /// UPDATE of the region `filter`.
     Update {
@@ -35,7 +34,7 @@ pub enum RelEffect {
         /// Region updated.
         filter: RowPred,
         /// SET clauses.
-        sets: Vec<(String, ColExpr)>,
+        sets: Vec<(String, RowExpr)>,
     },
     /// DELETE of the region `filter`.
     Delete {
@@ -67,6 +66,40 @@ impl RelEffect {
         match self {
             RelEffect::Update { filter, .. } | RelEffect::Delete { filter, .. } => Some(filter),
             RelEffect::Insert { .. } | RelEffect::HavocTable { .. } => None,
+        }
+    }
+
+    /// Collect the outer scalar variables of its filter and values.
+    pub fn collect_outer_vars(&self, out: &mut Vec<Var>) {
+        match self {
+            RelEffect::Insert { values, .. } => {
+                values.iter().for_each(|v| v.collect_outer_vars(out))
+            }
+            RelEffect::Update { filter, sets, .. } => {
+                filter.collect_outer_vars(out);
+                sets.iter().for_each(|(_, e)| e.collect_outer_vars(out));
+            }
+            RelEffect::Delete { filter, .. } => filter.collect_outer_vars(out),
+            RelEffect::HavocTable { .. } => {}
+        }
+    }
+
+    /// The effect with `s` applied to its `Outer` terms.
+    pub fn subst(&self, s: &Subst) -> RelEffect {
+        match self {
+            RelEffect::Insert { table, values } => RelEffect::Insert {
+                table: table.clone(),
+                values: values.iter().map(|v| s.apply_row_expr(v)).collect(),
+            },
+            RelEffect::Update { table, filter, sets } => RelEffect::Update {
+                table: table.clone(),
+                filter: s.apply_row_pred(filter),
+                sets: sets.iter().map(|(c, e)| (c.clone(), s.apply_row_expr(e))).collect(),
+            },
+            RelEffect::Delete { table, filter } => {
+                RelEffect::Delete { table: table.clone(), filter: s.apply_row_pred(filter) }
+            }
+            RelEffect::HavocTable { table } => RelEffect::HavocTable { table: table.clone() },
         }
     }
 }
@@ -158,48 +191,20 @@ impl PathSummary {
     /// instances — or a pair of different transactions sharing parameter
     /// names — do not spuriously alias in interference obligations.
     pub fn rename_params(&self, prefix: &str) -> PathSummary {
-        let mut vars: BTreeSet<Var> = BTreeSet::new();
-        // Collect parameter vars from everything.
+        // Collect parameter vars from everything, Outer terms included.
         let mut collect = Vec::new();
         self.condition.collect_vars(&mut collect);
         for (_, e) in &self.assign.pairs {
             e.collect_vars(&mut collect);
         }
-        for v in collect {
-            if matches!(v, Var::Param(_)) {
-                vars.insert(v);
-            }
-        }
-        // Effects may carry params inside Outer terms; gather via display-free walk.
         for eff in &self.effects {
-            match eff {
-                RelEffect::Insert { values, .. } => {
-                    for v in values {
-                        collect_colexpr_params(v, &mut vars);
-                    }
-                }
-                RelEffect::Update { filter, sets, .. } => {
-                    let mut outer = Vec::new();
-                    filter.collect_outer_vars(&mut outer);
-                    vars.extend(outer.into_iter().filter(|v| matches!(v, Var::Param(_))));
-                    for (_, e) in sets {
-                        collect_colexpr_params(e, &mut vars);
-                    }
-                }
-                RelEffect::Delete { filter, .. } => {
-                    let mut outer = Vec::new();
-                    filter.collect_outer_vars(&mut outer);
-                    vars.extend(outer.into_iter().filter(|v| matches!(v, Var::Param(_))));
-                }
-                RelEffect::HavocTable { .. } => {}
-            }
+            eff.collect_outer_vars(&mut collect);
         }
-        // Read regions can also mention params inside Outer terms.
         for (_, filter) in &self.reads.regions {
-            let mut outer = Vec::new();
-            filter.collect_outer_vars(&mut outer);
-            vars.extend(outer.into_iter().filter(|v| matches!(v, Var::Param(_))));
+            filter.collect_outer_vars(&mut collect);
         }
+        let vars: BTreeSet<Var> =
+            collect.into_iter().filter(|v| matches!(v, Var::Param(_))).collect();
         let mut s = Subst::new();
         for v in vars {
             if let Var::Param(name) = &v {
@@ -217,27 +222,7 @@ impl PathSummary {
                     .collect(),
             },
             havoc_items: self.havoc_items.clone(),
-            effects: self
-                .effects
-                .iter()
-                .map(|eff| match eff {
-                    RelEffect::Insert { table, values } => RelEffect::Insert {
-                        table: table.clone(),
-                        values: values.iter().map(|v| v.subst_outer(&s)).collect(),
-                    },
-                    RelEffect::Update { table, filter, sets } => RelEffect::Update {
-                        table: table.clone(),
-                        filter: s.apply_row_pred(filter),
-                        sets: sets.iter().map(|(c, e)| (c.clone(), e.subst_outer(&s))).collect(),
-                    },
-                    RelEffect::Delete { table, filter } => {
-                        RelEffect::Delete { table: table.clone(), filter: s.apply_row_pred(filter) }
-                    }
-                    RelEffect::HavocTable { table } => {
-                        RelEffect::HavocTable { table: table.clone() }
-                    }
-                })
-                .collect(),
+            effects: self.effects.iter().map(|eff| eff.subst(&s)).collect(),
             reads: ReadFootprint {
                 items: self.reads.items.clone(),
                 regions: self
@@ -249,21 +234,6 @@ impl PathSummary {
                 rmw_items: self.reads.rmw_items.clone(),
             },
         }
-    }
-}
-
-fn collect_colexpr_params(e: &ColExpr, out: &mut BTreeSet<Var>) {
-    match e {
-        ColExpr::Outer(expr) => {
-            let mut v = Vec::new();
-            expr.collect_vars(&mut v);
-            out.extend(v.into_iter().filter(|v| matches!(v, Var::Param(_))));
-        }
-        ColExpr::Add(a, b) | ColExpr::Sub(a, b) | ColExpr::Mul(a, b) => {
-            collect_colexpr_params(a, out);
-            collect_colexpr_params(b, out);
-        }
-        _ => {}
     }
 }
 
@@ -333,18 +303,6 @@ pub fn must_write_items(paths: &[PathSummary]) -> BTreeSet<String> {
     let mut acc = first.written_items();
     for p in iter {
         let w = p.written_items();
-        acc.retain(|x| w.contains(x));
-    }
-    acc
-}
-
-/// Tables written on every path.
-pub fn must_write_tables(paths: &[PathSummary]) -> BTreeSet<String> {
-    let mut iter = paths.iter();
-    let Some(first) = iter.next() else { return BTreeSet::new() };
-    let mut acc = first.written_tables();
-    for p in iter {
-        let w = p.written_tables();
         acc.retain(|x| w.contains(x));
     }
     acc
@@ -593,7 +551,7 @@ fn exec_stmt_sym(stmt: &Stmt, states: &mut Vec<SymState>, opts: &SymOptions) {
                 st.effects.push(RelEffect::Update {
                     table: table.clone(),
                     filter: s.apply_row_pred(filter),
-                    sets: sets.iter().map(|(c, e)| (c.clone(), e.subst_outer(&s))).collect(),
+                    sets: sets.iter().map(|(c, e)| (c.clone(), s.apply_row_expr(e))).collect(),
                 });
             }
         }
@@ -602,7 +560,7 @@ fn exec_stmt_sym(stmt: &Stmt, states: &mut Vec<SymState>, opts: &SymOptions) {
                 let s = st.subst();
                 st.effects.push(RelEffect::Insert {
                     table: table.clone(),
-                    values: values.iter().map(|e| e.subst_outer(&s)).collect(),
+                    values: values.iter().map(|e| s.apply_row_expr(e)).collect(),
                 });
             }
         }
@@ -634,7 +592,7 @@ pub fn merge_adjacent_updates(effects: Vec<RelEffect>) -> Vec<RelEffect> {
                 RelEffect::Update { table: t2, filter: f2, sets: s2 },
             ) if *t1 == t2 && *f1 == f2 => {
                 for (col, e2) in s2 {
-                    let composed = compose_colexpr(&e2, s1);
+                    let composed = compose_sets(&e2, s1);
                     if let Some(slot) = s1.iter_mut().find(|(c, _)| *c == col) {
                         slot.1 = composed;
                     } else {
@@ -649,25 +607,22 @@ pub fn merge_adjacent_updates(effects: Vec<RelEffect>) -> Vec<RelEffect> {
 }
 
 /// Replace `Field(c)` references by the pending SET value for `c`, if any.
-fn compose_colexpr(e: &ColExpr, pending: &[(String, ColExpr)]) -> ColExpr {
+fn compose_sets(e: &RowExpr, pending: &[(String, RowExpr)]) -> RowExpr {
     match e {
-        ColExpr::Field(c) => pending
+        RowExpr::Field(c) => pending
             .iter()
             .find(|(col, _)| col == c)
             .map(|(_, v)| v.clone())
             .unwrap_or_else(|| e.clone()),
-        ColExpr::Add(a, b) => ColExpr::Add(
-            Box::new(compose_colexpr(a, pending)),
-            Box::new(compose_colexpr(b, pending)),
-        ),
-        ColExpr::Sub(a, b) => ColExpr::Sub(
-            Box::new(compose_colexpr(a, pending)),
-            Box::new(compose_colexpr(b, pending)),
-        ),
-        ColExpr::Mul(a, b) => ColExpr::Mul(
-            Box::new(compose_colexpr(a, pending)),
-            Box::new(compose_colexpr(b, pending)),
-        ),
+        RowExpr::Add(a, b) => {
+            RowExpr::Add(Box::new(compose_sets(a, pending)), Box::new(compose_sets(b, pending)))
+        }
+        RowExpr::Sub(a, b) => {
+            RowExpr::Sub(Box::new(compose_sets(a, pending)), Box::new(compose_sets(b, pending)))
+        }
+        RowExpr::Mul(a, b) => {
+            RowExpr::Mul(Box::new(compose_sets(a, pending)), Box::new(compose_sets(b, pending)))
+        }
         other => other.clone(),
     }
 }
@@ -847,8 +802,8 @@ mod tests {
             .bare(Stmt::Insert {
                 table: "orders".into(),
                 values: vec![
-                    ColExpr::Outer(Expr::param("info")),
-                    ColExpr::Outer(Expr::local("m").add(Expr::int(1))),
+                    RowExpr::Outer(Expr::param("info")),
+                    RowExpr::Outer(Expr::local("m").add(Expr::int(1))),
                 ],
             })
             .build();
@@ -857,7 +812,7 @@ mod tests {
         match &paths[0].effects[0] {
             RelEffect::Insert { values, .. } => {
                 // :m was replaced by the entry value of maxdate
-                assert_eq!(values[1], ColExpr::Outer(Expr::db("maxdate").add(Expr::int(1))));
+                assert_eq!(values[1], RowExpr::Outer(Expr::db("maxdate").add(Expr::int(1))));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -898,13 +853,13 @@ mod tests {
                 filter: filter.clone(),
                 sets: vec![(
                     "hrs".into(),
-                    ColExpr::field("hrs").add(ColExpr::Outer(Expr::param("h"))),
+                    RowExpr::field("hrs").add(RowExpr::Outer(Expr::param("h"))),
                 )],
             })
             .bare(Stmt::Update {
                 table: "emp".into(),
                 filter: filter.clone(),
-                sets: vec![("sal".into(), ColExpr::Outer(Expr::int(0)).add(ColExpr::field("hrs")))],
+                sets: vec![("sal".into(), RowExpr::Outer(Expr::int(0)).add(RowExpr::field("hrs")))],
             })
             .build();
         let paths = summarize(&p, SymOptions::default());
@@ -917,8 +872,8 @@ mod tests {
                 // Field(hrs) resolved to hrs + h
                 assert_eq!(
                     sal.1,
-                    ColExpr::Outer(Expr::int(0))
-                        .add(ColExpr::field("hrs").add(ColExpr::Outer(Expr::param("h"))))
+                    RowExpr::Outer(Expr::int(0))
+                        .add(RowExpr::field("hrs").add(RowExpr::Outer(Expr::param("h"))))
                 );
             }
             other => panic!("unexpected {other:?}"),
@@ -931,12 +886,12 @@ mod tests {
             .bare(Stmt::Update {
                 table: "a".into(),
                 filter: RowPred::True,
-                sets: vec![("x".into(), ColExpr::Int(1))],
+                sets: vec![("x".into(), RowExpr::Int(1))],
             })
             .bare(Stmt::Update {
                 table: "b".into(),
                 filter: RowPred::True,
-                sets: vec![("x".into(), ColExpr::Int(2))],
+                sets: vec![("x".into(), RowExpr::Int(2))],
             })
             .build();
         let paths = summarize(&p, SymOptions::default());

@@ -3,12 +3,12 @@
 
 use semcc_engine::{Engine, EngineConfig, EngineError, IsolationLevel, Value};
 use semcc_logic::parser::parse_pred;
-use semcc_logic::row::RowPred;
+use semcc_logic::row::{RowExpr, RowPred};
 use semcc_logic::Expr;
 use semcc_storage::Schema;
 use semcc_txn::interp::{run_program, Stepper};
 use semcc_txn::stmt::{AStmt, ItemRef, Stmt};
-use semcc_txn::{Bindings, ColExpr, ProgramBuilder};
+use semcc_txn::{Bindings, ProgramBuilder};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -132,10 +132,10 @@ fn new_order_style_program() {
         .bare(Stmt::Insert {
             table: "orders".into(),
             values: vec![
-                ColExpr::Outer(Expr::param("info")),
-                ColExpr::Outer(Expr::param("customer")),
-                ColExpr::Outer(Expr::local("maxdate").add(Expr::int(1))),
-                ColExpr::Int(0),
+                RowExpr::Outer(Expr::param("info")),
+                RowExpr::Outer(Expr::param("customer")),
+                RowExpr::Outer(Expr::local("maxdate").add(Expr::int(1))),
+                RowExpr::Int(0),
             ],
         })
         .build();
@@ -166,7 +166,7 @@ fn delivery_style_select_then_update() {
         .bare(Stmt::Update {
             table: "orders".into(),
             filter,
-            sets: vec![("done".into(), ColExpr::Int(1))],
+            sets: vec![("done".into(), RowExpr::Int(1))],
         })
         .build();
     let out = run_program(&e, &p, IsolationLevel::RepeatableRead, &Bindings::new().set("today", 2))

@@ -30,7 +30,7 @@ use semcc_logic::row::{RowExpr, RowPred};
 use semcc_logic::{CmpOp, Expr, Pred};
 use semcc_txn::interp::run_program;
 use semcc_txn::stmt::{AStmt, ItemRef, Stmt};
-use semcc_txn::{Bindings, ColExpr, Program, ProgramBuilder};
+use semcc_txn::{Bindings, Program, ProgramBuilder};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -209,9 +209,9 @@ pub fn new_order(strict: bool) -> Program {
                     Stmt::Insert {
                         table: "cust".into(),
                         values: vec![
-                            ColExpr::Outer(Expr::param("customer")),
-                            ColExpr::Outer(Expr::param("address")),
-                            ColExpr::Int(1),
+                            RowExpr::Outer(Expr::param("customer")),
+                            RowExpr::Outer(Expr::param("address")),
+                            RowExpr::Int(1),
                         ],
                     },
                     i.clone(),
@@ -227,7 +227,7 @@ pub fn new_order(strict: bool) -> Program {
                         filter: RowPred::field_eq_outer("cust_name", Expr::param("customer")),
                         sets: vec![(
                             "num_orders".into(),
-                            ColExpr::field("num_orders").add(ColExpr::Int(1)),
+                            RowExpr::field("num_orders").add(RowExpr::Int(1)),
                         )],
                     },
                     i.clone(),
@@ -241,10 +241,10 @@ pub fn new_order(strict: bool) -> Program {
             Stmt::Insert {
                 table: "orders".into(),
                 values: vec![
-                    ColExpr::Outer(Expr::param("info")),
-                    ColExpr::Outer(Expr::param("customer")),
-                    ColExpr::Outer(Expr::local("maxdate").add(Expr::int(1))),
-                    ColExpr::Int(0),
+                    RowExpr::Outer(Expr::param("info")),
+                    RowExpr::Outer(Expr::param("customer")),
+                    RowExpr::Outer(Expr::local("maxdate").add(Expr::int(1))),
+                    RowExpr::Int(0),
                 ],
             },
             i.clone(),
@@ -288,7 +288,7 @@ pub fn delivery() -> Program {
             Stmt::Update {
                 table: "orders".into(),
                 filter: due,
-                sets: vec![("done".into(), ColExpr::Int(1))],
+                sets: vec![("done".into(), RowExpr::Int(1))],
             },
             io_atom(),
             io_atom(),

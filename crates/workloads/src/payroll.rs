@@ -21,7 +21,7 @@ use semcc_logic::row::{RowExpr, RowPred};
 use semcc_logic::{CmpOp, Expr, Pred};
 use semcc_txn::interp::run_program;
 use semcc_txn::stmt::Stmt;
-use semcc_txn::{Bindings, ColExpr, Program, ProgramBuilder};
+use semcc_txn::{Bindings, Program, ProgramBuilder};
 use std::sync::Arc;
 
 fn pp(s: &str) -> Pred {
@@ -56,7 +56,7 @@ pub fn hours() -> Program {
                 filter: me.clone(),
                 sets: vec![(
                     "hrs".into(),
-                    ColExpr::field("hrs").add(ColExpr::Outer(Expr::param("h"))),
+                    RowExpr::field("hrs").add(RowExpr::Outer(Expr::param("h"))),
                 )],
             },
             isal_atom(),
@@ -67,7 +67,7 @@ pub fn hours() -> Program {
             Stmt::Update {
                 table: "emp".into(),
                 filter: me,
-                sets: vec![("sal".into(), ColExpr::field("rate").mul(ColExpr::field("hrs")))],
+                sets: vec![("sal".into(), RowExpr::field("rate").mul(RowExpr::field("hrs")))],
             },
             Pred::True,
             isal_atom(),

@@ -36,7 +36,7 @@ use semcc_logic::{CmpOp, Expr, Pred};
 use semcc_txn::interp::run_program;
 use semcc_txn::program::with_pauses;
 use semcc_txn::stmt::{AStmt, ItemRef, Stmt};
-use semcc_txn::{Bindings, ColExpr, Program, ProgramBuilder};
+use semcc_txn::{Bindings, Program, ProgramBuilder};
 use std::sync::Arc;
 
 fn pp(s: &str) -> Pred {
@@ -108,10 +108,10 @@ pub fn new_order() -> Program {
             Stmt::Insert {
                 table: "orders".into(),
                 values: vec![
-                    ColExpr::Outer(Expr::local("next")),
-                    ColExpr::Outer(Expr::param("d")),
-                    ColExpr::Outer(Expr::param("c")),
-                    ColExpr::Int(0),
+                    RowExpr::Outer(Expr::local("next")),
+                    RowExpr::Outer(Expr::param("d")),
+                    RowExpr::Outer(Expr::param("c")),
+                    RowExpr::Int(0),
                 ],
             },
             i_all(),
@@ -128,11 +128,11 @@ pub fn new_order() -> Program {
                     AStmt::bare(Stmt::Insert {
                         table: "order_line".into(),
                         values: vec![
-                            ColExpr::Outer(Expr::local("next")),
-                            ColExpr::Outer(Expr::param("d")),
-                            ColExpr::Outer(Expr::local("line")),
-                            ColExpr::Outer(Expr::param("item").add(Expr::local("line"))),
-                            ColExpr::Outer(Expr::param("qty")),
+                            RowExpr::Outer(Expr::local("next")),
+                            RowExpr::Outer(Expr::param("d")),
+                            RowExpr::Outer(Expr::local("line")),
+                            RowExpr::Outer(Expr::param("item").add(Expr::local("line"))),
+                            RowExpr::Outer(Expr::param("qty")),
                         ],
                     }),
                     AStmt::bare(Stmt::Update {
@@ -144,12 +144,12 @@ pub fn new_order() -> Program {
                         sets: vec![
                             (
                                 "s_quantity".into(),
-                                ColExpr::field("s_quantity")
-                                    .sub(ColExpr::Outer(Expr::param("qty"))),
+                                RowExpr::field("s_quantity")
+                                    .sub(RowExpr::Outer(Expr::param("qty"))),
                             ),
                             (
                                 "s_ytd".into(),
-                                ColExpr::field("s_ytd").add(ColExpr::Outer(Expr::param("qty"))),
+                                RowExpr::field("s_ytd").add(RowExpr::Outer(Expr::param("qty"))),
                             ),
                         ],
                     }),
@@ -195,7 +195,7 @@ pub fn payment() -> Program {
                 filter: RowPred::field_eq_outer("d_id", Expr::param("d")),
                 sets: vec![(
                     "d_ytd".into(),
-                    ColExpr::field("d_ytd").add(ColExpr::Outer(Expr::param("amount"))),
+                    RowExpr::field("d_ytd").add(RowExpr::Outer(Expr::param("amount"))),
                 )],
             },
             Pred::True,
@@ -208,11 +208,11 @@ pub fn payment() -> Program {
                 sets: vec![
                     (
                         "c_balance".into(),
-                        ColExpr::field("c_balance").sub(ColExpr::Outer(Expr::param("amount"))),
+                        RowExpr::field("c_balance").sub(RowExpr::Outer(Expr::param("amount"))),
                     ),
                     (
                         "c_ytd_payment".into(),
-                        ColExpr::field("c_ytd_payment").add(ColExpr::Outer(Expr::param("amount"))),
+                        RowExpr::field("c_ytd_payment").add(RowExpr::Outer(Expr::param("amount"))),
                     ),
                 ],
             },
@@ -289,7 +289,7 @@ pub fn delivery() -> Program {
             Stmt::Update {
                 table: "orders".into(),
                 filter: undelivered,
-                sets: vec![("o_carrier".into(), ColExpr::Outer(Expr::param("carrier")))],
+                sets: vec![("o_carrier".into(), RowExpr::Outer(Expr::param("carrier")))],
             },
             i_all(),
             i_all(),

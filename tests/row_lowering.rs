@@ -17,10 +17,9 @@
 
 use semcc::logic::row::{RowExpr, RowPred, FIELD_SKOLEM_PREFIX};
 use semcc::logic::{CmpOp, Expr, Var};
-use semcc::storage::eval::eval_row_pred;
+use semcc::storage::eval::{eval_row_expr, eval_row_pred};
 use semcc::storage::{Row, Schema, Value};
 use semcc::txn::evalpred::eval_pred;
-use semcc::txn::ColExpr;
 
 const SEED: u64 = 0x5eed_0040;
 const CASES: usize = 4_000;
@@ -173,30 +172,16 @@ impl World {
     }
 }
 
-/// The test-local bridge from a drawn row term to the SET/VALUES type.
-fn col(e: &RowExpr) -> ColExpr {
-    match e {
-        RowExpr::Field(c) => ColExpr::Field(c.clone()),
-        RowExpr::Int(v) => ColExpr::Int(*v),
-        RowExpr::Str(s) => ColExpr::Str(s.clone()),
-        RowExpr::Outer(x) => ColExpr::Outer(x.clone()),
-        RowExpr::Add(a, b) => col(a).add(col(b)),
-        RowExpr::Sub(a, b) => col(a).sub(col(b)),
-        RowExpr::Mul(a, b) => col(a).mul(col(b)),
-    }
-}
-
 #[test]
 fn term_evaluation_matches_the_lowering() {
     let schema = schema();
     let mut rng = Rng(SEED);
     let (mut ints, mut strings) = (0, 0);
     for case in 0..CASES {
-        let drawn = any_term(&mut rng);
-        let e = col(&drawn);
+        let e = any_term(&mut rng);
         let w = World::draw(&mut rng);
         let env = |v: &Var| w.param(v);
-        let engine = e.eval(&schema, Some(&w.row), &env);
+        let engine = eval_row_expr(&schema, Some(&w.row), &e, &env);
         let int_env = |v: &Var| w.lowered(v).and_then(|x| x.as_int());
         let lowered = e.to_scalar().and_then(|x| x.eval(&int_env));
         assert_eq!(
@@ -216,10 +201,10 @@ fn term_evaluation_matches_the_lowering() {
         // Without a row (INSERT VALUES), a term that reads a column has no
         // value and any other term keeps its value.
         let mut columns = Vec::new();
-        drawn.collect_columns(&mut columns);
-        let rowless = e.eval(&schema, None, &env);
+        e.collect_columns(&mut columns);
+        let rowless = eval_row_expr(&schema, None, &e, &env);
         if columns.is_empty() {
-            assert_eq!(rowless, e.eval(&schema, Some(&w.row), &env), "case {case}: {e}");
+            assert_eq!(rowless, eval_row_expr(&schema, Some(&w.row), &e, &env), "case {case}: {e}");
         } else {
             assert_eq!(rowless, None, "case {case}: {e}");
         }
